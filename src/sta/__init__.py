@@ -39,6 +39,7 @@ from .counterdiabatic import (
     zero_policy,
 )
 from .errors import (
+    BranchJump,
     ConfigError,
     DegenerateSpectrum,
     InconsistentInitialConditions,

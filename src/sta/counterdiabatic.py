@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .biortho import eigensystem_2x2
-from .errors import ZeroGap
+from .errors import BranchJump, ZeroGap
 from .pulses import PulseSchedule
 
 __all__ = [
@@ -190,13 +190,17 @@ def mixing_angle_values(s: PulseSchedule, times: np.ndarray) -> np.ndarray:
 def mixing_angle_trajectory(s: PulseSchedule, grid: np.ndarray) -> MixingAngleTrajectory:
     """Continuous mixing-angle history on a grid.
 
-    Raises ValueError if consecutive samples differ by pi/2 or more, which
-    signals a grid too coarse to keep the branch labeling trustworthy.
+    Raises BranchJump (a ValueError) if consecutive samples differ by pi/2
+    or more, which signals a grid too coarse to keep the branch labeling
+    trustworthy, or an exceptional point on the sweep.
     """
     alpha = mixing_angle_values(s, grid)
     step = np.abs(np.diff(alpha))
     if step.size and step.max() >= np.pi / 2:
-        raise ValueError("mixing angle jumps by >= pi/2 between samples; refine the grid")
+        raise BranchJump(
+            "mixing angle jumps by >= pi/2 between samples; refine the grid "
+            "or move the sweep off the exceptional point"
+        )
     return MixingAngleTrajectory(grid, alpha)
 
 

@@ -13,6 +13,10 @@ class ZeroGap(StaError):
     """Spectral gap (or a rate denominator) collapsed; rates diverge."""
 
 
+class BranchJump(StaError, ValueError):
+    """Mixing angle jumps by >= pi/2 between samples: grid too coarse or an exceptional point."""
+
+
 class NonFiniteState(StaError):
     """A propagated state picked up NaN or Inf components."""
 

@@ -201,6 +201,16 @@ def test_check_tightened_tolerances_fail(tmp_path, capsys):
     assert out.rstrip().endswith("some checks FAILED")
 
 
+def test_rap_cd_at_exceptional_point_is_runtime_error(tmp_path, capsys):
+    # Omega_0 = Gamma/2 puts an exceptional point at the pulse center
+    cfg = config_file(tmp_path, {"rabi_peak_mhz": 1.0, "gamma_mhz": 2.0})
+    code, _ = run(tmp_path, "rap-cd", "--config", cfg)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "sta: runtime error:" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = config_file(tmp_path, {"bogus_key": 1})
     code, _ = run(tmp_path, "rap", "--config", cfg)

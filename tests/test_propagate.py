@@ -10,8 +10,14 @@ Proves:
   - transitionless driving keeps branch leakage tiny; the bare drive leaks
   - empirical convergence order ~4 and the 16x error drop per halving
   - population bounds, monotone decay, non-finite and bad-grid rejection
-  - pointwise fallback for Hamiltonian callables that cannot broadcast
+  - the first non-finite step is named, inside and after the first block
+  - pointwise fallback for Hamiltonian callables that cannot broadcast,
+    and package errors from a broadcasting callable reach the caller
+  - the blocked step-matrix RK4 matches a per-step vector RK4 reference
 """
+
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +26,7 @@ import scipy.linalg
 from sta import (
     NonFiniteState,
     StateTrajectory,
+    ZeroGap,
     adiabatic_basis,
     bare_hamiltonian,
     branch_projection,
@@ -139,8 +146,22 @@ def test_population_bounds(atom, atom_grid):
 
 def test_non_finite_state_raises():
     h = np.diag([0.0, 1e8j])  # exploding anti-damping
-    with pytest.raises(NonFiniteState):
+    with pytest.raises(NonFiniteState, match=r"after step 11 of 16;"):
         propagate(lambda t: h, [0.0, 1.0], np.linspace(0.0, 16.0, 17))
+
+
+def test_non_finite_state_names_step_past_first_block():
+    x = 0.4  # A = -i H = diag(0, x): each RK4 step multiplies psi_2 by growth
+    growth = 1.0 + x + x**2 / 2 + x**3 / 6 + x**4 / 24
+    expected = math.floor(math.log(sys.float_info.max) / math.log(growth)) + 1
+    n = 3000
+    assert 1024 < expected < n  # overflows after the first block of steps
+    h = np.diag([0.0, 1j * x])
+    with pytest.raises(NonFiniteState, match=rf"forward state after step {expected} of {n};"):
+        propagate(lambda t: h, [0.0, 1.0], np.linspace(0.0, float(n), n + 1))
+    with pytest.raises(NonFiniteState, match=rf"adjoint state after step {expected} of {n};"):
+        propagate_pair(lambda t: h.conj().T, [1.0, 0.0], [0.0, 1.0],
+                       np.linspace(0.0, float(n), n + 1))
 
 
 def test_grid_validation():
@@ -162,6 +183,56 @@ def test_scalar_only_hamiltonian_fallback(atom):
     a = propagate(scalar_only, [0.0, 1.0], grid)
     b = propagate(lambda t: bare_hamiltonian(atom, t), [0.0, 1.0], grid)
     np.testing.assert_array_equal(a.states, b.states)
+
+
+def test_broadcasting_hamiltonian_error_propagates(atom):
+    calls = []
+
+    def gapless(t):
+        calls.append(t)
+        raise ZeroGap("gap closed")
+
+    with pytest.raises(ZeroGap):
+        propagate(gapless, [0.0, 1.0], atom.grid(0.05))
+    assert len(calls) == 1
+
+
+def _reference_rk4(hfun, psi0, grid):
+    """Per-step vector RK4, the integrator the step-matrix scheme replaced."""
+    y = np.asarray(psi0, dtype=complex)
+    out = [y]
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        dt = t1 - t0
+        a0, am, a1 = (-1j * np.asarray(hfun(t), dtype=complex)
+                      for t in (t0, 0.5 * (t0 + t1), t1))
+        k1 = a0 @ y
+        k2 = am @ (y + (0.5 * dt) * k1)
+        k3 = am @ (y + (0.5 * dt) * k2)
+        k4 = a1 @ (y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        out.append(y)
+    return np.array(out)
+
+
+def test_step_matrix_rk4_matches_reference(atom):
+    # non-uniform grid of 2,500 steps: two block boundaries and a partial block
+    u = np.linspace(0.0, 1.0, 2501)
+    t0, t1 = atom.window
+    grid = t0 + (t1 - t0) * (u + 0.2 * np.sin(2.0 * np.pi * u) / (2.0 * np.pi))
+    assert np.ptp(np.diff(grid)) > 0.1 * np.diff(grid).min()  # genuinely non-uniform
+    hfun = lambda t: bare_hamiltonian(atom, t)
+    adjoint = lambda t: bare_hamiltonian(atom, t).conj().T
+    psi0 = np.array([0.0, 1.0], dtype=complex)
+    psihat0 = np.array([0.6, 0.8j])
+
+    def close(states, ref):
+        assert np.max(np.abs(states - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    ref = _reference_rk4(hfun, psi0, grid)
+    close(propagate(hfun, psi0, grid).states, ref)
+    pair = propagate_pair(hfun, psi0, psihat0, grid)
+    close(pair.states, ref)
+    close(pair.adjoint_states, _reference_rk4(adjoint, psihat0, grid))
 
 
 def test_overlap_requires_pair(atom, atom_grid):
