@@ -150,9 +150,10 @@ def load_run_config(scenario: str, config_path, out, dt, window_factor, approx) 
             if key not in params:
                 raise ConfigError(f"unknown config key '{key}' for scenario '{scenario}'")
         params.update(user)
+    params = _validate(scenario, params)
     if dt is not None:
         if scenario == "oscillator":
-            if dt <= 0 or dt >= params["tf_ms"] * 1e-3:
+            if not 0.0 < dt < params["tf_ms"] * 1e-3:
                 raise ConfigError("--dt must lie in (0, tf) seconds for the oscillator")
             params["n_shortcut"] = int(round(params["tf_ms"] * 1e-3 / dt)) + 1
         else:
@@ -164,7 +165,6 @@ def load_run_config(scenario: str, config_path, out, dt, window_factor, approx) 
             scenario, "window_factor", window_factor, minimum=0.0, strict=True)
     if approx and scenario not in ("rap-cd", "rap-cd-approx"):
         raise ConfigError("--approx only applies to the rap-cd scenario")
-    params = _validate(scenario, params)
     return RunConfig(
         scenario=scenario,
         out=Path(out) if out is not None else None,

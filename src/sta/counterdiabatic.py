@@ -33,6 +33,7 @@ import numpy as np
 from .biortho import eigensystem_2x2
 from .errors import BranchJump, ZeroGap
 from .pulses import PulseSchedule
+from .quadrature import _cumulative_simpson
 
 __all__ = [
     "MixingAngleState",
@@ -177,14 +178,9 @@ def mixing_angle_values(s: PulseSchedule, times: np.ndarray) -> np.ndarray:
     """
     times = np.asarray(times, dtype=float)
     mids = 0.5 * (times[:-1] + times[1:])
-    h = np.diff(times)
     f_nodes = np.asarray(alpha_dot(s, times))
     f_mids = np.asarray(alpha_dot(s, mids))
-    inc = (h / 6.0) * (f_nodes[:-1] + 4.0 * f_mids + f_nodes[1:])
-    alpha = np.empty(times.shape, dtype=complex)
-    alpha[0] = mixing_angle_anchor(s, times[0])
-    alpha[1:] = alpha[0] + np.cumsum(inc)
-    return alpha
+    return mixing_angle_anchor(s, times[0]) + _cumulative_simpson(f_nodes, f_mids, np.diff(times))
 
 
 def mixing_angle_trajectory(s: PulseSchedule, grid: np.ndarray) -> MixingAngleTrajectory:
@@ -234,14 +230,6 @@ class PhasePair:
     beta_hat: complex
 
 
-def _simpson(y: np.ndarray, dx: float):
-    """Composite Simpson rule on an odd-length uniformly sampled array."""
-    if y.shape[-1] % 2 == 0:
-        raise ValueError("Simpson rule needs an odd number of samples")
-    return (dx / 3.0) * (y[..., 0] + y[..., -1] + 4.0 * y[..., 1:-1:2].sum(axis=-1)
-                         + 2.0 * y[..., 2:-1:2].sum(axis=-1))
-
-
 def _refine(grid: np.ndarray) -> np.ndarray:
     """Insert midpoints, doubling the resolution of a grid."""
     dense = np.empty(2 * len(grid) - 1)
@@ -261,15 +249,8 @@ def adiabatic_phase_values(s: PulseSchedule, grid: np.ndarray):
     dense = _refine(grid)
     alpha = mixing_angle_values(s, dense)
     ep, em = branch_energies(s, dense, alpha)
-    h = np.diff(grid)
-    out = []
-    for e in (ep, em):
-        inc = -(h / 6.0) * (e[0:-2:2] + 4.0 * e[1:-1:2] + e[2::2])
-        beta = np.empty(grid.shape, dtype=complex)
-        beta[0] = 0.0
-        beta[1:] = np.cumsum(inc)
-        out.append(beta)
-    return out[0], out[1]
+    neg_h = -np.diff(grid)  # beta is minus the integral of E
+    return tuple(_cumulative_simpson(e[0::2], e[1::2], neg_h) for e in (ep, em))
 
 
 def adiabatic_phase(s: PulseSchedule, branch: int, t: float, num: int = 2001) -> PhasePair:

@@ -37,6 +37,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import InconsistentInitialConditions
 from .propagate import propagate
+from .quadrature import _cumulative_simpson
 
 __all__ = [
     "ExpansionSpec",
@@ -145,33 +146,34 @@ class ErmakovPlan:
         rho = self.rho(t)
         return self.omega0**2 / rho**4 - self.rho_ddot(t) / rho
 
-    def phase_integral(self, t: float, num: int = 2001) -> float:
-        """omega_0 * integral_0^t dt'/rho^2 by composite Simpson (>= 2001 points).
+    def phase_integral(self, t, num: int = 2001):
+        """omega_0 * integral_0^t dt'/rho^2 at one time or an array of times.
 
-        Linear outside the ramp where rho is constant.  Both the invariant
-        phases and the closed-form trajectory call this one routine, so the
-        angles they use are bit-identical.
+        One cumulative composite-Simpson table of 1/rho^2 is built on num
+        (at least 2001, made odd) nodes over [0, tf]; each t then adds a
+        single Simpson panel from the last even node at or before it.  The
+        cost is O(len(t) + num) whatever the grid, sorted or not.  Outside
+        the ramp rho is constant and the integral linear.  Each value
+        depends on its own t only, so scalar and array calls give
+        bit-identical results elementwise: the invariant phases and the
+        closed-form trajectory share their angles exactly.
         """
-        t = float(t)
-        head = 0.0
-        if t < 0.0:
-            return self.omega0 * t
-        if t > self.tf:
-            head = self.omega0 / self.rho_final**2 * (t - self.tf)
-            t = self.tf
-        if t == 0.0:
-            return head
-        n = max(int(num), 2001)
-        if n % 2 == 0:
-            n += 1
-        ts = np.linspace(0.0, t, n)
-        y = 1.0 / self.rho(ts) ** 2
-        h = ts[1] - ts[0]
-        simpson = (h / 3.0) * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
-        return head + self.omega0 * float(simpson)
+        t = np.asarray(t, dtype=float)
+        n = max(int(num), 2001) | 1  # odd, so the nodes pair into panels
+        nodes = np.linspace(0.0, self.tf, n)
+        y = 1.0 / self.rho(nodes) ** 2
+        even, y_even = nodes[0::2], y[0::2]
+        table = _cumulative_simpson(y_even, y[1::2], np.diff(even))
+        inside = np.clip(t, 0.0, self.tf)
+        k = np.searchsorted(even, inside, side="right") - 1
+        y_mid, y_end = 1.0 / self.rho(np.stack([0.5 * (even[k] + inside), inside])) ** 2
+        panel = ((inside - even[k]) / 6.0) * (y_even[k] + 4.0 * y_mid + y_end)
+        head = np.where(t > self.tf, self.omega0 / self.rho_final**2 * (t - self.tf), 0.0)
+        phase = np.where(t < 0.0, self.omega0 * t, head + self.omega0 * (table[k] + panel))
+        return phase if phase.ndim else float(phase)
 
-    def theta(self, t: float, num: int = 2001) -> float:
-        """Rotation angle theta(t) of the transported trajectory."""
+    def theta(self, t, num: int = 2001):
+        """Rotation angle theta(t) of the transported trajectory (scalar or array)."""
         return self.theta0 + self.phase_integral(t, num=num)
 
 
@@ -317,7 +319,7 @@ def closed_form_trajectory(plan: ErmakovPlan, spec: ExpansionSpec, grid) -> Phas
     m, w0 = spec.mass, spec.omega0
     rho = np.asarray(plan.rho(grid))
     rho_dot = np.asarray(plan.rho_dot(grid))
-    theta = np.array([plan.theta(t) for t in grid])
+    theta = plan.theta(grid)
     q = r * rho * np.cos(theta)
     p = -(m * w0 / rho) * r * np.sin(theta) + m * rho_dot * r * np.cos(theta)
     return PhaseSpaceTrajectory(grid=grid.copy(), q=q, p=p)

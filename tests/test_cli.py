@@ -237,6 +237,17 @@ def test_bad_config_values(tmp_path, capsys, scenario, payload):
     assert "sta: config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tf_ms", ["25", None])
+def test_oscillator_dt_with_bad_tf_is_config_error(tmp_path, capsys, tf_ms):
+    # the config is validated before --dt is converted with tf_ms
+    cfg = config_file(tmp_path, {"tf_ms": tf_ms})
+    code, _ = run(tmp_path, "oscillator", "--config", cfg, "--dt", "1e-5")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "sta: config error:" in err and "tf_ms" in err
+    assert "Traceback" not in err
+
+
 def test_config_file_errors(tmp_path, capsys):
     code, _ = run(tmp_path, "rap", "--config", str(tmp_path / "missing.json"))
     assert code == 2 and "cannot read config file" in capsys.readouterr().err
@@ -264,6 +275,9 @@ def test_flag_misuse(tmp_path, capsys):
 
     code, _ = run(tmp_path, "oscillator", "--dt", "1.0")  # beyond tf
     assert code == 2
+
+    code, _ = run(tmp_path, "oscillator", "--dt", "nan")
+    assert code == 2 and "--dt" in capsys.readouterr().err
 
 
 def test_unknown_scenario_exits_via_argparse(capsys):

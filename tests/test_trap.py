@@ -8,6 +8,9 @@ Proves:
     residual grows linearly under an omega^2 perturbation
   - Lewis-Riesenfeld phases: constant-trap limit, log-amplitude imaginary
     part, shared quadrature with the trajectory angle (bit-identical)
+  - phase integral over a grid: array and scalar calls bit-identical,
+    accuracy independent of the output grid, order of the grid irrelevant,
+    rho evaluated on O(len(grid) + 2001) points
   - closed-form trajectory: initial conditions, constant-trap circle,
     agreement with the independent Hamilton-equations run, reversibility
   - energy audit: quoted initial energy, exact hundredfold drop, identity
@@ -213,6 +216,66 @@ def test_phase_integral_linear_outside(expansion_spec, expansion_plan):
     inside = expansion_plan.phase_integral(tf)
     np.testing.assert_allclose(expansion_plan.phase_integral(tf + 0.01) - inside,
                                (w0 / 100.0) * 0.01, rtol=1e-12)
+
+
+def _cli_grid(spec, n_shortcut=2001, n_ellipse=501):
+    """Display grid of `sta oscillator`: one period either side of the ramp."""
+    lead = np.linspace(-TWO_PI / spec.omega0, 0.0, n_ellipse + 1)[:-1]
+    ramp = np.linspace(0.0, spec.tf, n_shortcut)
+    tail = np.linspace(spec.tf, spec.tf + TWO_PI / spec.omegaf, n_ellipse + 1)[1:]
+    return np.concatenate([lead, ramp, tail])
+
+
+def _reference_phase(plan, t, num=200_001):
+    ts = np.linspace(0.0, t, num)
+    y = 1.0 / plan.rho(ts) ** 2
+    h = ts[1] - ts[0]
+    return plan.omega0 * (h / 3.0) * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum()
+                                      + 2.0 * y[2:-1:2].sum())
+
+
+def test_closed_form_angle_matches_scalar_theta(expansion_spec, expansion_plan):
+    plan, grid = expansion_plan, _cli_grid(expansion_spec)
+    pointwise = np.array([plan.theta(t) for t in grid])
+    np.testing.assert_array_equal(plan.theta(grid), pointwise)
+    # the trajectory built from the pointwise angles is the closed form, bit for bit
+    rho, rho_dot, m, r = plan.rho(grid), plan.rho_dot(grid), expansion_spec.mass, plan.amplitude
+    q = r * rho * np.cos(pointwise)
+    p = (-(m * expansion_spec.omega0 / rho) * r * np.sin(pointwise)
+         + m * rho_dot * r * np.cos(pointwise))
+    traj = closed_form_trajectory(plan, expansion_spec, grid)
+    np.testing.assert_array_equal(traj.q, q)
+    np.testing.assert_array_equal(traj.p, p)
+
+
+@pytest.mark.parametrize("n_ramp", [2, 7])
+def test_phase_accuracy_independent_of_grid(expansion_spec, expansion_plan, n_ramp):
+    grid = np.linspace(0.0, expansion_spec.tf, n_ramp)
+    ref = np.array([_reference_phase(expansion_plan, t) for t in grid])
+    assert np.max(np.abs(expansion_plan.phase_integral(grid) - ref)) < 1e-10
+
+
+def test_unsorted_grid_gives_sorted_values(expansion_spec, expansion_plan):
+    grid = _cli_grid(expansion_spec, n_shortcut=101, n_ellipse=11)
+    order = np.random.default_rng(3).permutation(len(grid))
+    ordered = closed_form_trajectory(expansion_plan, expansion_spec, grid)
+    shuffled = closed_form_trajectory(expansion_plan, expansion_spec, grid[order])
+    np.testing.assert_array_equal(shuffled.q, ordered.q[order])
+    np.testing.assert_array_equal(shuffled.p, ordered.p[order])
+
+
+def test_closed_form_rho_evaluations_linear(monkeypatch, expansion_spec, expansion_plan):
+    points = []
+    rho = ErmakovPlan.rho
+
+    def counted(plan, t):
+        points.append(np.size(t))
+        return rho(plan, t)
+
+    monkeypatch.setattr(ErmakovPlan, "rho", counted)
+    grid = _cli_grid(expansion_spec)
+    closed_form_trajectory(expansion_plan, expansion_spec, grid)
+    assert sum(points) <= 4 * len(grid) + 2 * 2001
 
 
 def test_closed_form_initial_conditions():
