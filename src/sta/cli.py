@@ -75,6 +75,9 @@ _DEFAULTS = {
 
 _CHECK_SEED = 7
 
+# Rows per formatted and written block of a CSV.
+_CSV_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -185,18 +188,24 @@ def _atom_setup(params: dict):
     return schedule, schedule.grid(params["dt_ns"])
 
 
-def _format(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Comma-separated columns at 17 significant digits, one header row."""
+    """Comma-separated columns at 17 significant digits, one header row.
+
+    The columns become one float table; each block of _CSV_BLOCK rows is
+    formatted with a single % on a repeated "%.17g,...,%.17g" row, which
+    gives the same bytes as f"{float(x):.17g}" per value at a fraction of
+    the cost, and is written before the next one is built.
+    """
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("columns differ in length")
-    lines = [",".join(header)]
-    lines.extend(",".join(_format(col[i]) for col in columns) for i in range(n))
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for s in range(0, n, _CSV_BLOCK):
+            block = table[s:s + _CSV_BLOCK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def run_rap(cfg: RunConfig) -> int:

@@ -302,9 +302,13 @@ class PhaseSpaceTrajectory:
             getattr(self, name).setflags(write=False)
 
     def energy(self, plan: ErmakovPlan, spec: ExpansionSpec) -> np.ndarray:
-        """Instantaneous oscillator energy p^2/2m + m omega^2 q^2 / 2."""
+        """Instantaneous oscillator energy p^2/2m + m omega^2 q^2 / 2.
+
+        The kinetic term is taken as (p/m) p / 2, so that it overflows only
+        when the energy itself does, not when p^2 alone would (a heavy mass).
+        """
         w2 = np.asarray(plan.omega_sq(self.grid))
-        return self.p**2 / (2.0 * spec.mass) + 0.5 * spec.mass * w2 * self.q**2
+        return 0.5 * (self.p / spec.mass) * self.p + 0.5 * spec.mass * w2 * self.q**2
 
 
 def closed_form_trajectory(plan: ErmakovPlan, spec: ExpansionSpec, grid) -> PhaseSpaceTrajectory:

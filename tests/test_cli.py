@@ -5,13 +5,14 @@ and asserts on the parsed CSV or on the exit code and stderr text.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sta.counterdiabatic as cdmod
-from sta.cli import main
+from sta.cli import main, write_csv
 
 TWO_PI = 2.0 * np.pi
 WINDOW = 5.0 / np.sqrt(TWO_PI**2 * 0.01)  # default half-window, ns
@@ -156,6 +157,18 @@ def test_oscillator_fast_inverted_trap(tmp_path):
     assert np.min(rows["omega_sq_rad2_per_s2"]) < 0.0
     assert np.isnan(rows["energy_over_omega_Js"]).any()
     assert np.all(np.isfinite(rows["q_m"]))
+
+
+def test_oscillator_heavy_mass_energy_is_finite(tmp_path):
+    # p = m v overflows when squared for a heavy mass, while the energy does not
+    cfg = config_file(tmp_path, {"mass_kg": 1e300})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, path = run(tmp_path, "oscillator", "--config", cfg)
+    assert code == 0
+    rows = table(path)
+    assert np.all(np.isfinite(rows["energy_J"]))
+    assert np.all(np.isfinite(rows["energy_over_omega_Js"]))
 
 
 def test_oscillator_initial_velocity(tmp_path):
@@ -310,3 +323,36 @@ def test_runtime_failure_exit_code(tmp_path, capsys):
     code, _ = run(tmp_path, "rap", "--config", cfg)
     assert code == 3
     assert "sta: runtime error:" in capsys.readouterr().err
+
+
+def _reference_csv(header, columns):
+    """The per-value writer: one f"{float(x):.17g}" per cell."""
+    lines = [",".join(header)]
+    lines.extend(",".join(f"{float(col[i]):.17g}" for col in columns)
+                 for i in range(len(columns[0])))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+           -1.7976931348623157e308, 2.2250738585072014e-308, 0.1, -1.0 / 3.0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])  # around the 1,024-row blocks
+def test_write_csv_matches_per_value_format(tmp_path, n):
+    rng = np.random.default_rng(n)
+    bits = rng.integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False).view(np.float64)
+    special = np.resize(np.array(SPECIAL), n)
+    ints = rng.integers(-2**62, 2**62, size=n)
+    plain = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    header = ["bits", "special", "ints", "plain"]
+    columns = [bits, special, ints, plain]
+    path = tmp_path / "t.csv"
+    write_csv(path, header, columns)
+    assert path.read_text() == _reference_csv(header, columns)
+    if n == 0:
+        assert path.read_text() == "bits,special,ints,plain\n"
+
+
+def test_write_csv_rejects_unequal_columns(tmp_path):
+    with pytest.raises(ValueError, match="differ in length"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(4)])

@@ -14,6 +14,7 @@ Proves:
   - pointwise fallback for Hamiltonian callables that cannot broadcast,
     and package errors from a broadcasting callable reach the caller
   - the blocked step-matrix RK4 matches a per-step vector RK4 reference
+  - the component-wise 2x2 stack product matches numpy's @
 """
 
 import math
@@ -37,6 +38,7 @@ from sta import (
     propagate,
     propagate_pair,
 )
+from sta.propagate import _matmul_2x2
 
 RNG = np.random.default_rng(23)
 
@@ -233,6 +235,15 @@ def test_step_matrix_rk4_matches_reference(atom):
     pair = propagate_pair(hfun, psi0, psihat0, grid)
     close(pair.states, ref)
     close(pair.adjoint_states, _reference_rk4(adjoint, psihat0, grid))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5])
+def test_matmul_2x2_matches_numpy(scale):
+    a = scale * (RNG.normal(size=(2049, 2, 2)) + 1j * RNG.normal(size=(2049, 2, 2)))
+    # contiguous stacks, and the strided node/midpoint views _rk4 passes in
+    for x, y in ((a[:1024], a[1024:2048]), (a[1::2], a[0:-1:2]), (a[1::2], a[2::2])):
+        bound = 1e-15 * (np.abs(x) @ np.abs(y))
+        assert np.all(np.abs(_matmul_2x2(x, y) - x @ y) <= bound)
 
 
 def test_overlap_requires_pair(atom, atom_grid):
