@@ -36,8 +36,11 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import InconsistentInitialConditions
-from .propagate import propagate
+from .propagate import _check_grid, propagate
 from .quadrature import _cumulative_simpson
+
+# Largest omega dt of one RK4 substep in hamilton_trajectory.
+_OMEGA_DT = 0.1
 
 __all__ = [
     "ExpansionSpec",
@@ -102,7 +105,8 @@ class ErmakovPlan:
     coeffs are the polynomial coefficients of rho in reduced time s = t/tf
     (ascending).  Outside [0, tf] the plan is clamped: rho sits at its
     boundary value with zero derivatives, so omega^2 continues as omega_0^2
-    before the ramp and omega_f^2 after it.
+    before the ramp and omega_f^2 after it.  min_omega_sq and
+    max_abs_omega_sq come from the scan of omega^2 over the ramp.
     """
 
     omega0: float
@@ -112,6 +116,7 @@ class ErmakovPlan:
     amplitude: float
     theta0: float
     min_omega_sq: float = np.nan
+    max_abs_omega_sq: float = np.nan
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
@@ -182,10 +187,10 @@ def plan_expansion(spec: ExpansionSpec, scan_samples: int = 10001) -> ErmakovPla
 
     In reduced time s = t/tf the conditions rho(0) = 1, rho(1) = rho_f and
     vanishing first and second derivatives at both ends form a linear 6x6
-    system in the monomial coefficients.  min omega^2 over the ramp is
-    scanned on scan_samples points and recorded on the plan; a negative
-    value is reported, not treated as an error, since a transiently
-    expulsive trap is physical.
+    system in the monomial coefficients.  omega^2 over the ramp is scanned
+    on scan_samples points and its minimum and largest magnitude recorded
+    on the plan; a negative minimum is reported, not treated as an error,
+    since a transiently expulsive trap is physical.
     """
     rho_f = float(np.sqrt(spec.omega0 / spec.omegaf))
     rows = np.array([
@@ -203,17 +208,22 @@ def plan_expansion(spec: ExpansionSpec, scan_samples: int = 10001) -> ErmakovPla
         omega0=spec.omega0, tf=spec.tf, mass=spec.mass,
         coeffs=coeffs, amplitude=amplitude, theta0=theta0,
     )
-    ts = np.linspace(0.0, spec.tf, int(scan_samples))
-    return replace(plan, min_omega_sq=float(np.min(plan.omega_sq(ts))))
+    w2 = plan.omega_sq(np.linspace(0.0, spec.tf, int(scan_samples)))
+    return replace(plan, min_omega_sq=float(np.min(w2)),
+                   max_abs_omega_sq=float(np.max(np.abs(w2))))
 
 
 @dataclass(frozen=True)
 class InvariantMatrix:
-    """Quadratic invariant I = [[b, c], [-a, -b]] with b^2 - a c = -1."""
+    """Quadratic invariant I = [[b, c], [-a, -b]] with b^2 - a c = -1.
 
-    a: float
-    b: float
-    c: float
+    The coefficients are floats at one time and arrays over a time array;
+    matrix and eigenvalues take the float form only.
+    """
+
+    a: float | np.ndarray
+    b: float | np.ndarray
+    c: float | np.ndarray
 
     @property
     def matrix(self) -> np.ndarray:
@@ -226,16 +236,17 @@ class InvariantMatrix:
         return np.array([-1j * root, 1j * root])
 
 
-def invariant_at(plan: ErmakovPlan, spec: ExpansionSpec, t: float) -> InvariantMatrix:
-    """Invariant coefficients a, b, c evaluated on the plan at time t."""
-    rho = float(plan.rho(t))
-    rho_dot = float(plan.rho_dot(t))
+def invariant_at(plan: ErmakovPlan, spec: ExpansionSpec, t) -> InvariantMatrix:
+    """Invariant coefficients a, b, c evaluated on the plan at one time or a time array."""
+    rho = np.asarray(plan.rho(t))
+    rho_dot = np.asarray(plan.rho_dot(t))
     w0, m = spec.omega0, spec.mass
-    return InvariantMatrix(
-        a=m * (w0 / rho**2 + rho_dot**2 / w0),
-        b=-rho * rho_dot / w0,
-        c=rho**2 / (w0 * m),
-    )
+    coeffs = {
+        "a": m * (w0 / rho**2 + rho_dot**2 / w0),
+        "b": -rho * rho_dot / w0,
+        "c": rho**2 / (w0 * m),
+    }
+    return InvariantMatrix(**{k: x if x.ndim else float(x) for k, x in coeffs.items()})
 
 
 def effective_hamiltonian(plan: ErmakovPlan, spec: ExpansionSpec):
@@ -329,19 +340,41 @@ def closed_form_trajectory(plan: ErmakovPlan, spec: ExpansionSpec, grid) -> Phas
     return PhaseSpaceTrajectory(grid=grid.copy(), q=q, p=p)
 
 
+def _substep_grid(plan: ErmakovPlan, spec: ExpansionSpec, grid: np.ndarray) -> np.ndarray:
+    """grid with each interval cut into k equal substeps of omega dt <= _OMEGA_DT.
+
+    omega is bounded by omega_0 before the ramp, omega_f after it, and on
+    any interval that overlaps the ramp by the scanned max |omega^2| or
+    either end, whichever is larger.  k = 1 where the grid already resolves
+    omega, and the points of grid stay exact points of the result.
+    """
+    lo, hi = grid[:-1], grid[1:]
+    w0_sq, wf_sq = spec.omega0**2, spec.omegaf**2
+    # fmax skips the nan of a plan built without the scan
+    ramp_sq = np.fmax(plan.max_abs_omega_sq, max(w0_sq, wf_sq))
+    w_sq = np.where(hi <= 0.0, w0_sq, np.where(lo >= plan.tf, wf_sq, ramp_sq))
+    k = np.maximum(1, np.ceil(np.sqrt(w_sq) * (hi - lo) / _OMEGA_DT)).astype(int)
+    ends = np.concatenate([[0], np.cumsum(k)])  # fine-grid index of each grid point
+    return np.interp(np.arange(ends[-1] + 1), ends, grid)
+
+
 def hamilton_trajectory(plan: ErmakovPlan, spec: ExpansionSpec, grid) -> PhaseSpaceTrajectory:
     """RK4 integration of Hamilton's equations with the planned omega^2(t).
 
     Starts from the closed-form point at grid[0] and never touches the
     invariant afterwards; the independent cross-check of the transport
-    formulas.
+    formulas.  The integration runs on _substep_grid, so a grid too coarse
+    for omega gets substeps, and the states are returned at the points of
+    grid.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_grid(grid)
     start = closed_form_trajectory(plan, spec, grid[:1])
     x0 = np.array([start.q[0], start.p[0]], dtype=complex)
-    traj = propagate(effective_hamiltonian(plan, spec), x0, grid)
+    fine = _substep_grid(plan, spec, grid)
+    states = propagate(effective_hamiltonian(plan, spec), x0, fine).states
+    at_grid = np.take(states, np.searchsorted(fine, grid), axis=0)
     return PhaseSpaceTrajectory(
-        grid=grid.copy(), q=traj.states[:, 0].real.copy(), p=traj.states[:, 1].real.copy()
+        grid=grid.copy(), q=at_grid[:, 0].real.copy(), p=at_grid[:, 1].real.copy()
     )
 
 

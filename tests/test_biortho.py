@@ -8,10 +8,14 @@ Proves:
   - scaling and adjoint consistency of the spectrum
   - degenerate/defective input raises, bad shapes raise
   - ring/adjoint axioms of the plain ndarray matrix representation
+  - (..., 2, 2) stacks agree with a per-matrix reference loop, and a
+    degenerate member is named by its index
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sta import BiorthoBasis, DegenerateSpectrum, closure_defect, eigensystem_2x2, reconstruct
 
@@ -153,3 +157,107 @@ def test_reconstruct_atom_roundtrip():
     m = atom_matrix(0.0, 1.0, 0.2)
     basis = eigensystem_2x2(m)
     np.testing.assert_allclose(reconstruct(basis), m, atol=1e-12)
+
+
+def _reference_null_vector(m11, m12, m21, m22):
+    va = np.array([-m12, m11])
+    vb = np.array([-m22, m21])
+    return va if np.linalg.norm(va) >= np.linalg.norm(vb) else vb
+
+
+def _reference_eigensystem(h):
+    """One matrix at a time, as a plain loop over the two branches."""
+    half_tr = 0.5 * (h[0, 0] + h[1, 1])
+    sq = np.sqrt((0.5 * (h[0, 0] - h[1, 1])) ** 2 + h[0, 1] * h[1, 0])
+    values = np.array([half_tr + sq, half_tr - sq])
+    hd = h.conj().T
+    right = np.empty((2, 2), dtype=complex)
+    left = np.empty((2, 2), dtype=complex)
+    for n, e in enumerate(values):
+        r = _reference_null_vector(h[0, 0] - e, h[0, 1], h[1, 0], h[1, 1] - e)
+        r = r / np.linalg.norm(r)
+        k = int(np.argmax(np.abs(r)))
+        r = r * (np.conj(r[k]) / np.abs(r[k]))
+        ec = np.conj(e)
+        l = _reference_null_vector(hd[0, 0] - ec, hd[0, 1], hd[1, 0], hd[1, 1] - ec)
+        right[n] = r
+        left[n] = l / np.conj(np.vdot(l, r))
+    return values, right, left
+
+
+def _reference_reconstruct(values, right, left):
+    return sum(values[n] * np.outer(right[n], left[n].conj()) for n in range(2))
+
+
+def _reference_closure_defect(right, left):
+    acc = sum(np.outer(right[n], left[n].conj()) for n in range(2))
+    return float(np.linalg.norm(acc - np.eye(2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       lead=st.one_of(st.integers(1, 64).map(lambda n: (n,)), st.just((3, 4))),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       symmetric=st.booleans())
+def test_stack_matches_per_matrix_reference(seed, lead, scale, symmetric):
+    rng = np.random.default_rng(seed)
+    h = scale * (rng.normal(size=lead + (2, 2)) + 1j * rng.normal(size=lead + (2, 2)))
+    if symmetric:
+        h[..., 1, 0] = h[..., 0, 1]
+    basis = eigensystem_2x2(h)
+    assert basis.values.shape == lead + (2,)
+    assert basis.right.shape == basis.left.shape == lead + (2, 2)
+    for name in ("values", "right", "left"):
+        assert not getattr(basis, name).flags.writeable
+    rebuilt = reconstruct(basis)
+    defects = closure_defect(basis)
+    assert rebuilt.shape == lead + (2, 2)
+    assert defects.shape == lead
+    for i in np.ndindex(*lead):
+        values, right, left = _reference_eigensystem(h[i])
+        np.testing.assert_allclose(basis.values[i], values, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(basis.right[i], right, rtol=0, atol=1e-13)
+        for n in range(2):
+            assert np.linalg.norm(basis.left[i][n] - left[n]) <= 1e-12 * np.linalg.norm(left[n])
+        np.testing.assert_allclose(rebuilt[i], _reference_reconstruct(values, right, left),
+                                   rtol=0, atol=1e-12 * scale)
+        assert abs(defects[i] - _reference_closure_defect(right, left)) < 1e-12
+
+
+def test_single_matrix_is_empty_stack():
+    m = random_matrix()
+    single = eigensystem_2x2(m)
+    stacked = eigensystem_2x2(m[None])
+    assert single.values.shape == (2,) and single.right.shape == single.left.shape == (2, 2)
+    assert isinstance(closure_defect(single), float)
+    assert reconstruct(single).shape == (2, 2)
+    for name in ("values", "right", "left"):
+        assert np.array_equal(getattr(single, name), getattr(stacked, name)[0])
+
+
+def test_stack_names_first_degenerate_member():
+    h = RNG.normal(size=(30, 2, 2)) + 1j * RNG.normal(size=(30, 2, 2))
+    h[17] = [[0.0, 1.0], [0.0, 0.0]]  # defective
+    h[23] = np.eye(2)
+    with pytest.raises(DegenerateSpectrum, match=r"matrix 17: "):
+        eigensystem_2x2(h)
+    h[5] = np.diag([1.0, 1.0 + 1e-12])  # split, but below tolerance
+    with pytest.raises(DegenerateSpectrum, match=r"matrix 5: eigenvalue splitting 1\.000e-12"):
+        eigensystem_2x2(h)
+    grid = RNG.normal(size=(3, 4, 2, 2)) + 0j
+    grid[1, 2] = np.eye(2)
+    with pytest.raises(DegenerateSpectrum, match=r"matrix \(1, 2\): "):
+        eigensystem_2x2(grid)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (5, 2, 3), (2,), (4, 2)])
+def test_stack_shape_validation(shape):
+    with pytest.raises(ValueError, match="2x2"):
+        eigensystem_2x2(np.ones(shape))
+
+
+def test_stack_non_finite_raises():
+    h = RNG.normal(size=(8, 2, 2)) + 0j
+    h[5, 1, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        eigensystem_2x2(h)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sta.cli as climod
 import sta.counterdiabatic as cdmod
 from sta.cli import main, write_csv
 
@@ -171,6 +172,19 @@ def test_oscillator_heavy_mass_energy_is_finite(tmp_path):
     assert np.all(np.isfinite(rows["energy_over_omega_Js"]))
 
 
+def test_oscillator_fast_compression_oracle_is_finite(tmp_path):
+    # omega_f dt reaches 7.9 on the display grid of the ramp; the oracle substeps
+    cfg = config_file(tmp_path, {"ff_hz": 1e5})
+    code, path = run(tmp_path, "oscillator", "--config", cfg)
+    assert code == 0
+    rows = table(path)
+    assert len(rows) == 501 + 2001 + 501
+    for closed, oracle in (("q_m", "q_oracle_m"), ("v_m_per_s", "v_oracle_m_per_s")):
+        assert np.all(np.isfinite(rows[oracle]))
+        gap = np.max(np.abs(rows[closed] - rows[oracle])) / np.max(np.abs(rows[closed]))
+        assert gap < 1e-2
+
+
 def test_oscillator_initial_velocity(tmp_path):
     cfg = config_file(tmp_path, {"v0_um_per_ms": 2.0, "n_shortcut": 101, "n_ellipse": 11})
     code, path = run(tmp_path, "oscillator", "--config", cfg)
@@ -190,6 +204,27 @@ def test_check_passes(tmp_path, capsys):
     assert out.count("PASS") == 6 and "FAIL" not in out
     assert out.rstrip().endswith("all checks passed")
     assert path.read_text() == out
+
+
+def test_check_matrices_match_per_iteration_draws():
+    rng = np.random.default_rng(7)
+    expected = []
+    for _ in range(1000):
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        m[1, 0] = m[0, 1]
+        expected.append(m)
+    drawn = climod._check_matrices()
+    assert drawn.shape == (1000, 2, 2)
+    assert np.array_equal(drawn, np.array(expected))
+
+
+def test_check_degenerate_draw_is_runtime_error(monkeypatch, capsys):
+    degenerate = np.tile(np.eye(2, dtype=complex), (5, 1, 1))
+    monkeypatch.setattr(climod, "_check_matrices", lambda: degenerate)
+    code = main(["check"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "sta: runtime error: matrix 0:" in err
 
 
 def test_check_detects_sign_error(monkeypatch, capsys):

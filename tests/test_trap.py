@@ -5,14 +5,16 @@ Proves:
   - Ermakov residual is an identity to roundoff, omega endpoints exact
   - invariant coefficients at ends and midpoint, unit determinant defect,
     eigenvalues -+i, invariance residual at roundoff relative to ||I||,
-    residual grows linearly under an omega^2 perturbation
+    residual grows linearly under an omega^2 perturbation; a time array
+    gives the scalar calls' coefficients elementwise
   - Lewis-Riesenfeld phases: constant-trap limit, log-amplitude imaginary
     part, shared quadrature with the trajectory angle (bit-identical)
   - phase integral over a grid: array and scalar calls bit-identical,
     accuracy independent of the output grid, order of the grid irrelevant,
     rho evaluated on O(len(grid) + 2001) points
   - closed-form trajectory: initial conditions, constant-trap circle,
-    agreement with the independent Hamilton-equations run, reversibility
+    agreement with the independent Hamilton-equations run, reversibility;
+    the Hamilton run substeps coarse grids and leaves resolved ones alone
   - energy audit: quoted initial energy, exact hundredfold drop, identity
     expansion, rest solution warning, transit is genuinely non-adiabatic
   - validation: bad spec values, inconsistent launch phase, inversion flag
@@ -141,6 +143,16 @@ def test_invariant_eigenvalues(expansion_spec, expansion_plan):
     inv = invariant_at(expansion_plan, expansion_spec, expansion_spec.tf / 3.0)
     np.testing.assert_allclose(inv.eigenvalues, [-1j, 1j], atol=1e-12)
     np.testing.assert_allclose(np.trace(inv.matrix), 0.0, atol=1e-20)
+
+
+def test_invariant_at_array_matches_scalar(expansion_spec, expansion_plan):
+    ts = np.linspace(-0.2 * expansion_spec.tf, 1.2 * expansion_spec.tf, 101)
+    inv = invariant_at(expansion_plan, expansion_spec, ts)
+    assert inv.a.shape == inv.b.shape == inv.c.shape == (101,)
+    for i, t in enumerate(ts):
+        one = invariant_at(expansion_plan, expansion_spec, float(t))
+        assert all(type(x) is float for x in (one.a, one.b, one.c))
+        assert (one.a, one.b, one.c) == (inv.a[i], inv.b[i], inv.c[i])
 
 
 def test_invariance_residual_roundoff(expansion_spec, expansion_plan):
@@ -312,6 +324,32 @@ def test_closed_form_matches_hamilton(expansion_spec, expansion_plan):
     oracle = hamilton_trajectory(expansion_plan, expansion_spec, grid)
     assert np.max(np.abs(closed.q - oracle.q)) < 1e-6 * np.max(np.abs(closed.q))
     assert np.max(np.abs(closed.p - oracle.p)) < 1e-6 * np.max(np.abs(closed.p))
+
+
+def test_hamilton_coarse_grid_is_substepped():
+    # omega dt = pi/2 per display interval; the oracle must not depend on it
+    spec = ExpansionSpec(omega0=TWO_PI * 250.0, omegaf=TWO_PI * 250.0, tf=0.004,
+                         mass=1.44e-25, q0=1e-6)
+    plan = plan_expansion(spec)
+    grid = np.linspace(0.0, spec.tf, 5)
+    traj = hamilton_trajectory(plan, spec, grid)
+    np.testing.assert_allclose(traj.q, spec.q0 * np.cos(spec.omega0 * grid),
+                               atol=1e-5 * spec.q0)
+
+
+def test_hamilton_resolved_grid_is_not_substepped(expansion_spec, expansion_plan):
+    # the oscillator CLI's default grid already has omega dt < 0.1 everywhere
+    w0, wf = expansion_spec.omega0, expansion_spec.omegaf
+    grid = np.concatenate([np.linspace(-TWO_PI / w0, 0.0, 502)[:-1],
+                           np.linspace(0.0, expansion_spec.tf, 2001),
+                           np.linspace(expansion_spec.tf, expansion_spec.tf + TWO_PI / wf,
+                                       502)[1:]])
+    oracle = hamilton_trajectory(expansion_plan, expansion_spec, grid)
+    start = closed_form_trajectory(expansion_plan, expansion_spec, grid[:1])
+    plain = propagate(effective_hamiltonian(expansion_plan, expansion_spec),
+                      np.array([start.q[0], start.p[0]], dtype=complex), grid)
+    assert np.array_equal(oracle.q, plain.states[:, 0].real)
+    assert np.array_equal(oracle.p, plain.states[:, 1].real)
 
 
 def test_hamilton_reversibility(expansion_spec, expansion_plan):
