@@ -12,7 +12,8 @@ polynomial, eigenvectors from the adjugate rows, no iterative solver.
 Every function takes a (..., 2, 2) stack and works on all of its matrices at
 once, with no Python loop over them; a single (2, 2) matrix is the stack with
 an empty leading shape.  Spectral data then has shapes (..., 2) for the
-values and (..., 2, 2) for the vectors.
+values and (..., 2, 2) for the vectors.  _mat2 builds every such stack of
+the package; _fd_spectrum gives d/dt of a basis from one (3, 2, 2) stack.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum
+from .errors import DegenerateSpectrum, ZeroGap
 
 __all__ = ["BiorthoBasis", "eigensystem_2x2", "reconstruct", "closure_defect"]
 
@@ -53,6 +54,14 @@ class BiorthoBasis:
     def __post_init__(self):
         for name in ("values", "right", "left"):
             getattr(self, name).setflags(write=False)
+
+
+def _mat2(m11, m12, m21, m22) -> np.ndarray:
+    """Complex (..., 2, 2) stack [[m11, m12], [m21, m22]] of broadcastable entries."""
+    shape = np.broadcast_shapes(*map(np.shape, (m11, m12, m21, m22)))
+    out = np.empty(shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = m11, m12, m21, m22
+    return out
 
 
 def _null_vector(m11, m12, m21, m22):
@@ -147,6 +156,31 @@ def eigensystem_2x2(h, tol: float = 1e-9) -> BiorthoBasis:
         raise DegenerateSpectrum(where + text.format(gap=gap[i], tol=tol, scale=scale[i]))
     return BiorthoBasis(values=values, right=np.stack([rx, ry], axis=-1),
                         left=np.stack([lx, ly], axis=-1))
+
+
+def _fd_spectrum(hfun, t: float, h: float, tol: float):
+    """Basis at t and central-difference d/dt of its right vectors.
+
+    hfun is sampled at t, t + h and t - h and the (3, 2, 2) stack is
+    decomposed in one call.  The branches at t +- h are matched to those at
+    t by eigenvalue proximity (the principal root may swap them), then each
+    right vector is rescaled by a pure phase so that <l_n(t)|r_n(t +- h)> is
+    real-positive before differencing.  Returns (basis, deriv) with
+    deriv[n] = d/dt r_n(t), accurate to O(h^2).  A DegenerateSpectrum names
+    matrix 0, 1 or 2 for H at t, t + h or t - h.
+    """
+    stack = eigensystem_2x2(np.array([hfun(t), hfun(t + h), hfun(t - h)], dtype=complex),
+                            tol=tol)
+    base = BiorthoBasis(values=stack.values[0], right=stack.right[0], left=stack.left[0])
+    values, right = stack.values[1:], stack.right[1:]
+    straight = np.sum(np.abs(values - base.values), axis=-1)
+    crossed = np.sum(np.abs(values - base.values[::-1]), axis=-1)
+    right = np.where((straight > crossed)[:, None, None], right[:, ::-1], right)
+    overlap = np.sum(base.left.conj() * right, axis=-1)
+    if np.any(overlap == 0.0):
+        raise ZeroGap("cannot gauge-align eigenvectors across the step")
+    right = right * (np.conj(overlap) / np.abs(overlap))[..., None]
+    return base, (right[0] - right[1]) / (2.0 * h)
 
 
 def _projectors(basis: BiorthoBasis) -> np.ndarray:

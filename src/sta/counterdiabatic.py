@@ -30,9 +30,9 @@ from typing import Callable
 
 import numpy as np
 
-from .biortho import eigensystem_2x2
+from .biortho import _fd_spectrum, _mat2
 from .errors import BranchJump, ZeroGap
-from .pulses import PulseSchedule
+from .pulses import PulseSchedule, _const
 from .quadrature import _cumulative_simpson
 
 __all__ = [
@@ -62,19 +62,10 @@ __all__ = [
 ]
 
 
-def _mat2(m11, m12, m21, m22) -> np.ndarray:
-    """Stack four broadcastable entries into a (..., 2, 2) array."""
-    m11, m12, m21, m22 = np.broadcast_arrays(m11, m12, m21, m22)
-    return np.stack(
-        [np.stack([m11, m12], axis=-1), np.stack([m21, m22], axis=-1)], axis=-2
-    )
-
-
 def bare_hamiltonian(s: PulseSchedule, t) -> np.ndarray:
     """Rotating-wave Hamiltonian of the driven atom with upper-level decay."""
     d, o, g = s.delta(t), s.rabi(t), s.gamma(t)
-    zero = np.zeros(np.shape(t))
-    return 0.5 * _mat2(-d + 0j, o + zero * 1j, o + zero * 1j, d - 1j * g)
+    return 0.5 * _mat2(-d + 0j, o, o, d - 1j * g)
 
 
 def alpha_dot(s: PulseSchedule, t):
@@ -104,9 +95,8 @@ def cd_coupling(s: PulseSchedule, t):
 
 def cd_correction(s: PulseSchedule, t) -> np.ndarray:
     """Counterdiabatic term H_1 = [[0, C], [-C, 0]]; traceless, m12 = -m21."""
-    c = np.asarray(cd_coupling(s, t))
-    zero = np.zeros_like(c)
-    return _mat2(zero, c, -c, zero)
+    c = cd_coupling(s, t)
+    return _mat2(0.0, c, -c, 0.0)
 
 
 def cd_hamiltonian(s: PulseSchedule, t) -> np.ndarray:
@@ -121,10 +111,8 @@ def cd_hamiltonian_approx(s: PulseSchedule, t) -> np.ndarray:
     amplitude-modulated laser can implement; the price is that branch
     transport is no longer exact.
     """
-    c = np.asarray(cd_coupling(s, t))
-    ci = 1j * c.imag
-    zero = np.zeros_like(ci)
-    return bare_hamiltonian(s, t) + _mat2(zero, ci, -ci, zero)
+    ci = 1j * np.imag(cd_coupling(s, t))
+    return bare_hamiltonian(s, t) + _mat2(0.0, ci, -ci, 0.0)
 
 
 @dataclass(frozen=True)
@@ -287,7 +275,7 @@ class XiPolicy:
 
 def zero_policy() -> XiPolicy:
     """Policy with xi_pm identically zero."""
-    z = lambda t: np.zeros(np.shape(t)) if np.ndim(t) else 0.0
+    z = _const(0.0)
     return XiPolicy(xi_plus=z, xi_minus=z, xi_dot_plus=z, xi_dot_minus=z)
 
 
@@ -344,27 +332,10 @@ def phase_shaped_hamiltonian(s: PulseSchedule, policy: XiPolicy, t, alpha) -> np
 def eigenvector_derivative(hfun, t: float, h: float = 1e-4, tol: float = 1e-9) -> np.ndarray:
     """Central-difference time derivative of the gauge-aligned eigenvectors.
 
-    Branches at t +- h are matched to the branches at t by eigenvalue
-    proximity, then each is rescaled by a pure phase so that
-    <l_n(t) | r_n(t +- h)> is real-positive before differencing.  Returns
-    deriv with deriv[n] = d/dt r_n(t), accurate to O(h^2).
+    Returns deriv with deriv[n] = d/dt r_n(t), accurate to O(h^2); the
+    branch matching and gauge rule are those of biortho._fd_spectrum.
     """
-    base = eigensystem_2x2(hfun(t), tol=tol)
-    shifted = []
-    for tp in (t + h, t - h):
-        b = eigensystem_2x2(hfun(tp), tol=tol)
-        straight = abs(b.values[0] - base.values[0]) + abs(b.values[1] - base.values[1])
-        crossed = abs(b.values[0] - base.values[1]) + abs(b.values[1] - base.values[0])
-        order = (0, 1) if straight <= crossed else (1, 0)
-        vecs = np.empty((2, 2), dtype=complex)
-        for n in range(2):
-            v = b.right[order[n]]
-            ov = np.vdot(base.left[n], v)
-            if ov == 0.0:
-                raise ZeroGap("cannot gauge-align eigenvectors across the step")
-            vecs[n] = v * (np.conj(ov) / np.abs(ov))
-        shifted.append(vecs)
-    return (shifted[0] - shifted[1]) / (2.0 * h)
+    return _fd_spectrum(hfun, t, h, tol)[1]
 
 
 def cd_correction_numeric(hfun, t: float, h: float = 1e-4, tol: float = 1e-9) -> np.ndarray:
@@ -376,14 +347,10 @@ def cd_correction_numeric(hfun, t: float, h: float = 1e-4, tol: float = 1e-9) ->
     cd_correction for the two-level atom to O(h^2) without ever using the
     mixing-angle parametrization.
     """
-    basis = eigensystem_2x2(hfun(t), tol=tol)
-    deriv = eigenvector_derivative(hfun, t, h=h, tol=tol)
-    h1 = np.zeros((2, 2), dtype=complex)
-    for n in range(2):
-        lc = basis.left[n].conj()
-        h1 += 1j * (np.outer(deriv[n], lc)
-                    - np.vdot(basis.left[n], deriv[n]) * np.outer(basis.right[n], lc))
-    return h1
+    basis, deriv = _fd_spectrum(hfun, t, h, tol)
+    lc = basis.left.conj()
+    transverse = deriv - np.sum(lc * deriv, axis=-1)[:, None] * basis.right
+    return 1j * np.einsum("ni,nj->ij", transverse, lc)
 
 
 @dataclass(frozen=True)
@@ -414,10 +381,7 @@ def adiabatic_basis(s: PulseSchedule, traj: MixingAngleTrajectory) -> BasisTraje
     """
     a = traj.alpha
     sh, ch = np.sin(a / 2.0), np.cos(a / 2.0)
-    n = len(traj.grid)
-    right = np.empty((n, 2, 2), dtype=complex)
-    right[:, 0, 0], right[:, 0, 1] = sh, ch
-    right[:, 1, 0], right[:, 1, 1] = ch, -sh
+    right = _mat2(sh, ch, ch, -sh)
     left = right.conj()
     ep, em = branch_energies(s, traj.grid, a)
     values = np.stack([ep, em], axis=-1)

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .biortho import _fd_spectrum
 from .errors import ZeroGap
 
 __all__ = [
@@ -169,18 +170,6 @@ def generic_adiabaticity_ratio(hfun, t: float, h: float = 1e-4, tol: float = 1e-
     gauge-aligned instantaneous eigenbasis.  Agrees with adiabaticity_ratio
     for the two-level atom but needs nothing beyond an H(t) callable.
     """
-    from .biortho import eigensystem_2x2
-    from .counterdiabatic import eigenvector_derivative
-
-    basis = eigensystem_2x2(hfun(t), tol=tol)
-    deriv = eigenvector_derivative(hfun, t, h=h, tol=tol)
-    out = 0.0
-    for n in range(2):
-        for m in range(2):
-            if n == m:
-                continue
-            gap = abs(basis.values[n] - basis.values[m])
-            if gap == 0.0:
-                raise ZeroGap("degenerate eigenvalues in adiabaticity check")
-            out = max(out, abs(np.vdot(basis.left[n], deriv[m])) / gap)
-    return out
+    basis, deriv = _fd_spectrum(hfun, t, h, tol)
+    coupling = np.abs(np.sum(basis.left.conj() * deriv[::-1], axis=-1))
+    return float(np.max(coupling) / abs(basis.values[0] - basis.values[1]))

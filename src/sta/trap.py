@@ -24,7 +24,8 @@ Its eigendirections transport classical trajectories exactly:
 with theta(t) = omega_0 * integral of dt'/rho^2 + theta_0.  The energy then
 drops by exactly omega_f/omega_0 however short t_f is.
 
-Units are SI throughout this module (kg, m, s, rad/s).
+Units are SI throughout this module (kg, m, s, rad/s).  The invariant, its
+derivative and H are complex (..., 2, 2) stacks over a time array's shape.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .biortho import _mat2
 from .errors import InconsistentInitialConditions
 from .propagate import _check_grid, propagate
 from .quadrature import _cumulative_simpson
@@ -218,7 +220,7 @@ class InvariantMatrix:
     """Quadratic invariant I = [[b, c], [-a, -b]] with b^2 - a c = -1.
 
     The coefficients are floats at one time and arrays over a time array;
-    matrix and eigenvalues take the float form only.
+    matrix then has shape (2, 2) or (..., 2, 2), eigenvalues (2,) or (..., 2).
     """
 
     a: float | np.ndarray
@@ -227,13 +229,13 @@ class InvariantMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array([[self.b, self.c], [-self.a, -self.b]])
+        return _mat2(self.b, self.c, -self.a, -self.b)
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """Time-independent pair (-i, +i): det I = ac - b^2 = 1, zero trace."""
-        root = np.sqrt(complex(self.a * self.c - self.b**2))
-        return np.array([-1j * root, 1j * root])
+        root = np.sqrt(np.asarray(self.a * self.c - self.b**2, dtype=complex))
+        return root[..., None] * np.array([-1j, 1j])
 
 
 def invariant_at(plan: ErmakovPlan, spec: ExpansionSpec, t) -> InvariantMatrix:
@@ -260,31 +262,30 @@ def effective_hamiltonian(plan: ErmakovPlan, spec: ExpansionSpec):
 
     def hfun(t):
         w2 = np.asarray(plan.omega_sq(t))
-        zero = np.zeros_like(w2)
-        top = np.stack([zero, np.full_like(w2, 1.0 / m)], axis=-1)
-        bot = np.stack([-m * w2, zero], axis=-1)
-        return 1j * np.stack([top, bot], axis=-2)
+        return _mat2(0.0, 1j / m, 1j * (-m * w2), 0.0)
 
     return hfun
 
 
-def invariance_residual(plan: ErmakovPlan, spec: ExpansionSpec, t: float) -> float:
-    """Frobenius norm of dI/dt - i [I, H] at time t; zero on a consistent plan.
+def invariance_residual(plan: ErmakovPlan, spec: ExpansionSpec, t):
+    """Frobenius norm of dI/dt - i [I, H] at one time or a time array.
 
-    dI/dt uses the analytic coefficient derivatives, the commutator the
-    effective Hamiltonian, so the two sides come from different routes.
+    Zero on a consistent plan.  dI/dt uses the analytic coefficient
+    derivatives, the commutator the effective Hamiltonian, so the two sides
+    come from different routes.  A float for a scalar t; an array call
+    matches the scalar calls elementwise.
     """
-    rho = float(plan.rho(t))
-    rho_dot = float(plan.rho_dot(t))
-    rho_ddot = float(plan.rho_ddot(t))
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    rho, rho_dot, rho_ddot = plan.rho(ts), plan.rho_dot(ts), plan.rho_ddot(ts)
     w0, m = spec.omega0, spec.mass
     a_dot = m * (-2.0 * w0 * rho_dot / rho**3 + 2.0 * rho_dot * rho_ddot / w0)
     b_dot = -(rho_dot**2 + rho * rho_ddot) / w0
     c_dot = 2.0 * rho * rho_dot / (w0 * m)
-    i_dot = np.array([[b_dot, c_dot], [-a_dot, -b_dot]], dtype=complex)
-    i_mat = invariant_at(plan, spec, t).matrix.astype(complex)
-    h = effective_hamiltonian(plan, spec)(t)
-    return float(np.linalg.norm(i_dot - 1j * (i_mat @ h - h @ i_mat)))
+    i_dot = _mat2(b_dot, c_dot, -a_dot, -b_dot)
+    i_mat = invariant_at(plan, spec, ts).matrix
+    h = effective_hamiltonian(plan, spec)(ts)
+    res = np.linalg.norm(i_dot - 1j * (i_mat @ h - h @ i_mat), axis=(-2, -1))
+    return res if np.ndim(t) else float(res[0])
 
 
 def lr_phases(plan: ErmakovPlan, spec: ExpansionSpec, t: float, num: int = 2001):

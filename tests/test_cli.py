@@ -259,6 +259,26 @@ def test_rap_cd_at_exceptional_point_is_runtime_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("payload, flags, code, warns", [
+    ({"rabi_peak_mhz": 1.001, "gamma_mhz": 2.0}, [], 0, True),   # grid misses the peak rate
+    ({}, [], 0, False),                                          # defaults: roundoff leakage
+    ({}, ["--approx"], 0, False),                                # truncation leaks by design
+    ({"rabi_peak_mhz": 1.0, "gamma_mhz": 2.0}, [], 3, False),    # on the exceptional point
+])
+def test_rap_cd_leakage_warning(tmp_path, capsys, payload, flags, code, warns):
+    cfg = config_file(tmp_path, payload)
+    got, path = run(tmp_path, "rap-cd", "--config", cfg, *flags)
+    err = capsys.readouterr().err
+    assert got == code
+    assert ("sta: warning: max branch leakage" in err) == warns
+    if got == 0:
+        leak = np.max(table(path)["c_minus_abs"])
+        if not flags:
+            assert (leak > 1e-5) == warns
+        if not warns:
+            assert err == ""
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = config_file(tmp_path, {"bogus_key": 1})
     code, _ = run(tmp_path, "rap", "--config", cfg)

@@ -15,7 +15,10 @@ Proves:
   - phase shaping: zero policy = plain correction, canonical policy
     rebuilds the full drive, off-diagonal obstruction for random policies
   - numerical eigenvector derivative and the spectral-data correction
-    match the analytic route at O(h^2)
+    match the analytic route at O(h^2), follow a branch swap of the
+    principal root, and decompose once per evaluation
+  - every builder-backed Hamiltonian is bitwise (zero signs included) the
+    nested-np.stack assembly it replaced
   - transported branch states solve the corrected Schrodinger equation
 """
 
@@ -24,6 +27,7 @@ import pytest
 
 from sta import (
     ChirpedGaussianParams,
+    DegenerateSpectrum,
     XiPolicy,
     ZeroGap,
     adiabatic_basis,
@@ -43,12 +47,16 @@ from sta import (
     constant_schedule,
     eigensystem_2x2,
     eigenvector_derivative,
+    generic_adiabaticity_ratio,
     mixing_angle_anchor,
     mixing_angle_trajectory,
     mixing_angle_values,
     phase_shaped_hamiltonian,
     zero_policy,
 )
+import sta.biortho as biortho
+import sta.counterdiabatic as cdmod
+from sta.propagate import _refine
 from sta.pulses import PulseSchedule, _const
 
 TWO_PI = 2.0 * np.pi
@@ -317,3 +325,85 @@ def test_transitionless_branch_transport(atom):
         dpsi = (psi[2:] - psi[:-2]) / (2.0 * dt)
         res = 1j * dpsi - np.einsum("tij,tj->ti", h[1:-1], psi[1:-1])
         assert np.max(np.linalg.norm(res, axis=1)) < 1e-6
+
+
+def _crossing_hfun(t):
+    # E = +-sqrt(-1 + i t): the principal root puts +i first at t = 0 and
+    # -i first at t - h, so the branches must be matched, not taken in order
+    return np.array([[0.0, 1.0], [-1.0 + 1j * t, 0.0]])
+
+
+def test_fd_helpers_follow_crossed_branches():
+    np.testing.assert_allclose(generic_adiabaticity_ratio(_crossing_hfun, 0.0), 0.125,
+                               atol=1e-6)
+    np.testing.assert_allclose(cd_correction_numeric(_crossing_hfun, 0.0),
+                               np.diag([-0.25, 0.25]), atol=1e-6)
+
+
+def test_fd_degeneracy_names_shifted_matrix():
+    # [[0, 1], [t, 0]] is defective at t = 0, here the t - h sample
+    with pytest.raises(DegenerateSpectrum, match="matrix 2:"):
+        eigenvector_derivative(lambda t: np.array([[0.0, 1.0], [t, 0.0]]), 1e-4, h=1e-4)
+
+
+def test_fd_helpers_decompose_once(monkeypatch, atom):
+    calls = []
+    original = biortho.eigensystem_2x2
+
+    def counted(h, tol=1e-9):
+        calls.append(np.shape(h))
+        return original(h, tol=tol)
+
+    # patch every module that holds a reference, so no call goes uncounted
+    for mod in (biortho, cdmod):
+        if hasattr(mod, "eigensystem_2x2"):
+            monkeypatch.setattr(mod, "eigensystem_2x2", counted)
+    hfun = lambda t: bare_hamiltonian(atom, t)
+    for helper in (eigenvector_derivative, cd_correction_numeric, generic_adiabaticity_ratio):
+        calls.clear()
+        helper(hfun, 1.5)
+        assert calls == [(3, 2, 2)], helper.__name__
+
+
+def _stack(m11, m12, m21, m22):
+    """Reference (..., 2, 2) assembly by nested np.stack."""
+    m11, m12, m21, m22 = np.broadcast_arrays(m11, m12, m21, m22)
+    return np.stack([np.stack([m11, m12], axis=-1), np.stack([m21, m22], axis=-1)], axis=-2)
+
+
+def _bare_ref(s, t):
+    d, o, g = s.delta(t), s.rabi(t), s.gamma(t)
+    zero = np.zeros(np.shape(t))
+    return 0.5 * _stack(-d + 0j, o + zero * 1j, o + zero * 1j, d - 1j * g)
+
+
+def _coupling_ref(c):
+    c = np.asarray(c)
+    zero = np.zeros_like(c)
+    return _stack(zero, c, -c, zero)
+
+
+def assert_bitwise(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype == complex
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+# t = -0.0 gives Delta = +0.0, whose -Delta + 0j entry must stay +0.0
+@pytest.mark.parametrize("where", ["grid", -0.0, 1.3])
+def test_hamiltonians_bitwise_match_stacked_reference(atom, where):
+    t = _refine(atom.grid(1e-3)) if where == "grid" else where
+    c = cd_coupling(atom, t)
+    assert_bitwise(bare_hamiltonian(atom, t), _bare_ref(atom, t))
+    assert_bitwise(cd_hamiltonian(atom, t), _bare_ref(atom, t) + _coupling_ref(c))
+    assert_bitwise(cd_hamiltonian_approx(atom, t),
+                   _bare_ref(atom, t) + _coupling_ref(1j * np.asarray(c).imag))
+    alpha = (mixing_angle_values(atom, t) if where == "grid"
+             else mixing_angle_values(atom, np.array([t]))[0])
+    rng = np.random.default_rng(3)
+    xp, xm = rng.normal(size=(2,) + np.shape(t))
+    policy = XiPolicy(xi_plus=None, xi_minus=None,
+                      xi_dot_plus=lambda u: xp, xi_dot_minus=lambda u: xm)
+    sh2, ch2 = np.sin(alpha / 2.0) ** 2, np.cos(alpha / 2.0) ** 2
+    off = 0.5 * np.sin(alpha) * (xm - xp)
+    assert_bitwise(phase_shaped_hamiltonian(atom, policy, t, alpha),
+                   _stack(-sh2 * xp - ch2 * xm, off + c, off - c, -ch2 * xp - sh2 * xm))

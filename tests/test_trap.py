@@ -6,7 +6,10 @@ Proves:
   - invariant coefficients at ends and midpoint, unit determinant defect,
     eigenvalues -+i, invariance residual at roundoff relative to ||I||,
     residual grows linearly under an omega^2 perturbation; a time array
-    gives the scalar calls' coefficients elementwise
+    gives the scalar calls' coefficients, matrices, eigenvalues and
+    residuals elementwise
+  - the effective Hamiltonian is bitwise (zero signs included) the
+    nested-np.stack assembly it replaced
   - Lewis-Riesenfeld phases: constant-trap limit, log-amplitude imaginary
     part, shared quadrature with the trajectory angle (bit-identical)
   - phase integral over a grid: array and scalar calls bit-identical,
@@ -39,6 +42,7 @@ from sta import (
     plan_expansion,
     propagate,
 )
+from sta.propagate import _refine
 
 TWO_PI = 2.0 * np.pi
 
@@ -153,6 +157,27 @@ def test_invariant_at_array_matches_scalar(expansion_spec, expansion_plan):
         one = invariant_at(expansion_plan, expansion_spec, float(t))
         assert all(type(x) is float for x in (one.a, one.b, one.c))
         assert (one.a, one.b, one.c) == (inv.a[i], inv.b[i], inv.c[i])
+
+
+def test_invariant_array_matrix_and_eigenvalues(expansion_spec, expansion_plan):
+    ts = np.linspace(-0.2 * expansion_spec.tf, 1.2 * expansion_spec.tf, 7)
+    inv = invariant_at(expansion_plan, expansion_spec, ts)
+    assert inv.matrix.shape == (7, 2, 2)
+    assert inv.eigenvalues.shape == (7, 2)
+    np.testing.assert_allclose(inv.eigenvalues, np.tile([-1j, 1j], (7, 1)), atol=1e-12)
+    for i, t in enumerate(ts):
+        one = invariant_at(expansion_plan, expansion_spec, float(t))
+        np.testing.assert_array_equal(inv.matrix[i], one.matrix)
+        np.testing.assert_array_equal(inv.eigenvalues[i], one.eigenvalues)
+
+
+def test_invariance_residual_array_matches_scalar(expansion_spec, expansion_plan):
+    ts = np.linspace(-0.2 * expansion_spec.tf, 1.2 * expansion_spec.tf, 41)
+    res = invariance_residual(expansion_plan, expansion_spec, ts)
+    assert res.shape == (41,)
+    for i, t in enumerate(ts):
+        one = invariance_residual(expansion_plan, expansion_spec, float(t))
+        assert type(one) is float and one == res[i]
 
 
 def test_invariance_residual_roundoff(expansion_spec, expansion_plan):
@@ -423,3 +448,21 @@ def test_effective_hamiltonian_broadcast(expansion_spec, expansion_plan):
     many = hfun(np.linspace(0.0, 0.02, 7))
     assert many.shape == (7, 2, 2)
     np.testing.assert_array_equal(many[1], hfun(np.linspace(0.0, 0.02, 7)[1]))
+
+
+@pytest.mark.parametrize("where", ["grid", 0.01, -0.001])
+def test_effective_hamiltonian_bitwise_match_stacked_reference(expansion_spec, expansion_plan,
+                                                               where):
+    w0, wf, tf = expansion_spec.omega0, expansion_spec.omegaf, expansion_spec.tf
+    grid = np.concatenate([np.linspace(-TWO_PI / w0, 0.0, 502)[:-1], np.linspace(0.0, tf, 2001),
+                           np.linspace(tf, tf + TWO_PI / wf, 502)[1:]])
+    t = _refine(grid) if where == "grid" else where
+    m = expansion_spec.mass
+    w2 = np.asarray(expansion_plan.omega_sq(t))
+    zero = np.zeros_like(w2)
+    top = np.stack([zero, np.full_like(w2, 1.0 / m)], axis=-1)
+    bot = np.stack([-m * w2, zero], axis=-1)
+    ref = 1j * np.stack([top, bot], axis=-2)
+    got = effective_hamiltonian(expansion_plan, expansion_spec)(t)
+    assert got.shape == ref.shape and got.dtype == ref.dtype == complex
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
