@@ -242,8 +242,13 @@ def run_rap_cd(cfg: RunConfig) -> int:
 
 
 def run_cd_terms(cfg: RunConfig) -> int:
-    """Counterdiabatic coupling components and the adiabaticity monitor."""
+    """Counterdiabatic coupling components and the adiabaticity monitor.
+
+    The coupling diverges at an exceptional point on the sweep, so the run
+    fails there with BranchJump, as rap-cd does.
+    """
     schedule, grid = _atom_setup(cfg.params)
+    cd.mixing_angle_trajectory(schedule, grid)
     c = np.asarray(cd.cd_coupling(schedule, grid))
     ratio = np.asarray(adiabaticity_ratio(schedule, grid), dtype=float)
     write_csv(cfg.out_path, ["t_ns", "c_real_rad_per_ns", "c_imag_rad_per_ns", "adiab_ratio"],

@@ -10,19 +10,32 @@ which makes the overlap drift a sharp integrator check.
 The ODE y' = A(t) y is linear, so one RK4 step is one 2x2 matrix,
 M_k = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A0, K2 = Am (I + dt/2 K1),
 K3 = Am (I + dt/2 K2) and K4 = A1 (I + dt K3), and y_{k+1} = M_k y_k.  The
-M_k are built in batched numpy passes and then applied in a scalar Python
-loop, which for 2x2 complex matrices is several times faster than numpy
-per-step calls.  The products inside the build are written out by
-component (_matmul_2x2) rather than with numpy's @, which on a stack of
-tiny matrices costs about 0.4-0.5 us per matrix, several times as much.
-The work goes in blocks of _BLOCK steps: building every M_k of a long grid
-at once would hold several (n, 2, 2) temporaries and raise the peak memory
-above that of sampling H, while a block keeps them small and still
-amortises the numpy call overhead.
+M_k are built in batched numpy passes over blocks of _BLOCK steps, with the
+products written out by component (_matmul_2x2): numpy's @ on a stack of
+tiny matrices costs about 0.4-0.5 us per matrix, several times as much,
+and building a long grid at once would hold several (n, 2, 2) temporaries.
+The adjoint sweep under H^dag takes its generator -A^dag block by block
+from the forward one, so a pair keeps one sampled copy of A.
+
+The recurrence is then solved by a two-level scan (Blelloch, "Prefix sums
+and their applications", 1990) over chunks of about sqrt(n) steps, whose
+matrices are stored with the chunk index last so that each numpy pass
+below covers every chunk at once:
+  1. the chunk propagators, products of each chunk's M_k, in one pass per
+     step within a chunk;
+  2. the chunk-start states, one scalar 2x2 product per chunk;
+  3. the states inside the chunks, again one pass per step within a chunk.
+That is O(n) work in O(sqrt(n)) numpy calls and Python iterations.  A
+chunk propagator can overflow where the states stay finite (a zero or tiny
+component meets an entry that grows past the largest double); such a chunk is stepped one M_k at a
+time, so a sweep fails exactly when, and at the step where, the
+step-by-step recurrence does.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,49 +124,114 @@ def _sample_hamiltonian(hfun, times: np.ndarray) -> np.ndarray:
 
 
 def _matmul_2x2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for (B, 2, 2) stacks, one output column at a time."""
+    """x @ y for (B, 2, 2) stacks, one output column at a time, summed in place."""
     out = np.empty(x.shape, dtype=np.result_type(x, y))
     for j in range(2):
-        out[:, :, j] = x[:, :, 0] * y[:, 0, j, None] + x[:, :, 1] * y[:, 1, j, None]
+        np.multiply(x[:, :, 0], y[:, 0, j, None], out=out[:, :, j])
+        out[:, :, j] += x[:, :, 1] * y[:, 1, j, None]
     return out
 
 
-def _rk4(a: np.ndarray, y0: np.ndarray, steps: np.ndarray, where: str) -> np.ndarray:
+def _scale_add(x: np.ndarray, c, y) -> np.ndarray:
+    """c x + y, computed in x in place."""
+    x *= c
+    x += y
+    return x
+
+
+def _step_block(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """RK4 step matrices from A at the nodes (a0, a1) and midpoints (am) of a block.
+
+    I + dt/6 (a0 + 2 (k2 + k3) + k4) with k2 = am + dt/2 am a0,
+    k3 = am + dt/2 am k2 and k4 = a1 + dt a1 k3, summed in place: the same
+    floating-point operations as the written-out expression, with fewer
+    temporaries.
+    """
+    k2 = _scale_add(_matmul_2x2(am, a0), 0.5 * dt, am)
+    k3 = _scale_add(_matmul_2x2(am, k2), 0.5 * dt, am)
+    k4 = _scale_add(_matmul_2x2(a1, k3), dt, a1)
+    k2 += k3
+    k2 = _scale_add(k2, 2.0, a0)
+    k2 += k4
+    return _scale_add(k2, dt / 6.0, np.eye(2))
+
+
+def _step_matrices(a: np.ndarray, steps: np.ndarray, width: int, adjoint: bool) -> np.ndarray:
+    """RK4 step matrices laid out by chunks of width steps.
+
+    Returns m with m[i, :, :, j] = M_{j width + i}; identities pad the last
+    chunk.  a holds the generator A sampled as in _rk4, and adjoint=True
+    builds the steps of y' = A^dag(t) y, taking -A^dag block by block.
+    """
+    n = len(steps)
+    m = np.empty((width, 2, 2, -(-n // width)), dtype=complex)
+    m[:, :, :, -1] = np.eye(2)
+    by_step = m.transpose(3, 0, 1, 2)
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        blk = a[2 * s:2 * e + 1]
+        if adjoint:
+            blk = -blk.conj().transpose(0, 2, 1)
+        by_step[np.divmod(np.arange(s, e), width)] = _step_block(
+            blk[0:-1:2], blk[1::2], blk[2::2], steps[s:e, None, None])
+    return m
+
+
+def _rk4(a: np.ndarray, y0: np.ndarray, steps: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """RK4 sweep for y' = A(t) y given A pre-sampled on nodes and midpoints.
 
     For n steps a has shape (2 n + 1, 2, 2): a[2k] at node k, a[2k+1] at
-    the midpoint of step k.
-    Raises NonFiniteState naming the first step whose state is not finite.
+    the midpoint of step k.  adjoint=True sweeps y' = A^dag(t) y instead.
+    Raises NonFiniteState naming a non-finite initial state, or else the
+    first step whose state is not finite.
     """
+    where = "adjoint" if adjoint else "forward"
+    if not np.isfinite(y0).all():
+        raise NonFiniteState(f"non-finite {where} initial state {y0}")
     n = len(steps)
-    out = np.empty((n + 1, 2), dtype=complex)
+    width = math.isqrt(n - 1) + 1  # ceil(sqrt(n)) steps per chunk
+    chunks = -(-n // width)
+    out = np.empty((chunks * width + 1, 2), dtype=complex)
     out[0] = y0
-    y, z = complex(y0[0]), complex(y0[1])
-    eye = np.eye(2)
     # blow-ups surface as NonFiniteState below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, n, _BLOCK):
-            e = min(s + _BLOCK, n)
-            dt = steps[s:e, None, None]
-            a0, am, a1 = a[2 * s:2 * e:2], a[2 * s + 1:2 * e:2], a[2 * s + 2:2 * e + 1:2]
-            k2 = am + (0.5 * dt) * _matmul_2x2(am, a0)
-            k3 = am + (0.5 * dt) * _matmul_2x2(am, k2)
-            k4 = a1 + dt * _matmul_2x2(a1, k3)
-            m = eye + (dt / 6.0) * (a0 + 2.0 * (k2 + k3) + k4)
-            ys, zs = [], []
-            for m00, m01, m10, m11 in m.reshape(-1, 4).tolist():
-                y, z = m00 * y + m01 * z, m10 * y + m11 * z
-                ys.append(y)
-                zs.append(z)
-            block = out[s + 1:e + 1]
-            block[:, 0] = ys
-            block[:, 1] = zs
-            finite = np.isfinite(block).all(axis=1)
-            if not finite.all():
-                raise NonFiniteState(
-                    f"non-finite {where} state after step {s + 1 + int(finite.argmin())} "
-                    f"of {n}; reduce dt or check the schedule"
-                )
+        # chunks run along the last, contiguous axis of m, so each product
+        # below is one pass over all chunks
+        m = _step_matrices(a, steps, width, adjoint)
+        # 1. propagators M_{j width + width - 1} ... M_{j width} of all chunks but the last
+        prop = m[0, :, :, :-1]
+        for q in m[1:, :, :, :-1]:
+            prop = q[:, 0, None] * prop[0] + q[:, 1, None] * prop[1]
+        # 2. chunk-start states, one scalar step per chunk
+        y, z = complex(y0[0]), complex(y0[1])
+        ys, zs = [y], [z]
+        for j, (p00, p01, p10, p11) in enumerate(zip(*prop.reshape(4, -1).tolist())):
+            y1, z1 = p00 * y + p01 * z, p10 * y + p11 * z
+            if not (cmath.isfinite(y1) and cmath.isfinite(z1)):
+                # a product can overflow where the states do not: step the chunk
+                y1, z1 = y, z
+                for m00, m01, m10, m11 in m[:, :, :, j].reshape(-1, 4).tolist():
+                    y1, z1 = m00 * y1 + m01 * z1, m10 * y1 + m11 * z1
+                if not (cmath.isfinite(y1) and cmath.isfinite(z1)):
+                    break  # blown up in chunk j: the fill below finds the step
+            y, z = y1, z1
+            ys.append(y)
+            zs.append(z)
+        # 3. states inside the chunks, one step of every chunk at a time
+        filled = len(ys)
+        out[1 + filled * width:] = np.nan  # rows past a blow-up never pass as finite
+        states = out[1:].reshape(chunks, width, 2).transpose(1, 2, 0)[:, :, :filled]
+        prev = np.array([ys, zs])
+        for q, state in zip(m[:, :, :, :filled], states):
+            np.multiply(q[:, 0], prev[0], out=state)
+            state += q[:, 1] * prev[1]
+            prev = state
+    out = out[:n + 1]
+    if not np.isfinite(out.view(float)).all():
+        step = int(np.isfinite(out).all(axis=1).argmin())
+        raise NonFiniteState(
+            f"non-finite {where} state after step {step} of {n}; reduce dt or check the schedule"
+        )
     return out
 
 
@@ -166,7 +244,7 @@ def propagate(hfun, psi0, grid) -> StateTrajectory:
     grid = _check_grid(grid)
     psi0 = np.asarray(psi0, dtype=complex).reshape(2)
     a = -1j * _sample_hamiltonian(hfun, _refine(grid))
-    states = _rk4(a, psi0, np.diff(grid), "forward")
+    states = _rk4(a, psi0, np.diff(grid))
     return StateTrajectory(grid=grid, states=states)
 
 
@@ -179,10 +257,10 @@ def propagate_pair(hfun, psi0, psihat0, grid) -> StateTrajectory:
     grid = _check_grid(grid)
     psi0 = np.asarray(psi0, dtype=complex).reshape(2)
     psihat0 = np.asarray(psihat0, dtype=complex).reshape(2)
-    h = _sample_hamiltonian(hfun, _refine(grid))
+    a = -1j * _sample_hamiltonian(hfun, _refine(grid))
     steps = np.diff(grid)
-    states = _rk4(-1j * h, psi0, steps, "forward")
-    adjoint = _rk4(-1j * h.conj().transpose(0, 2, 1), psihat0, steps, "adjoint")
+    states = _rk4(a, psi0, steps)
+    adjoint = _rk4(a, psihat0, steps, adjoint=True)
     return StateTrajectory(grid=grid, states=states, adjoint_states=adjoint)
 
 

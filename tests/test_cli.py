@@ -279,6 +279,16 @@ def test_rap_cd_leakage_warning(tmp_path, capsys, payload, flags, code, warns):
             assert err == ""
 
 
+@pytest.mark.parametrize("scenario,code", [("cd-terms", 3), ("rap", 0)])
+def test_cd_terms_refuses_exceptional_point(tmp_path, capsys, scenario, code):
+    # at the default dt the grid misses t = 0, where C(t) diverges; cd-terms
+    # refuses as rap-cd does, while the bare sweep it does not use stays valid
+    cfg = config_file(tmp_path, {"rabi_peak_mhz": 1.0, "gamma_mhz": 2.0})
+    got, _ = run(tmp_path, scenario, "--config", cfg)
+    assert got == code
+    assert ("mixing angle jumps" in capsys.readouterr().err) == (code == 3)
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = config_file(tmp_path, {"bogus_key": 1})
     code, _ = run(tmp_path, "rap", "--config", cfg)

@@ -10,10 +10,16 @@ Proves:
   - transitionless driving keeps branch leakage tiny; the bare drive leaks
   - empirical convergence order ~4 and the 16x error drop per halving
   - population bounds, monotone decay, non-finite and bad-grid rejection
-  - the first non-finite step is named, inside and after the first block
+  - the first non-finite step is named, inside and after the first block,
+    and a non-finite initial state is named as such
+  - an overflowing chunk propagator neither breaks a finite sweep nor
+    moves the step a blow-up is reported at
   - pointwise fallback for Hamiltonian callables that cannot broadcast,
     and package errors from a broadcasting callable reach the caller
-  - the blocked step-matrix RK4 matches a per-step vector RK4 reference
+  - the blocked step-matrix RK4 matches a per-step vector RK4 reference,
+    forward and adjoint, on sizes at chunk and block edges
+  - the step matrices are bitwise the written-out RK4 expression, and the
+    adjoint ones bitwise those of the conjugate-transposed generator
   - the component-wise 2x2 stack product matches numpy's @
 """
 
@@ -38,7 +44,7 @@ from sta import (
     propagate,
     propagate_pair,
 )
-from sta.propagate import _matmul_2x2
+from sta.propagate import _matmul_2x2, _step_matrices
 
 RNG = np.random.default_rng(23)
 
@@ -166,6 +172,36 @@ def test_non_finite_state_names_step_past_first_block():
                        np.linspace(0.0, float(n), n + 1))
 
 
+@pytest.mark.parametrize("psi0,psihat0,where", [
+    ([np.nan, 1.0], [1.0, 0.0], "forward"),
+    ([1.0, 0.0], [1.0, np.inf], "adjoint"),
+])
+def test_non_finite_initial_state_is_named(psi0, psihat0, where):
+    h = np.eye(2, dtype=complex)
+    with pytest.raises(NonFiniteState, match=rf"non-finite {where} initial state"):
+        propagate_pair(lambda t: h, psi0, psihat0, np.linspace(0.0, 1.0, 11))
+
+
+# A = -i H = diag(0, 40) on unit steps: psi_2 grows by ~1.2e5 per step, so a
+# 64-step chunk propagator overflows after 61 steps
+OVERFLOW_H = np.diag([0.0, 40j])
+OVERFLOW_GRID = np.linspace(0.0, 4000.0, 4001)
+
+
+def test_overflowing_chunk_propagator_keeps_finite_sweep():
+    traj = propagate(lambda t: OVERFLOW_H, [1.0, 0.0], OVERFLOW_GRID)
+    assert np.all(traj.states[:, 0] == 1.0)
+    assert np.all(traj.states[:, 1] == 0.0)
+
+
+def test_overflowing_chunk_propagator_names_sequential_step():
+    # 1e-300 * growth^k passes the largest double at k = 120, inside the second chunk
+    with pytest.raises(NonFiniteState, match=r"forward state after step 120 of 4000;"):
+        propagate(lambda t: OVERFLOW_H, [1.0, 1e-300], OVERFLOW_GRID)
+    with pytest.raises(NonFiniteState, match=r"adjoint state after step 120 of 4000;"):
+        propagate_pair(lambda t: OVERFLOW_H.conj().T, [1.0, 0.0], [1.0, 1e-300], OVERFLOW_GRID)
+
+
 def test_grid_validation():
     h = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
@@ -235,6 +271,74 @@ def test_step_matrix_rk4_matches_reference(atom):
     pair = propagate_pair(hfun, psi0, psihat0, grid)
     close(pair.states, ref)
     close(pair.adjoint_states, _reference_rk4(adjoint, psihat0, grid))
+
+
+def _linear_hamiltonian(seed):
+    """H(t) = H0 + t H1 with random non-Hermitian H0, H1; broadcasts over t."""
+    rng = np.random.default_rng(seed)
+    h0, h1 = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+    return lambda t: h0 + np.asarray(t)[..., None, None] * h1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 10, 1023, 1024, 1025, 4095, 4096, 4097])
+def test_scan_matches_reference_at_chunk_and_block_edges(n):
+    # chunks hold ceil(sqrt(n)) steps and the build works in 1,024-step blocks
+    u = np.linspace(0.0, 1.0, n + 1)
+    grid = 2.0 * (u + 0.1 * np.sin(2.0 * np.pi * u) / (2.0 * np.pi))
+    hfun = _linear_hamiltonian(n)
+    psi0 = np.array([0.6, 0.8j])
+    psihat0 = np.array([1.0, -0.5 + 0.2j])
+    pair = propagate_pair(hfun, psi0, psihat0, grid)
+    for states, ref in ((pair.states, _reference_rk4(hfun, psi0, grid)),
+                        (pair.adjoint_states,
+                         _reference_rk4(lambda t: hfun(t).conj().T, psihat0, grid))):
+        assert states.shape == (n + 1, 2)
+        assert np.max(np.abs(states - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _written_out_step_matrices(a, steps):
+    """RK4 step matrices from the out-of-place expression, block by block."""
+    def matmul(x, y):
+        out = np.empty(x.shape, dtype=complex)
+        for j in range(2):
+            out[:, :, j] = x[:, :, 0] * y[:, 0, j, None] + x[:, :, 1] * y[:, 1, j, None]
+        return out
+
+    blocks = []
+    for s in range(0, len(steps), 1024):
+        e = min(s + 1024, len(steps))
+        dt = steps[s:e, None, None]
+        a0, am, a1 = a[2 * s:2 * e:2], a[2 * s + 1:2 * e:2], a[2 * s + 2:2 * e + 1:2]
+        k2 = am + (0.5 * dt) * matmul(am, a0)
+        k3 = am + (0.5 * dt) * matmul(am, k2)
+        k4 = a1 + dt * matmul(a1, k3)
+        blocks.append(np.eye(2) + (dt / 6.0) * (a0 + 2.0 * (k2 + k3) + k4))
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("n", [1, 10, 2500])
+def test_step_matrices_bitwise(n):
+    h = RNG.normal(size=(2 * n + 1, 2, 2)) + 1j * RNG.normal(size=(2 * n + 1, 2, 2))
+    h[::3, 0, 1] = 0.0  # zeros of both signs, whose signs the adjoint may flip
+    h[1::3, 1, 0] = -0.0
+    steps = RNG.uniform(1e-3, 2e-3, n)
+    width = math.isqrt(n - 1) + 1
+
+    def by_step(m):  # m[i, :, :, j] holds step j * width + i
+        return m.transpose(3, 0, 1, 2).reshape(-1, 2, 2)
+
+    def bits(m):
+        return m[:n].view(np.uint64)
+
+    a = -1j * h
+    forward = by_step(_step_matrices(a, steps, width, adjoint=False))
+    adjoint = by_step(_step_matrices(a, steps, width, adjoint=True))
+    # the adjoint generator -a^dag differs from -1j h^dag only in the signs of zeros
+    adjoint_generator = -1j * h.conj().transpose(0, 2, 1)
+    np.testing.assert_array_equal(bits(forward), bits(_written_out_step_matrices(a, steps)))
+    np.testing.assert_array_equal(
+        bits(adjoint), bits(_written_out_step_matrices(adjoint_generator, steps)))
+    assert np.all(forward[n:] == np.eye(2)) and np.all(adjoint[n:] == np.eye(2))
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5])
