@@ -42,7 +42,6 @@ from .errors import (
     BranchJump,
     ConfigError,
     DegenerateSpectrum,
-    InconsistentInitialConditions,
     NonFiniteState,
     StaError,
     ZeroGap,

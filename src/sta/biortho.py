@@ -158,19 +158,18 @@ def eigensystem_2x2(h, tol: float = 1e-9) -> BiorthoBasis:
                         left=np.stack([lx, ly], axis=-1))
 
 
-def _fd_spectrum(hfun, t: float, h: float, tol: float):
+def _fd_spectrum(hfun, t: float, h: float):
     """Basis at t and central-difference d/dt of its right vectors.
 
     hfun is sampled at t, t + h and t - h and the (3, 2, 2) stack is
-    decomposed in one call.  The branches at t +- h are matched to those at
-    t by eigenvalue proximity (the principal root may swap them), then each
-    right vector is rescaled by a pure phase so that <l_n(t)|r_n(t +- h)> is
-    real-positive before differencing.  Returns (basis, deriv) with
+    decomposed in one call, at the default tolerance.  The branches at
+    t +- h are matched to those at t by eigenvalue proximity (the principal
+    root may swap them), then each right vector is rescaled by a pure phase
+    so that <l_n(t)|r_n(t +- h)> is real-positive before differencing.  Returns (basis, deriv) with
     deriv[n] = d/dt r_n(t), accurate to O(h^2).  A DegenerateSpectrum names
     matrix 0, 1 or 2 for H at t, t + h or t - h.
     """
-    stack = eigensystem_2x2(np.array([hfun(t), hfun(t + h), hfun(t - h)], dtype=complex),
-                            tol=tol)
+    stack = eigensystem_2x2(np.array([hfun(t), hfun(t + h), hfun(t - h)], dtype=complex))
     base = BiorthoBasis(values=stack.values[0], right=stack.right[0], left=stack.left[0])
     values, right = stack.values[1:], stack.right[1:]
     straight = np.sum(np.abs(values - base.values), axis=-1)

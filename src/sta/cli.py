@@ -35,7 +35,7 @@ from . import trap
 from .biortho import closure_defect, eigensystem_2x2, reconstruct
 from .errors import ConfigError, StaError
 from .propagate import branch_projection, convergence_order, propagate, propagate_pair
-from .pulses import ChirpedGaussianParams, adiabaticity_ratio, chirped_gaussian
+from .pulses import ChirpedGaussianParams, adiabaticity_ratio, chirped_gaussian, complex_rabi
 
 TWO_PI = 2.0 * np.pi
 
@@ -212,12 +212,17 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
 
 
 def run_rap(cfg: RunConfig) -> int:
-    """Bare sweep: populations, norm and the adiabaticity monitor."""
+    """Bare sweep: populations, norm and the adiabaticity monitor, inf where the gap closes."""
     schedule, grid = _atom_setup(cfg.params)
     traj = propagate(lambda t: cd.bare_hamiltonian(schedule, t), [0.0, 1.0], grid)
-    ratio = np.asarray(adiabaticity_ratio(schedule, grid), dtype=float)
+    gapped = complex_rabi(schedule, grid) != 0
+    ratio = np.full(len(grid), np.inf)
+    ratio[gapped] = adiabaticity_ratio(schedule, grid[gapped])
     write_csv(cfg.out_path, ["t_ns", "P1", "P2", "norm2", "adiab_ratio"],
               [grid, traj.p1, traj.p2, traj.norm2, ratio])
+    if not gapped.all():
+        print(f"sta: warning: the spectral gap closes at {np.sum(~gapped)} grid point(s); "
+              "adiab_ratio is written as inf there", file=sys.stderr)
     return 0
 
 
@@ -263,33 +268,30 @@ def run_oscillator(cfg: RunConfig) -> int:
     integration of Hamilton's equations as independent columns.
     """
     p = cfg.params
-    spec = trap.ExpansionSpec(
+    plan = trap.plan_expansion(trap.ExpansionSpec(
         omega0=TWO_PI * p["f0_hz"],
         omegaf=TWO_PI * p["ff_hz"],
         tf=1e-3 * p["tf_ms"],
         mass=p["mass_kg"],
         q0=1e-6 * p["q0_um"],
         v0=1e-3 * p["v0_um_per_ms"],
-    )
-    plan = trap.plan_expansion(spec)
-    t0_period = TWO_PI / spec.omega0
-    tf_period = TWO_PI / spec.omegaf
-    lead = np.linspace(-t0_period, 0.0, p["n_ellipse"] + 1)[:-1]
-    ramp = np.linspace(0.0, spec.tf, p["n_shortcut"])
-    tail = np.linspace(spec.tf, spec.tf + tf_period, p["n_ellipse"] + 1)[1:]
+    ))
+    lead = np.linspace(-TWO_PI / plan.omega0, 0.0, p["n_ellipse"] + 1)[:-1]
+    ramp = np.linspace(0.0, plan.tf, p["n_shortcut"])
+    tail = np.linspace(plan.tf, plan.tf + TWO_PI / plan.omegaf, p["n_ellipse"] + 1)[1:]
     grid = np.concatenate([lead, ramp, tail])
 
-    closed = trap.closed_form_trajectory(plan, spec, grid)
-    oracle = trap.hamilton_trajectory(plan, spec, grid)
-    energy = closed.energy(plan, spec)
+    closed = trap.closed_form_trajectory(plan, grid)
+    oracle = trap.hamilton_trajectory(plan, grid)
+    energy = closed.energy(plan)
     w2 = np.asarray(plan.omega_sq(grid))
     e_over_w = np.where(w2 > 0.0, energy / np.sqrt(np.where(w2 > 0.0, w2, 1.0)), np.nan)
     write_csv(
         cfg.out_path,
         ["t_s", "q_m", "v_m_per_s", "energy_J", "energy_over_omega_Js",
          "omega_sq_rad2_per_s2", "rho", "q_oracle_m", "v_oracle_m_per_s"],
-        [grid, closed.q, closed.p / spec.mass, energy, e_over_w,
-         w2, np.asarray(plan.rho(grid)), oracle.q, oracle.p / spec.mass],
+        [grid, closed.q, closed.p / plan.mass, energy, e_over_w,
+         w2, np.asarray(plan.rho(grid)), oracle.q, oracle.p / plan.mass],
     )
     return 0
 
@@ -348,18 +350,17 @@ def _check_lines(params: dict) -> tuple[list[str], bool]:
     drift = float(np.max(np.abs(pair.biorth_overlap - pair.biorth_overlap[0])))
     report("biorthogonal-overlap-drift", drift, 1e-8 * scale, drift < 1e-8 * scale)
 
-    spec = trap.ExpansionSpec(omega0=TWO_PI * 250.0, omegaf=TWO_PI * 2.5, tf=0.025,
-                              mass=1.44e-25, q0=1e-6, v0=0.0)
-    plan = trap.plan_expansion(spec)
-    ts = np.linspace(0.0, spec.tf, 10001)
+    plan = trap.plan_expansion(trap.ExpansionSpec(omega0=TWO_PI * 250.0, omegaf=TWO_PI * 2.5,
+                                                  tf=0.025, mass=1.44e-25, q0=1e-6, v0=0.0))
+    ts = np.linspace(0.0, plan.tf, 10001)
     rho = np.asarray(plan.rho(ts))
     res = float(np.max(np.abs(
         np.asarray(plan.rho_ddot(ts)) + np.asarray(plan.omega_sq(ts)) * rho
-        - spec.omega0**2 / rho**3)))
-    bound = 1e-9 * spec.omega0**2 * scale
+        - plan.omega0**2 / rho**3)))
+    bound = 1e-9 * plan.omega0**2 * scale
     report("ermakov-residual", res, bound, res < bound)
 
-    inv = trap.invariant_at(plan, spec, np.linspace(0.0, spec.tf, 101))
+    inv = trap.invariant_at(plan, np.linspace(0.0, plan.tf, 101))
     det = float(np.max(np.abs(inv.b**2 - inv.a * inv.c + 1.0)))
     report("invariant-determinant", det, 1e-12 * scale, det < 1e-12 * scale)
 

@@ -33,7 +33,7 @@ import numpy as np
 from .biortho import _fd_spectrum, _mat2
 from .errors import BranchJump, ZeroGap
 from .pulses import PulseSchedule, _const
-from .quadrature import _cumulative_simpson
+from .quadrature import _cumulative_simpson, _refine
 
 __all__ = [
     "MixingAngleState",
@@ -60,6 +60,8 @@ __all__ = [
     "cd_correction_numeric",
     "adiabatic_basis",
 ]
+
+_PHASE_NODES = 2001  # grid points of the quadrature in adiabatic_phase
 
 
 def bare_hamiltonian(s: PulseSchedule, t) -> np.ndarray:
@@ -165,10 +167,8 @@ def mixing_angle_values(s: PulseSchedule, times: np.ndarray) -> np.ndarray:
     principal angle would jump.
     """
     times = np.asarray(times, dtype=float)
-    mids = 0.5 * (times[:-1] + times[1:])
-    f_nodes = np.asarray(alpha_dot(s, times))
-    f_mids = np.asarray(alpha_dot(s, mids))
-    return mixing_angle_anchor(s, times[0]) + _cumulative_simpson(f_nodes, f_mids, np.diff(times))
+    f = np.asarray(alpha_dot(s, _refine(times)))
+    return mixing_angle_anchor(s, times[0]) + _cumulative_simpson(f[0::2], f[1::2], np.diff(times))
 
 
 def mixing_angle_trajectory(s: PulseSchedule, grid: np.ndarray) -> MixingAngleTrajectory:
@@ -218,14 +218,6 @@ class PhasePair:
     beta_hat: complex
 
 
-def _refine(grid: np.ndarray) -> np.ndarray:
-    """Insert midpoints, doubling the resolution of a grid."""
-    dense = np.empty(2 * len(grid) - 1)
-    dense[0::2] = grid
-    dense[1::2] = 0.5 * (grid[:-1] + grid[1:])
-    return dense
-
-
 def adiabatic_phase_values(s: PulseSchedule, grid: np.ndarray):
     """Adiabatic phases beta_pm(t) = -integral of E_pm from grid[0], on the grid.
 
@@ -241,7 +233,7 @@ def adiabatic_phase_values(s: PulseSchedule, grid: np.ndarray):
     return tuple(_cumulative_simpson(e[0::2], e[1::2], neg_h) for e in (ep, em))
 
 
-def adiabatic_phase(s: PulseSchedule, branch: int, t: float, num: int = 2001) -> PhasePair:
+def adiabatic_phase(s: PulseSchedule, branch: int, t: float) -> PhasePair:
     """Adiabatic phase accumulated by one branch from the window start to t.
 
     branch is +1 or -1.  The left-basis phase is the complex conjugate.
@@ -251,7 +243,7 @@ def adiabatic_phase(s: PulseSchedule, branch: int, t: float, num: int = 2001) ->
     t0 = s.window[0]
     if t == t0:
         return PhasePair(beta=0.0 + 0.0j, beta_hat=0.0 - 0.0j)
-    grid = np.linspace(t0, t, num)
+    grid = np.linspace(t0, t, _PHASE_NODES)
     bp, bm = adiabatic_phase_values(s, grid)
     beta = complex(bp[-1] if branch == +1 else bm[-1])
     return PhasePair(beta=beta, beta_hat=np.conj(beta))
@@ -329,16 +321,16 @@ def phase_shaped_hamiltonian(s: PulseSchedule, policy: XiPolicy, t, alpha) -> np
     )
 
 
-def eigenvector_derivative(hfun, t: float, h: float = 1e-4, tol: float = 1e-9) -> np.ndarray:
+def eigenvector_derivative(hfun, t: float, h: float = 1e-4) -> np.ndarray:
     """Central-difference time derivative of the gauge-aligned eigenvectors.
 
     Returns deriv with deriv[n] = d/dt r_n(t), accurate to O(h^2); the
     branch matching and gauge rule are those of biortho._fd_spectrum.
     """
-    return _fd_spectrum(hfun, t, h, tol)[1]
+    return _fd_spectrum(hfun, t, h)[1]
 
 
-def cd_correction_numeric(hfun, t: float, h: float = 1e-4, tol: float = 1e-9) -> np.ndarray:
+def cd_correction_numeric(hfun, t: float, h: float = 1e-4) -> np.ndarray:
     """Counterdiabatic term from spectral data alone,
 
         H_1 = i sum_n ( |dr_n/dt><l_n| - <l_n|dr_n/dt> |r_n><l_n| ),
@@ -347,7 +339,7 @@ def cd_correction_numeric(hfun, t: float, h: float = 1e-4, tol: float = 1e-9) ->
     cd_correction for the two-level atom to O(h^2) without ever using the
     mixing-angle parametrization.
     """
-    basis, deriv = _fd_spectrum(hfun, t, h, tol)
+    basis, deriv = _fd_spectrum(hfun, t, h)
     lc = basis.left.conj()
     transverse = deriv - np.sum(lc * deriv, axis=-1)[:, None] * basis.right
     return 1j * np.einsum("ni,nj->ij", transverse, lc)

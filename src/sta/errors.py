@@ -21,9 +21,5 @@ class NonFiniteState(StaError):
     """A propagated state picked up NaN or Inf components."""
 
 
-class InconsistentInitialConditions(StaError):
-    """Supplied phase-space initial data contradicts itself."""
-
-
 class ConfigError(StaError):
     """Bad run configuration: unknown key, wrong type or out-of-range value."""

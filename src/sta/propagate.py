@@ -27,9 +27,9 @@ below covers every chunk at once:
   3. the states inside the chunks, again one pass per step within a chunk.
 That is O(n) work in O(sqrt(n)) numpy calls and Python iterations.  A
 chunk propagator can overflow where the states stay finite (a zero or tiny
-component meets an entry that grows past the largest double); such a chunk is stepped one M_k at a
-time, so a sweep fails exactly when, and at the step where, the
-step-by-step recurrence does.
+component meets an entry that grows past the largest double); such a
+chunk is stepped one M_k at a time, so a sweep fails exactly when, and at
+the step where, the step-by-step recurrence does.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counterdiabatic import BasisTrajectory, _refine
+from .counterdiabatic import BasisTrajectory
 from .errors import NonFiniteState, StaError
+from .quadrature import _refine
 
 __all__ = [
     "StateTrajectory",
@@ -99,6 +100,14 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     return grid
+
+
+def _initial_state(y0, where: str) -> np.ndarray:
+    """y0 as a complex 2-vector; NonFiniteState names a non-finite one."""
+    y0 = np.asarray(y0, dtype=complex).reshape(2)
+    if not np.isfinite(y0).all():
+        raise NonFiniteState(f"non-finite {where} initial state {y0}")
+    return y0
 
 
 def _sample_hamiltonian(hfun, times: np.ndarray) -> np.ndarray:
@@ -182,12 +191,9 @@ def _rk4(a: np.ndarray, y0: np.ndarray, steps: np.ndarray, adjoint: bool = False
 
     For n steps a has shape (2 n + 1, 2, 2): a[2k] at node k, a[2k+1] at
     the midpoint of step k.  adjoint=True sweeps y' = A^dag(t) y instead.
-    Raises NonFiniteState naming a non-finite initial state, or else the
+    y0 must be finite (_initial_state).  Raises NonFiniteState naming the
     first step whose state is not finite.
     """
-    where = "adjoint" if adjoint else "forward"
-    if not np.isfinite(y0).all():
-        raise NonFiniteState(f"non-finite {where} initial state {y0}")
     n = len(steps)
     width = math.isqrt(n - 1) + 1  # ceil(sqrt(n)) steps per chunk
     chunks = -(-n // width)
@@ -229,6 +235,7 @@ def _rk4(a: np.ndarray, y0: np.ndarray, steps: np.ndarray, adjoint: bool = False
     out = out[:n + 1]
     if not np.isfinite(out.view(float)).all():
         step = int(np.isfinite(out).all(axis=1).argmin())
+        where = "adjoint" if adjoint else "forward"
         raise NonFiniteState(
             f"non-finite {where} state after step {step} of {n}; reduce dt or check the schedule"
         )
@@ -242,7 +249,7 @@ def propagate(hfun, psi0, grid) -> StateTrajectory:
     array are sampled in one call, anything else is sampled pointwise.
     """
     grid = _check_grid(grid)
-    psi0 = np.asarray(psi0, dtype=complex).reshape(2)
+    psi0 = _initial_state(psi0, "forward")
     a = -1j * _sample_hamiltonian(hfun, _refine(grid))
     states = _rk4(a, psi0, np.diff(grid))
     return StateTrajectory(grid=grid, states=states)
@@ -255,8 +262,8 @@ def propagate_pair(hfun, psi0, psihat0, grid) -> StateTrajectory:
     non-Hermitian H; its numerical drift measures integrator error.
     """
     grid = _check_grid(grid)
-    psi0 = np.asarray(psi0, dtype=complex).reshape(2)
-    psihat0 = np.asarray(psihat0, dtype=complex).reshape(2)
+    psi0 = _initial_state(psi0, "forward")
+    psihat0 = _initial_state(psihat0, "adjoint")
     a = -1j * _sample_hamiltonian(hfun, _refine(grid))
     steps = np.diff(grid)
     states = _rk4(a, psi0, steps)

@@ -162,7 +162,7 @@ def adiabaticity_ratio(s: PulseSchedule, t):
     return np.abs(alpha_dot(s, t)) / gap
 
 
-def generic_adiabaticity_ratio(hfun, t: float, h: float = 1e-4, tol: float = 1e-9) -> float:
+def generic_adiabaticity_ratio(hfun, t: float, h: float = 1e-4) -> float:
     """Textbook adiabaticity criterion evaluated on a generic Hamiltonian.
 
     Returns max over branch pairs n != m of |<l_n|d/dt r_m>| / |E_n - E_m|
@@ -170,6 +170,6 @@ def generic_adiabaticity_ratio(hfun, t: float, h: float = 1e-4, tol: float = 1e-
     gauge-aligned instantaneous eigenbasis.  Agrees with adiabaticity_ratio
     for the two-level atom but needs nothing beyond an H(t) callable.
     """
-    basis, deriv = _fd_spectrum(hfun, t, h, tol)
+    basis, deriv = _fd_spectrum(hfun, t, h)
     coupling = np.abs(np.sum(basis.left.conj() * deriv[::-1], axis=-1))
     return float(np.max(coupling) / abs(basis.values[0] - basis.values[1]))

@@ -1,8 +1,16 @@
-"""Cumulative Simpson quadrature shared by the atom and the trap modules."""
+"""Cumulative Simpson quadrature and its midpoint grids, shared by the atom and trap modules."""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _refine(grid: np.ndarray) -> np.ndarray:
+    """Grid with its interval midpoints inserted: nodes at [0::2], midpoints at [1::2]."""
+    dense = np.empty(2 * len(grid) - 1)
+    dense[0::2] = grid
+    dense[1::2] = 0.5 * (grid[:-1] + grid[1:])
+    return dense
 
 
 def _cumulative_simpson(f_nodes: np.ndarray, f_mids: np.ndarray, h) -> np.ndarray:

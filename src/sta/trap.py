@@ -24,8 +24,9 @@ Its eigendirections transport classical trajectories exactly:
 with theta(t) = omega_0 * integral of dt'/rho^2 + theta_0.  The energy then
 drops by exactly omega_f/omega_0 however short t_f is.
 
-Units are SI throughout this module (kg, m, s, rad/s).  The invariant, its
-derivative and H are complex (..., 2, 2) stacks over a time array's shape.
+plan_expansion turns an ExpansionSpec into the ErmakovPlan that every other
+function here takes alone.  Units are SI (kg, m, s, rad/s); the invariant,
+its derivative and H are complex (..., 2, 2) stacks over a time array's shape.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .biortho import _mat2
-from .errors import InconsistentInitialConditions
 from .propagate import _check_grid, propagate
 from .quadrature import _cumulative_simpson
 
-# Largest omega dt of one RK4 substep in hamilton_trajectory.
-_OMEGA_DT = 0.1
+_OMEGA_DT = 0.1  # largest omega dt of one RK4 substep in hamilton_trajectory
+_PHASE_NODES = 2001  # odd node count of the Simpson table behind phase_integral
+_SCAN_SAMPLES = 10001  # points of the omega^2 scan in plan_expansion
 
 __all__ = [
     "ExpansionSpec",
@@ -65,8 +66,8 @@ __all__ = [
 class ExpansionSpec:
     """Target of the expansion and the classical initial conditions.
 
-    theta0 left as None is derived from (q0, v0); a supplied value is
-    checked against that mapping and rejected if they disagree.
+    The input of plan_expansion, which copies every field the trap
+    functions need onto the plan.
     """
 
     omega0: float
@@ -75,7 +76,6 @@ class ExpansionSpec:
     mass: float
     q0: float = 0.0
     v0: float = 0.0
-    theta0: float | None = None
 
     def __post_init__(self):
         for name in ("omega0", "omegaf", "tf", "mass"):
@@ -89,29 +89,26 @@ def _derive_angle(spec: ExpansionSpec) -> tuple[float, float]:
     if r == 0.0:
         warnings.warn("q0 = v0 = 0: rest solution, trajectory is identically zero",
                       stacklevel=3)
-        return 0.0, 0.0 if spec.theta0 is None else float(spec.theta0)
-    theta0 = float(np.arctan2(-spec.v0 / spec.omega0, spec.q0))
-    if spec.theta0 is not None:
-        mismatch = (spec.theta0 - theta0 + np.pi) % (2.0 * np.pi) - np.pi
-        if abs(mismatch) > 1e-9:
-            raise InconsistentInitialConditions(
-                f"theta0 = {spec.theta0} contradicts (q0, v0), which give {theta0}"
-            )
-    return r, theta0
+        return 0.0, 0.0
+    return r, float(np.arctan2(-spec.v0 / spec.omega0, spec.q0))
 
 
 @dataclass(frozen=True)
 class ErmakovPlan:
     """Planned scaling function and everything derived from it.
 
-    coeffs are the polynomial coefficients of rho in reduced time s = t/tf
-    (ascending).  Outside [0, tf] the plan is clamped: rho sits at its
-    boundary value with zero derivatives, so omega^2 continues as omega_0^2
-    before the ramp and omega_f^2 after it.  min_omega_sq and
-    max_abs_omega_sq come from the scan of omega^2 over the ramp.
+    The one argument of every trap function.  omega0, omegaf, tf and mass
+    are copied from the ExpansionSpec; amplitude R and theta0 launch the
+    transported orbit.  coeffs are the polynomial coefficients of rho in
+    reduced time s = t/tf (ascending).  Outside [0, tf] the plan is
+    clamped: rho sits at its boundary value with zero derivatives, so
+    omega^2 continues as omega_0^2 before the ramp and omega_f^2 after it.
+    min_omega_sq and max_abs_omega_sq come from the scan of omega^2 over
+    the ramp.
     """
 
     omega0: float
+    omegaf: float
     tf: float
     mass: float
     coeffs: np.ndarray
@@ -153,21 +150,20 @@ class ErmakovPlan:
         rho = self.rho(t)
         return self.omega0**2 / rho**4 - self.rho_ddot(t) / rho
 
-    def phase_integral(self, t, num: int = 2001):
+    def phase_integral(self, t):
         """omega_0 * integral_0^t dt'/rho^2 at one time or an array of times.
 
-        One cumulative composite-Simpson table of 1/rho^2 is built on num
-        (at least 2001, made odd) nodes over [0, tf]; each t then adds a
-        single Simpson panel from the last even node at or before it.  The
-        cost is O(len(t) + num) whatever the grid, sorted or not.  Outside
+        One cumulative composite-Simpson table of 1/rho^2 is built on
+        _PHASE_NODES nodes over [0, tf]; each t then adds a single Simpson
+        panel from the last even node at or before it.  The cost is
+        O(len(t) + _PHASE_NODES) whatever the grid, sorted or not.  Outside
         the ramp rho is constant and the integral linear.  Each value
         depends on its own t only, so scalar and array calls give
         bit-identical results elementwise: the invariant phases and the
         closed-form trajectory share their angles exactly.
         """
         t = np.asarray(t, dtype=float)
-        n = max(int(num), 2001) | 1  # odd, so the nodes pair into panels
-        nodes = np.linspace(0.0, self.tf, n)
+        nodes = np.linspace(0.0, self.tf, _PHASE_NODES)
         y = 1.0 / self.rho(nodes) ** 2
         even, y_even = nodes[0::2], y[0::2]
         table = _cumulative_simpson(y_even, y[1::2], np.diff(even))
@@ -179,18 +175,18 @@ class ErmakovPlan:
         phase = np.where(t < 0.0, self.omega0 * t, head + self.omega0 * (table[k] + panel))
         return phase if phase.ndim else float(phase)
 
-    def theta(self, t, num: int = 2001):
+    def theta(self, t):
         """Rotation angle theta(t) of the transported trajectory (scalar or array)."""
-        return self.theta0 + self.phase_integral(t, num=num)
+        return self.theta0 + self.phase_integral(t)
 
 
-def plan_expansion(spec: ExpansionSpec, scan_samples: int = 10001) -> ErmakovPlan:
+def plan_expansion(spec: ExpansionSpec) -> ErmakovPlan:
     """Solve the six boundary conditions for a quintic scaling polynomial.
 
     In reduced time s = t/tf the conditions rho(0) = 1, rho(1) = rho_f and
     vanishing first and second derivatives at both ends form a linear 6x6
     system in the monomial coefficients.  omega^2 over the ramp is scanned
-    on scan_samples points and its minimum and largest magnitude recorded
+    on _SCAN_SAMPLES points and its minimum and largest magnitude recorded
     on the plan; a negative minimum is reported, not treated as an error,
     since a transiently expulsive trap is physical.
     """
@@ -207,10 +203,10 @@ def plan_expansion(spec: ExpansionSpec, scan_samples: int = 10001) -> ErmakovPla
     coeffs = np.linalg.solve(rows, rhs)
     amplitude, theta0 = _derive_angle(spec)
     plan = ErmakovPlan(
-        omega0=spec.omega0, tf=spec.tf, mass=spec.mass,
+        omega0=spec.omega0, omegaf=spec.omegaf, tf=spec.tf, mass=spec.mass,
         coeffs=coeffs, amplitude=amplitude, theta0=theta0,
     )
-    w2 = plan.omega_sq(np.linspace(0.0, spec.tf, int(scan_samples)))
+    w2 = plan.omega_sq(np.linspace(0.0, spec.tf, _SCAN_SAMPLES))
     return replace(plan, min_omega_sq=float(np.min(w2)),
                    max_abs_omega_sq=float(np.max(np.abs(w2))))
 
@@ -238,11 +234,11 @@ class InvariantMatrix:
         return root[..., None] * np.array([-1j, 1j])
 
 
-def invariant_at(plan: ErmakovPlan, spec: ExpansionSpec, t) -> InvariantMatrix:
+def invariant_at(plan: ErmakovPlan, t) -> InvariantMatrix:
     """Invariant coefficients a, b, c evaluated on the plan at one time or a time array."""
     rho = np.asarray(plan.rho(t))
     rho_dot = np.asarray(plan.rho_dot(t))
-    w0, m = spec.omega0, spec.mass
+    w0, m = plan.omega0, plan.mass
     coeffs = {
         "a": m * (w0 / rho**2 + rho_dot**2 / w0),
         "b": -rho * rho_dot / w0,
@@ -251,14 +247,14 @@ def invariant_at(plan: ErmakovPlan, spec: ExpansionSpec, t) -> InvariantMatrix:
     return InvariantMatrix(**{k: x if x.ndim else float(x) for k, x in coeffs.items()})
 
 
-def effective_hamiltonian(plan: ErmakovPlan, spec: ExpansionSpec):
+def effective_hamiltonian(plan: ErmakovPlan):
     """Linear generator of Hamilton's equations, H = i [[0, 1/m], [-m w^2, 0]].
 
     With x = (q, p), i x' = H x reproduces q' = p/m, p' = -m omega^2 q, so
     the Schrodinger-style propagator drives the classical oscillator.  The
     callable broadcasts over time arrays.
     """
-    m = spec.mass
+    m = plan.mass
 
     def hfun(t):
         w2 = np.asarray(plan.omega_sq(t))
@@ -267,7 +263,7 @@ def effective_hamiltonian(plan: ErmakovPlan, spec: ExpansionSpec):
     return hfun
 
 
-def invariance_residual(plan: ErmakovPlan, spec: ExpansionSpec, t):
+def invariance_residual(plan: ErmakovPlan, t):
     """Frobenius norm of dI/dt - i [I, H] at one time or a time array.
 
     Zero on a consistent plan.  dI/dt uses the analytic coefficient
@@ -277,18 +273,18 @@ def invariance_residual(plan: ErmakovPlan, spec: ExpansionSpec, t):
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     rho, rho_dot, rho_ddot = plan.rho(ts), plan.rho_dot(ts), plan.rho_ddot(ts)
-    w0, m = spec.omega0, spec.mass
+    w0, m = plan.omega0, plan.mass
     a_dot = m * (-2.0 * w0 * rho_dot / rho**3 + 2.0 * rho_dot * rho_ddot / w0)
     b_dot = -(rho_dot**2 + rho * rho_ddot) / w0
     c_dot = 2.0 * rho * rho_dot / (w0 * m)
     i_dot = _mat2(b_dot, c_dot, -a_dot, -b_dot)
-    i_mat = invariant_at(plan, spec, ts).matrix
-    h = effective_hamiltonian(plan, spec)(ts)
+    i_mat = invariant_at(plan, ts).matrix
+    h = effective_hamiltonian(plan)(ts)
     res = np.linalg.norm(i_dot - 1j * (i_mat @ h - h @ i_mat), axis=(-2, -1))
     return res if np.ndim(t) else float(res[0])
 
 
-def lr_phases(plan: ErmakovPlan, spec: ExpansionSpec, t: float, num: int = 2001):
+def lr_phases(plan: ErmakovPlan, t: float):
     """Transport phases of the two invariant eigendirections,
 
         alpha_pm(t) = i ln sqrt(c(t)/c(0)) +- omega_0 integral_0^t dt'/rho^2.
@@ -297,7 +293,7 @@ def lr_phases(plan: ErmakovPlan, spec: ExpansionSpec, t: float, num: int = 2001)
     """
     rho = float(plan.rho(t))
     common = 1j * np.log(rho)
-    phase = plan.phase_integral(t, num=num)
+    phase = plan.phase_integral(t)
     return common + phase, common - phase
 
 
@@ -313,17 +309,17 @@ class PhaseSpaceTrajectory:
         for name in ("grid", "q", "p"):
             getattr(self, name).setflags(write=False)
 
-    def energy(self, plan: ErmakovPlan, spec: ExpansionSpec) -> np.ndarray:
+    def energy(self, plan: ErmakovPlan) -> np.ndarray:
         """Instantaneous oscillator energy p^2/2m + m omega^2 q^2 / 2.
 
         The kinetic term is taken as (p/m) p / 2, so that it overflows only
         when the energy itself does, not when p^2 alone would (a heavy mass).
         """
         w2 = np.asarray(plan.omega_sq(self.grid))
-        return 0.5 * (self.p / spec.mass) * self.p + 0.5 * spec.mass * w2 * self.q**2
+        return 0.5 * (self.p / plan.mass) * self.p + 0.5 * plan.mass * w2 * self.q**2
 
 
-def closed_form_trajectory(plan: ErmakovPlan, spec: ExpansionSpec, grid) -> PhaseSpaceTrajectory:
+def closed_form_trajectory(plan: ErmakovPlan, grid) -> PhaseSpaceTrajectory:
     """Exact transported trajectory from the invariant eigendirections.
 
     Valid on and beyond the ramp: outside [0, tf] the clamped plan turns
@@ -332,7 +328,7 @@ def closed_form_trajectory(plan: ErmakovPlan, spec: ExpansionSpec, grid) -> Phas
     """
     grid = np.asarray(grid, dtype=float)
     r, theta0 = plan.amplitude, plan.theta0
-    m, w0 = spec.mass, spec.omega0
+    m, w0 = plan.mass, plan.omega0
     rho = np.asarray(plan.rho(grid))
     rho_dot = np.asarray(plan.rho_dot(grid))
     theta = plan.theta(grid)
@@ -341,7 +337,7 @@ def closed_form_trajectory(plan: ErmakovPlan, spec: ExpansionSpec, grid) -> Phas
     return PhaseSpaceTrajectory(grid=grid.copy(), q=q, p=p)
 
 
-def _substep_grid(plan: ErmakovPlan, spec: ExpansionSpec, grid: np.ndarray) -> np.ndarray:
+def _substep_grid(plan: ErmakovPlan, grid: np.ndarray) -> np.ndarray:
     """grid with each interval cut into k equal substeps of omega dt <= _OMEGA_DT.
 
     omega is bounded by omega_0 before the ramp, omega_f after it, and on
@@ -350,7 +346,7 @@ def _substep_grid(plan: ErmakovPlan, spec: ExpansionSpec, grid: np.ndarray) -> n
     omega, and the points of grid stay exact points of the result.
     """
     lo, hi = grid[:-1], grid[1:]
-    w0_sq, wf_sq = spec.omega0**2, spec.omegaf**2
+    w0_sq, wf_sq = plan.omega0**2, plan.omegaf**2
     # fmax skips the nan of a plan built without the scan
     ramp_sq = np.fmax(plan.max_abs_omega_sq, max(w0_sq, wf_sq))
     w_sq = np.where(hi <= 0.0, w0_sq, np.where(lo >= plan.tf, wf_sq, ramp_sq))
@@ -359,7 +355,7 @@ def _substep_grid(plan: ErmakovPlan, spec: ExpansionSpec, grid: np.ndarray) -> n
     return np.interp(np.arange(ends[-1] + 1), ends, grid)
 
 
-def hamilton_trajectory(plan: ErmakovPlan, spec: ExpansionSpec, grid) -> PhaseSpaceTrajectory:
+def hamilton_trajectory(plan: ErmakovPlan, grid) -> PhaseSpaceTrajectory:
     """RK4 integration of Hamilton's equations with the planned omega^2(t).
 
     Starts from the closed-form point at grid[0] and never touches the
@@ -369,10 +365,10 @@ def hamilton_trajectory(plan: ErmakovPlan, spec: ExpansionSpec, grid) -> PhaseSp
     grid.
     """
     grid = _check_grid(grid)
-    start = closed_form_trajectory(plan, spec, grid[:1])
+    start = closed_form_trajectory(plan, grid[:1])
     x0 = np.array([start.q[0], start.p[0]], dtype=complex)
-    fine = _substep_grid(plan, spec, grid)
-    states = propagate(effective_hamiltonian(plan, spec), x0, fine).states
+    fine = _substep_grid(plan, grid)
+    states = propagate(effective_hamiltonian(plan), x0, fine).states
     at_grid = np.take(states, np.searchsorted(fine, grid), axis=0)
     return PhaseSpaceTrajectory(
         grid=grid.copy(), q=at_grid[:, 0].real.copy(), p=at_grid[:, 1].real.copy()
@@ -388,19 +384,18 @@ class EnergyAudit:
     ratio: float
 
 
-def energy_audit(plan: ErmakovPlan, spec: ExpansionSpec) -> EnergyAudit:
+def energy_audit(plan: ErmakovPlan) -> EnergyAudit:
     """Energies at t = 0 and t = tf of the transported trajectory.
 
     Checks E(0) = m omega_0^2 R^2 / 2 and E(tf)/E(0) = omega_f/omega_0
     against the closed-form evaluation and raises ValueError if either
     identity fails beyond 1e-9 relative; the shortcut would be broken.
     """
-    ends = closed_form_trajectory(plan, spec, np.array([0.0, plan.tf]))
-    e = ends.energy(plan, spec)
+    ends = closed_form_trajectory(plan, np.array([0.0, plan.tf]))
+    e = ends.energy(plan)
     e0, ef = float(e[0]), float(e[1])
-    w0 = spec.omega0
-    wf = w0 / plan.rho_final**2
-    e0_expected = 0.5 * spec.mass * w0**2 * plan.amplitude**2
+    w0, wf = plan.omega0, plan.omegaf
+    e0_expected = 0.5 * plan.mass * w0**2 * plan.amplitude**2
     if e0 == 0.0:
         return EnergyAudit(e_initial=0.0, e_final=ef, ratio=np.nan)
     if abs(e0 - e0_expected) > 1e-9 * e0_expected:

@@ -162,7 +162,7 @@ def test_criterion_07_expansion_plan_identities(report, expansion_spec, expansio
                                   + np.asarray(expansion_plan.omega_sq(ts)) * rho
                                   - w0**2 / rho**3)))
     det = max(abs(inv.b**2 - inv.a * inv.c + 1.0)
-              for inv in (invariant_at(expansion_plan, expansion_spec, float(t))
+              for inv in (invariant_at(expansion_plan, float(t))
                           for t in np.linspace(0.0, tf, 101)))
     report("criterion 07 (expansion plan identities)",
            rho_defect < 1e-10 and ermakov < 1e-9 * w0**2 and det < 1e-12,
@@ -174,11 +174,11 @@ def test_criterion_07_expansion_plan_identities(report, expansion_spec, expansio
 def test_criterion_08_energy_ratio_dual_route(report, expansion_spec, expansion_plan):
     start = time.perf_counter()
     grid = np.linspace(0.0, expansion_spec.tf, 2001)
-    closed = closed_form_trajectory(expansion_plan, expansion_spec, grid)
-    oracle = hamilton_trajectory(expansion_plan, expansion_spec, grid)
+    closed = closed_form_trajectory(expansion_plan, grid)
+    oracle = hamilton_trajectory(expansion_plan, grid)
 
-    ratio_closed = energy_audit(expansion_plan, expansion_spec).ratio
-    e_oracle = oracle.energy(expansion_plan, expansion_spec)
+    ratio_closed = energy_audit(expansion_plan).ratio
+    e_oracle = oracle.energy(expansion_plan)
     ratio_oracle = float(e_oracle[-1] / e_oracle[0])
 
     agree_q = float(np.max(np.abs(closed.q - oracle.q)) / np.max(np.abs(closed.q)))
@@ -197,7 +197,7 @@ def test_criterion_09_integrator_order_and_decay(report, atom, expansion_spec, e
     order_atom = convergence_order(lambda t: bare_hamiltonian(atom, t), [0.0, 1.0],
                                    atom.window, n0=512)
     x0 = np.array([expansion_spec.q0, 0.0], dtype=complex)
-    order_trap = convergence_order(effective_hamiltonian(expansion_plan, expansion_spec),
+    order_trap = convergence_order(effective_hamiltonian(expansion_plan),
                                    x0, (0.0, expansion_spec.tf), n0=512)
 
     gamma = TWO_PI * 0.002

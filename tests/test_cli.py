@@ -279,14 +279,31 @@ def test_rap_cd_leakage_warning(tmp_path, capsys, payload, flags, code, warns):
             assert err == ""
 
 
-@pytest.mark.parametrize("scenario,code", [("cd-terms", 3), ("rap", 0)])
-def test_cd_terms_refuses_exceptional_point(tmp_path, capsys, scenario, code):
-    # at the default dt the grid misses t = 0, where C(t) diverges; cd-terms
-    # refuses as rap-cd does, while the bare sweep it does not use stays valid
+@pytest.mark.parametrize("scenario,code,flags", [
+    pytest.param("cd-terms", 3, (), id="cd-terms-3"),
+    pytest.param("rap", 0, (), id="rap-0"),
+    pytest.param("cd-terms", 3, ("--dt", "0.01"), id="cd-terms-3-dt0.01"),
+    pytest.param("rap", 0, ("--dt", "0.01"), id="rap-0-dt0.01"),
+])
+def test_cd_terms_refuses_exceptional_point(tmp_path, capsys, scenario, code, flags):
+    # at the default dt the grid misses t = 0, where C(t) diverges; at dt =
+    # 0.01 it lands on it and the gap closes there.  cd-terms refuses as
+    # rap-cd does, while the bare sweep it does not use stays valid and
+    # writes its undefined monitor as inf
     cfg = config_file(tmp_path, {"rabi_peak_mhz": 1.0, "gamma_mhz": 2.0})
-    got, _ = run(tmp_path, scenario, "--config", cfg)
+    got, path = run(tmp_path, scenario, "--config", cfg, *flags)
+    err = capsys.readouterr().err
     assert got == code
-    assert ("mixing angle jumps" in capsys.readouterr().err) == (code == 3)
+    # BranchJump where the grid misses t = 0, ZeroGap where it lands on it
+    refusal = "mixing-angle rate diverges" if flags else "mixing angle jumps"
+    assert (refusal in err) == (code == 3)
+    if got == 0:
+        rows = table(path)
+        closed = np.isinf(rows["adiab_ratio"])
+        assert np.all(np.isfinite(rows["P1"]) & np.isfinite(rows["P2"]))
+        assert np.count_nonzero(closed) == (1 if flags else 0)
+        assert rows["t_ns"][closed].tolist() == ([0.0] if flags else [])
+        assert ("adiab_ratio is written as inf" in err) == bool(flags)
 
 
 def test_unknown_config_key(tmp_path, capsys):

@@ -56,8 +56,8 @@ from sta import (
 )
 import sta.biortho as biortho
 import sta.counterdiabatic as cdmod
-from sta.propagate import _refine
 from sta.pulses import PulseSchedule, _const
+from sta.quadrature import _refine
 
 TWO_PI = 2.0 * np.pi
 

@@ -11,7 +11,7 @@ Proves:
   - empirical convergence order ~4 and the 16x error drop per halving
   - population bounds, monotone decay, non-finite and bad-grid rejection
   - the first non-finite step is named, inside and after the first block,
-    and a non-finite initial state is named as such
+    and a non-finite initial state is named as such, before H is sampled
   - an overflowing chunk propagator neither breaks a finite sweep nor
     moves the step a blow-up is reported at
   - pointwise fallback for Hamiltonian callables that cannot broadcast,
@@ -175,11 +175,22 @@ def test_non_finite_state_names_step_past_first_block():
 @pytest.mark.parametrize("psi0,psihat0,where", [
     ([np.nan, 1.0], [1.0, 0.0], "forward"),
     ([1.0, 0.0], [1.0, np.inf], "adjoint"),
+    ([1.0, 0.0], [np.nan, 0.0], "adjoint"),
 ])
 def test_non_finite_initial_state_is_named(psi0, psihat0, where):
-    h = np.eye(2, dtype=complex)
+    calls = []
+
+    def hfun(t):
+        calls.append(t)
+        return np.eye(2, dtype=complex)
+
+    grid = np.linspace(0.0, 1.0, 11)
     with pytest.raises(NonFiniteState, match=rf"non-finite {where} initial state"):
-        propagate_pair(lambda t: h, psi0, psihat0, np.linspace(0.0, 1.0, 11))
+        propagate_pair(hfun, psi0, psihat0, grid)
+    if where == "forward":
+        with pytest.raises(NonFiniteState, match=r"non-finite forward initial state"):
+            propagate(hfun, psi0, grid)
+    assert calls == []  # both states are checked before H is sampled
 
 
 # A = -i H = diag(0, 40) on unit steps: psi_2 grows by ~1.2e5 per step, so a
