@@ -79,6 +79,10 @@ _CHECK_SEED = 7
 # Max branch leakage of an exact rap-cd run above which it warns on stderr.
 _LEAK_WARN = 1e-5
 
+# Most steps a run's grid may hold; a config asking for more is rejected
+# before anything is allocated (a sweep of 10**8 steps would hold over 25 GB).
+_MAX_STEPS = 10**8
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -104,6 +108,13 @@ def _require_number(scenario: str, key: str, value, minimum=None, strict=False):
         cmp = ">" if strict else ">="
         raise ConfigError(f"config key '{key}' must be {cmp} {minimum}, got {value}")
     return v
+
+
+def _require_steps(steps: float, what: str) -> None:
+    """ConfigError unless a grid of steps (a float, possibly inf) fits under _MAX_STEPS."""
+    if not steps <= _MAX_STEPS:
+        raise ConfigError(f"{what} gives {steps:.3g} steps, more than the {_MAX_STEPS:.0e} "
+                          "a run may hold")
 
 
 def _validate(scenario: str, params: dict) -> dict:
@@ -159,7 +170,9 @@ def load_run_config(scenario: str, config_path, out, dt, window_factor, approx) 
         if scenario == "oscillator":
             if not 0.0 < dt < params["tf_ms"] * 1e-3:
                 raise ConfigError("--dt must lie in (0, tf) seconds for the oscillator")
-            params["n_shortcut"] = int(round(params["tf_ms"] * 1e-3 / dt)) + 1
+            steps = params["tf_ms"] * 1e-3 / dt
+            _require_steps(steps, f"--dt {dt}")
+            params["n_shortcut"] = int(round(steps)) + 1
         else:
             params["dt_ns"] = _require_number(scenario, "dt_ns", dt, minimum=0.0, strict=True)
     if window_factor is not None:
@@ -169,6 +182,9 @@ def load_run_config(scenario: str, config_path, out, dt, window_factor, approx) 
             scenario, "window_factor", window_factor, minimum=0.0, strict=True)
     if approx and scenario not in ("rap-cd", "rap-cd-approx"):
         raise ConfigError("--approx only applies to the rap-cd scenario")
+    if scenario == "oscillator":
+        _require_steps(params["n_shortcut"] + 2 * params["n_ellipse"] - 1,
+                       "n_shortcut + 2 n_ellipse")
     return RunConfig(
         scenario=scenario,
         out=Path(out) if out is not None else None,
@@ -186,6 +202,8 @@ def _atom_setup(params: dict):
         gamma=TWO_PI * 1e-3 * params["gamma_mhz"],
     )
     schedule = chirped_gaussian(cg, window_factor=params["window_factor"])
+    t0, t1 = schedule.window
+    _require_steps(float(t1 - t0) / params["dt_ns"], f"dt_ns = {params['dt_ns']} over the window")
     return schedule, schedule.grid(params["dt_ns"])
 
 
@@ -413,6 +431,10 @@ def main(argv=None) -> int:
         return 2
     except StaError as exc:
         print(f"sta: runtime error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        reason = str(exc) or "allocation failed"
+        print(f"sta: runtime error: out of memory: {reason}", file=sys.stderr)
         return 3
 
 

@@ -133,8 +133,9 @@ class MixingAngleTrajectory:
     """
 
     def __init__(self, grid: np.ndarray, alpha: np.ndarray):
-        self.grid = np.asarray(grid, dtype=float)
-        self.alpha = np.asarray(alpha, dtype=complex)
+        # views, so that freezing them leaves the caller's arrays writeable
+        self.grid = np.asarray(grid, dtype=float).view()
+        self.alpha = np.asarray(alpha, dtype=complex).view()
         if self.grid.shape != self.alpha.shape:
             raise ValueError("grid and alpha must have matching shapes")
         self.grid.setflags(write=False)

@@ -9,13 +9,23 @@ which makes the overlap drift a sharp integrator check.
 
 The ODE y' = A(t) y is linear, so one RK4 step is one 2x2 matrix,
 M_k = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A0, K2 = Am (I + dt/2 K1),
-K3 = Am (I + dt/2 K2) and K4 = A1 (I + dt K3), and y_{k+1} = M_k y_k.  The
-M_k are built in batched numpy passes over blocks of _BLOCK steps, with the
-products written out by component (_matmul_2x2): numpy's @ on a stack of
-tiny matrices costs about 0.4-0.5 us per matrix, several times as much,
-and building a long grid at once would hold several (n, 2, 2) temporaries.
-The adjoint sweep under H^dag takes its generator -A^dag block by block
-from the forward one, so a pair keeps one sampled copy of A.
+K3 = Am (I + dt/2 K2) and K4 = A1 (I + dt K3), and y_{k+1} = M_k y_k.
+
+A = -i H is sampled once per sweep and stored component-major, with the
+time index last (_generator): a[0, i, j, k] is A_ij at node k and
+a[1, i, j, k] at the midpoint of step k, so every matrix entry is one
+contiguous row.  The M_k are built in batched numpy passes on such rows,
+with the products written out by component (_matmul_2x2).  A component of
+a (B, 2, 2) stack, such as x[:, :, 0], has 64 bytes between its values:
+one complex multiply over 16k of them took about 65-96 us against 12 us on
+a contiguous row (numpy 2.4.6, shared 2-vCPU x86-64 host), and numpy's @
+on a stack of tiny matrices costs about 0.4-0.5 us per matrix.  The build
+runs over blocks of whole chunks of at most _BLOCK steps (at least one
+chunk), so each block lands in the chunk layout below with one reshape;
+a longer block would hold several larger temporaries, which sets the peak
+memory of a short sweep.  The adjoint sweep under H^dag takes its
+generator -A^dag block by block from the forward one, so a pair keeps one
+sampled copy of A.
 
 The recurrence is then solved by a two-level scan (Blelloch, "Prefix sums
 and their applications", 1990) over chunks of about sqrt(n) steps, whose
@@ -52,8 +62,10 @@ __all__ = [
     "convergence_order",
 ]
 
-# Steps per batched build of the RK4 step matrices.
-_BLOCK = 1024
+# Most steps per batched build of the RK4 step matrices, rounded down to
+# whole chunks.  Chosen by tracemalloc peak as well as speed: a 3,002-step
+# forward sweep peaked at 541 KB with it and at 634 KB with 1,024.
+_BLOCK = 768
 
 
 @dataclass(frozen=True)
@@ -94,7 +106,8 @@ class StateTrajectory:
 
 
 def _check_grid(grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
+    """A validated float view of grid: freezing it leaves the caller's array writeable."""
+    grid = np.asarray(grid, dtype=float).view()
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("grid must be a 1-d array with at least two points")
     if not np.isfinite(grid).all():
@@ -134,12 +147,26 @@ def _sample_hamiltonian(hfun, times: np.ndarray) -> np.ndarray:
     return out
 
 
+def _generator(hfun, grid: np.ndarray) -> np.ndarray:
+    """A = -i H sampled component-major on the nodes and midpoints of grid.
+
+    For n steps returns a of shape (2, 2, 2, n + 1): a[0, :, :, k] at node
+    k and a[1, :, :, k] at the midpoint of step k; a[1, :, :, n] is unused.
+    """
+    h = _sample_hamiltonian(hfun, _refine(grid))
+    a = np.empty((2, 2, 2, len(grid)), dtype=complex)
+    np.multiply(-1j, h[0::2].transpose(1, 2, 0), out=a[0])
+    np.multiply(-1j, h[1::2].transpose(1, 2, 0), out=a[1, :, :, :-1])
+    a[1, :, :, -1] = 0.0
+    return a
+
+
 def _matmul_2x2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for (B, 2, 2) stacks, one output column at a time, summed in place."""
+    """x @ y for component-major (2, 2, B) stacks, one output column per op, summed in place."""
     out = np.empty(x.shape, dtype=np.result_type(x, y))
     for j in range(2):
-        np.multiply(x[:, :, 0], y[:, 0, j, None], out=out[:, :, j])
-        out[:, :, j] += x[:, :, 1] * y[:, 1, j, None]
+        np.multiply(x[:, 0], y[0, j], out=out[:, j])
+        out[:, j] += x[:, 1] * y[1, j]
     return out
 
 
@@ -153,10 +180,10 @@ def _scale_add(x: np.ndarray, c, y) -> np.ndarray:
 def _step_block(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, dt: np.ndarray) -> np.ndarray:
     """RK4 step matrices from A at the nodes (a0, a1) and midpoints (am) of a block.
 
-    I + dt/6 (a0 + 2 (k2 + k3) + k4) with k2 = am + dt/2 am a0,
-    k3 = am + dt/2 am k2 and k4 = a1 + dt a1 k3, summed in place: the same
-    floating-point operations as the written-out expression, with fewer
-    temporaries.
+    All four are component-major (2, 2, B).  I + dt/6 (a0 + 2 (k2 + k3) + k4)
+    with k2 = am + dt/2 am a0, k3 = am + dt/2 am k2 and k4 = a1 + dt a1 k3,
+    summed in place: the same floating-point operations as the written-out
+    expression, with fewer temporaries.
     """
     k2 = _scale_add(_matmul_2x2(am, a0), 0.5 * dt, am)
     k3 = _scale_add(_matmul_2x2(am, k2), 0.5 * dt, am)
@@ -164,35 +191,41 @@ def _step_block(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, dt: np.ndarray) 
     k2 += k3
     k2 = _scale_add(k2, 2.0, a0)
     k2 += k4
-    return _scale_add(k2, dt / 6.0, np.eye(2))
+    # identity on every entry, so off-diagonal zeros get +0.0 as in I + ...
+    return _scale_add(k2, dt / 6.0, np.eye(2)[:, :, None])
 
 
 def _step_matrices(a: np.ndarray, steps: np.ndarray, width: int, adjoint: bool) -> np.ndarray:
     """RK4 step matrices laid out by chunks of width steps.
 
     Returns m with m[i, :, :, j] = M_{j width + i}; identities pad the last
-    chunk.  a holds the generator A sampled as in _rk4, and adjoint=True
-    builds the steps of y' = A^dag(t) y, taking -A^dag block by block.
+    chunk.  a is the component-major generator of _generator, and
+    adjoint=True builds the steps of y' = A^dag(t) y, taking -A^dag block
+    by block.  Each block holds whole chunks, so it lands in m with one
+    reshape; only the last chunk may be partial.
     """
     n = len(steps)
     m = np.empty((width, 2, 2, -(-n // width)), dtype=complex)
     m[:, :, :, -1] = np.eye(2)
-    by_step = m.transpose(3, 0, 1, 2)
-    for s in range(0, n, _BLOCK):
-        e = min(s + _BLOCK, n)
-        blk = a[2 * s:2 * e + 1]
-        if adjoint:
-            blk = -blk.conj().transpose(0, 2, 1)
-        by_step[np.divmod(np.arange(s, e), width)] = _step_block(
-            blk[0:-1:2], blk[1::2], blk[2::2], steps[s:e, None, None])
+    per_block = width * max(1, _BLOCK // width)
+    for s in range(0, n, per_block):
+        e = min(s + per_block, n)
+        nodes, mids = a[0, :, :, s:e + 1], a[1, :, :, s:e]
+        if adjoint:  # -A^dag: conjugate and swap the components
+            nodes, mids = (-x.transpose(1, 0, 2).conj() for x in (nodes, mids))
+        blk = _step_block(nodes[:, :, :-1], mids, nodes[:, :, 1:], steps[s:e])
+        j, (c, r) = s // width, divmod(e - s, width)
+        m[:, :, :, j:j + c] = blk[:, :, :c * width].reshape(2, 2, c, width).transpose(3, 0, 1, 2)
+        if r:
+            m[:r, :, :, j + c] = blk[:, :, c * width:].transpose(2, 0, 1)
     return m
 
 
 def _rk4(a: np.ndarray, y0: np.ndarray, steps: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """RK4 sweep for y' = A(t) y given A pre-sampled on nodes and midpoints.
 
-    For n steps a has shape (2 n + 1, 2, 2): a[2k] at node k, a[2k+1] at
-    the midpoint of step k.  adjoint=True sweeps y' = A^dag(t) y instead.
+    a is the component-major (2, 2, 2, n + 1) generator of _generator for
+    n steps.  adjoint=True sweeps y' = A^dag(t) y instead.
     y0 must be finite (_initial_state).  Raises NonFiniteState naming the
     first step whose state is not finite.
     """
@@ -252,7 +285,7 @@ def propagate(hfun, psi0, grid) -> StateTrajectory:
     """
     grid = _check_grid(grid)
     psi0 = _initial_state(psi0, "forward")
-    a = -1j * _sample_hamiltonian(hfun, _refine(grid))
+    a = _generator(hfun, grid)
     states = _rk4(a, psi0, np.diff(grid))
     return StateTrajectory(grid=grid, states=states)
 
@@ -266,7 +299,7 @@ def propagate_pair(hfun, psi0, psihat0, grid) -> StateTrajectory:
     grid = _check_grid(grid)
     psi0 = _initial_state(psi0, "forward")
     psihat0 = _initial_state(psihat0, "adjoint")
-    a = -1j * _sample_hamiltonian(hfun, _refine(grid))
+    a = _generator(hfun, grid)
     steps = np.diff(grid)
     states = _rk4(a, psi0, steps)
     adjoint = _rk4(a, psihat0, steps, adjoint=True)

@@ -411,6 +411,52 @@ def test_runtime_failure_exit_code(tmp_path, capsys):
     assert "sta: runtime error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario,payload,flags", [
+    ("rap", {"chirp_a_ghz2": 1e-30}, []),  # numpy: "array is too big"
+    ("rap", {"chirp_a_ghz2": 1e-12}, []),  # numpy: 11.9 GiB allocation
+    ("rap", {}, ["--dt", "1e-300"]),
+    ("rap-cd", {}, ["--dt", "1e-320"]),  # the step count overflows to inf
+    ("check", {"dt_ns": 1e-300}, []),
+    ("oscillator", {"n_shortcut": 10**14}, []),
+    ("oscillator", {}, ["--dt", "1e-320"]),
+], ids=["chirp-a-1e-30", "chirp-a-1e-12", "dt-1e-300", "dt-overflows", "check-dt-1e-300",
+        "n-shortcut-1e14", "oscillator-dt-overflows"])
+def test_oversized_grid_is_config_error(tmp_path, capsys, scenario, payload, flags):
+    cfg = config_file(tmp_path, payload)
+    code, path = run(tmp_path, scenario, "--config", cfg, *flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("sta: config error:") and "more than the 1e+08" in err
+    assert err.count("\n") == 1
+    assert not path.exists()
+
+
+def test_step_ceiling_boundary(tmp_path, monkeypatch):
+    monkeypatch.setattr(climod, "_MAX_STEPS", 1000)
+    # 3 + 2 x 499 points are 1,000 steps; one more point is one step too many
+    for n_shortcut, code in ((3, 0), (4, 2)):
+        cfg = config_file(tmp_path, {"n_shortcut": n_shortcut, "n_ellipse": 499})
+        assert run(tmp_path, "oscillator", "--config", cfg)[0] == code
+    # the 15.9 ns window at dt = 0.0159 ns is 1,001 steps
+    assert run(tmp_path, "rap", "--dt", "0.016")[0] == 0
+    assert run(tmp_path, "rap", "--dt", "0.0159")[0] == 2
+
+
+@pytest.mark.parametrize("exc,message", [
+    (MemoryError("Unable to allocate 11.9 GiB for an array"),
+     "sta: runtime error: out of memory: Unable to allocate 11.9 GiB for an array\n"),
+    (MemoryError(), "sta: runtime error: out of memory: allocation failed\n"),
+], ids=["numpy-message", "bare"])
+def test_memory_error_is_runtime_error(tmp_path, capsys, monkeypatch, exc, message):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(climod, "propagate", exhausted)
+    code, _ = run(tmp_path, "rap", "--dt", "0.1")
+    assert code == 3
+    assert capsys.readouterr().err == message
+
+
 def _reference_csv(header, columns):
     """The per-value writer: one f"{float(x):.17g}" per cell."""
     lines = [",".join(header)]

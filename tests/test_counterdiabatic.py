@@ -9,7 +9,8 @@ Proves:
   - structure of the corrected drives (trace, off-diagonal sum/difference,
     Hermitian truncation, truncation gap = |Re C|)
   - mixing angle: anchors, continuous 0 -> pi continuation through
-    resonance, tan identity along the way, coarse-grid rejection
+    resonance, tan identity along the way, coarse-grid rejection; the
+    trajectory freezes views, never the caller's grid
   - branch energies follow the continued angle and match the closed form
   - adiabatic phases: static law, decay law, conjugate partner
   - phase shaping: zero policy = plain correction, canonical policy
@@ -28,6 +29,7 @@ import pytest
 from sta import (
     ChirpedGaussianParams,
     DegenerateSpectrum,
+    MixingAngleTrajectory,
     XiPolicy,
     ZeroGap,
     adiabatic_basis,
@@ -201,6 +203,17 @@ def test_mixing_angle_sequence_access(atom, atom_grid):
     state = traj[5]
     assert state.t == atom_grid[5]
     assert state.alpha == complex(traj.alpha[5])
+
+
+def test_mixing_angle_trajectory_leaves_caller_grid_writeable(atom):
+    grid = atom.grid(0.05)
+    traj = mixing_angle_trajectory(atom, grid)
+    assert grid.flags.writeable
+    assert not traj.grid.flags.writeable and not traj.alpha.flags.writeable
+    alpha = np.array(traj.alpha)
+    direct = MixingAngleTrajectory(grid, alpha)
+    assert np.shares_memory(direct.grid, grid)  # a view, not a copy
+    assert grid.flags.writeable and alpha.flags.writeable
 
 
 def test_branch_energies_follow_angle(atom, atom_grid):

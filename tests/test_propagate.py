@@ -9,7 +9,8 @@ Proves:
   - branch projection: exactness, reconstruction, grid mismatch rejection
   - transitionless driving keeps branch leakage tiny; the bare drive leaks
   - empirical convergence order ~4 and the 16x error drop per halving
-  - population bounds, monotone decay, non-finite and bad-grid rejection
+  - population bounds, monotone decay, non-finite and bad-grid rejection;
+    the returned grid is read-only and the caller's stays writeable
   - the first non-finite step is named, inside and after the first block,
     and a non-finite initial state is named as such, before H is sampled
   - an overflowing chunk propagator neither breaks a finite sweep nor
@@ -17,10 +18,12 @@ Proves:
   - pointwise fallback for Hamiltonian callables that cannot broadcast,
     and package errors from a broadcasting callable reach the caller
   - the blocked step-matrix RK4 matches a per-step vector RK4 reference,
-    forward and adjoint, on sizes at chunk and block edges
-  - the step matrices are bitwise the written-out RK4 expression, and the
-    adjoint ones bitwise those of the conjugate-transposed generator
-  - the component-wise 2x2 stack product matches numpy's @
+    forward and adjoint, on sizes at chunk and block edges, and with
+    blocks of one chunk
+  - the component-major generator is bitwise -1j H; the step matrices built
+    from it are bitwise the written-out RK4 expression, and the adjoint
+    ones bitwise those of the conjugate-transposed generator
+  - the component-wise 2x2 product of component-major stacks matches numpy's @
 """
 
 import math
@@ -44,7 +47,9 @@ from sta import (
     propagate,
     propagate_pair,
 )
-from sta.propagate import _matmul_2x2, _step_matrices
+from sta.propagate import _BLOCK, _generator, _matmul_2x2, _step_matrices
+
+propagate_module = sys.modules["sta.propagate"]
 
 RNG = np.random.default_rng(23)
 
@@ -236,6 +241,18 @@ def test_grid_must_be_finite(bad):
         propagate(lambda t: h, [1.0, 0.0], np.array([0.0, 1.0, bad]))
 
 
+def test_caller_grid_stays_writeable():
+    h = np.eye(2, dtype=complex)
+    grid = np.linspace(0.0, 1.0, 11)
+    for traj in (propagate(lambda t: h, [1.0, 0.0], grid),
+                 propagate_pair(lambda t: h, [1.0, 0.0], [0.0, 1.0], grid)):
+        assert grid.flags.writeable
+        assert not traj.grid.flags.writeable
+        with pytest.raises(ValueError):
+            traj.grid[0] = -1.0
+        np.testing.assert_array_equal(traj.grid, grid)
+
+
 def test_scalar_only_hamiltonian_fallback(atom):
     def scalar_only(t):
         bool(t < 0)  # errors on array input, forcing the pointwise sampling path
@@ -304,9 +321,7 @@ def _linear_hamiltonian(seed):
     return lambda t: h0 + np.asarray(t)[..., None, None] * h1
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 10, 1023, 1024, 1025, 4095, 4096, 4097])
-def test_scan_matches_reference_at_chunk_and_block_edges(n):
-    # chunks hold ceil(sqrt(n)) steps and the build works in 1,024-step blocks
+def _assert_pair_matches_reference(n):
     u = np.linspace(0.0, 1.0, n + 1)
     grid = 2.0 * (u + 0.1 * np.sin(2.0 * np.pi * u) / (2.0 * np.pi))
     hfun = _linear_hamiltonian(n)
@@ -318,6 +333,24 @@ def test_scan_matches_reference_at_chunk_and_block_edges(n):
                          _reference_rk4(lambda t: hfun(t).conj().T, psihat0, grid))):
         assert states.shape == (n + 1, 2)
         assert np.max(np.abs(states - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# chunks hold ceil(sqrt(n)) steps (1,024, 2,304 and 4,096 are squares), and the
+# build works in blocks of whole chunks, 756 steps at n = 756, 741 at 1,482 and
+# 768 at 2,304: one, two and three blocks, then a 1-step block past them
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 10, 755, 756, 757, 1023, 1024, 1025,
+                               1481, 1482, 1483, 2303, 2304, 2305, 4095, 4096, 4097])
+def test_scan_matches_reference_at_chunk_and_block_edges(n):
+    width = math.isqrt(n - 1) + 1
+    assert n not in (756, 1482, 2304) or n % (width * (_BLOCK // width)) == 0
+    _assert_pair_matches_reference(n)
+
+
+@pytest.mark.parametrize("n", [99, 100, 101])
+def test_scan_matches_reference_with_one_chunk_per_block(monkeypatch, n):
+    # a block smaller than a chunk still holds one whole chunk of 10 or 11 steps
+    monkeypatch.setattr(propagate_module, "_BLOCK", 4)
+    _assert_pair_matches_reference(n)
 
 
 def _written_out_step_matrices(a, steps):
@@ -340,6 +373,28 @@ def _written_out_step_matrices(a, steps):
     return np.concatenate(blocks)
 
 
+def component_major(a):
+    """The (2, 2, 2, n + 1) layout of _generator from a (2 n + 1, 2, 2) stack."""
+    out = np.zeros((2, 2, 2, (len(a) + 1) // 2), dtype=a.dtype)
+    out[0] = a[0::2].transpose(1, 2, 0)
+    out[1, :, :, :-1] = a[1::2].transpose(1, 2, 0)
+    return out
+
+
+def test_generator_is_component_major_bitwise():
+    n = 50
+    h = RNG.normal(size=(2 * n + 1, 2, 2)) + 1j * RNG.normal(size=(2 * n + 1, 2, 2))
+    h[::3, 0, 1] = 0.0
+    h[1::3, 1, 0] = -0.0
+    a = _generator(lambda t: h, np.linspace(0.0, 1.0, n + 1))
+    assert a.shape == (2, 2, 2, n + 1)
+    expected = component_major(-1j * h)
+    # nodes, and the midpoints of the n steps (a[1, :, :, n] is unused)
+    np.testing.assert_array_equal(a[0].view(np.uint64), expected[0].view(np.uint64))
+    np.testing.assert_array_equal(a[1, :, :, :n].view(np.uint64),
+                                  expected[1, :, :, :n].view(np.uint64))
+
+
 @pytest.mark.parametrize("n", [1, 10, 2500])
 def test_step_matrices_bitwise(n):
     h = RNG.normal(size=(2 * n + 1, 2, 2)) + 1j * RNG.normal(size=(2 * n + 1, 2, 2))
@@ -355,8 +410,8 @@ def test_step_matrices_bitwise(n):
         return m[:n].view(np.uint64)
 
     a = -1j * h
-    forward = by_step(_step_matrices(a, steps, width, adjoint=False))
-    adjoint = by_step(_step_matrices(a, steps, width, adjoint=True))
+    forward = by_step(_step_matrices(component_major(a), steps, width, adjoint=False))
+    adjoint = by_step(_step_matrices(component_major(a), steps, width, adjoint=True))
     # the adjoint generator -a^dag differs from -1j h^dag only in the signs of zeros
     adjoint_generator = -1j * h.conj().transpose(0, 2, 1)
     np.testing.assert_array_equal(bits(forward), bits(_written_out_step_matrices(a, steps)))
@@ -365,13 +420,39 @@ def test_step_matrices_bitwise(n):
     assert np.all(forward[n:] == np.eye(2)) and np.all(adjoint[n:] == np.eye(2))
 
 
+def test_step_matrices_add_identity_to_zero_off_diagonals():
+    # a diagonal generator leaves signed zeros off the diagonal of every
+    # product; I + ... turns each into +0.0, as the written-out expression does
+    n = 40
+    h = np.zeros((2 * n + 1, 2, 2), dtype=complex)
+    h[:, 0, 0], h[:, 1, 1] = RNG.normal(size=(2, 2 * n + 1)) + 1j * RNG.normal(size=(2, 2 * n + 1))
+    h[:, 0, 1] = complex(-0.0, -0.0)
+    h[:, 1, 0] = complex(0.0, -0.0)
+    steps = RNG.uniform(1e-3, 2e-3, n)
+    width = math.isqrt(n - 1) + 1
+    a = -1j * h
+    for adjoint, generator in ((False, a), (True, -1j * h.conj().transpose(0, 2, 1))):
+        m = _step_matrices(component_major(a), steps, width, adjoint)
+        m = m.transpose(3, 0, 1, 2).reshape(-1, 2, 2)[:n]
+        expected = _written_out_step_matrices(generator, steps)
+        np.testing.assert_array_equal(m.view(np.uint64), expected.view(np.uint64))
+        off = m[:, [0, 1], [1, 0]]
+        assert not (np.signbit(off.real) | np.signbit(off.imag)).any()
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5])
 def test_matmul_2x2_matches_numpy(scale):
     a = scale * (RNG.normal(size=(2049, 2, 2)) + 1j * RNG.normal(size=(2049, 2, 2)))
-    # contiguous stacks, and the strided node/midpoint views _rk4 passes in
-    for x, y in ((a[:1024], a[1024:2048]), (a[1::2], a[0:-1:2]), (a[1::2], a[2::2])):
-        bound = 1e-15 * (np.abs(x) @ np.abs(y))
-        assert np.all(np.abs(_matmul_2x2(x, y) - x @ y) <= bound)
+    c = np.ascontiguousarray(a.transpose(1, 2, 0))
+    g = component_major(a)
+    # contiguous stacks, the node/midpoint views _step_matrices passes in, and
+    # the component-swapped nodes of an adjoint block
+    nodes, mids, swapped = g[0], g[1, :, :, :1024], g[0].transpose(1, 0, 2)
+    for x, y in ((c[:, :, :1024], c[:, :, 1024:2048]), (mids, nodes[:, :, :1024]),
+                 (mids, nodes[:, :, 1:]), (mids, swapped[:, :, 1:])):
+        xs, ys = x.transpose(2, 0, 1), y.transpose(2, 0, 1)  # as (B, 2, 2) stacks
+        bound = 1e-15 * (np.abs(xs) @ np.abs(ys))
+        assert np.all(np.abs(_matmul_2x2(x, y).transpose(2, 0, 1) - xs @ ys) <= bound)
 
 
 def test_overlap_requires_pair(atom, atom_grid):
