@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +36,8 @@ from . import csvfmt
 from . import trap
 from .biortho import closure_defect, eigensystem_2x2, reconstruct
 from .errors import ConfigError, StaError
-from .propagate import branch_projection, convergence_order, propagate, propagate_pair
+from .propagate import (_require_steps, branch_projection, convergence_order, propagate,
+                        propagate_pair)
 from .pulses import ChirpedGaussianParams, adiabaticity_ratio, chirped_gaussian, complex_rabi
 
 TWO_PI = 2.0 * np.pi
@@ -79,10 +81,6 @@ _CHECK_SEED = 7
 # Max branch leakage of an exact rap-cd run above which it warns on stderr.
 _LEAK_WARN = 1e-5
 
-# Most steps a run's grid may hold; a config asking for more is rejected
-# before anything is allocated (a sweep of 10**8 steps would hold over 25 GB).
-_MAX_STEPS = 10**8
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -108,13 +106,6 @@ def _require_number(scenario: str, key: str, value, minimum=None, strict=False):
         cmp = ">" if strict else ">="
         raise ConfigError(f"config key '{key}' must be {cmp} {minimum}, got {value}")
     return v
-
-
-def _require_steps(steps: float, what: str) -> None:
-    """ConfigError unless a grid of steps (a float, possibly inf) fits under _MAX_STEPS."""
-    if not steps <= _MAX_STEPS:
-        raise ConfigError(f"{what} gives {steps:.3g} steps, more than the {_MAX_STEPS:.0e} "
-                          "a run may hold")
 
 
 def _validate(scenario: str, params: dict) -> dict:
@@ -201,10 +192,24 @@ def _atom_setup(params: dict):
         chirp_b=TWO_PI**2 * params["chirp_b_ghz2"],
         gamma=TWO_PI * 1e-3 * params["gamma_mhz"],
     )
+    # Python floats, so a window that overflows is inf, with no numpy warning
+    window = 2.0 * params["window_factor"] / math.sqrt(cg.width_a)
+    _require_steps(window / params["dt_ns"], f"dt_ns = {params['dt_ns']} over the window")
     schedule = chirped_gaussian(cg, window_factor=params["window_factor"])
-    t0, t1 = schedule.window
-    _require_steps(float(t1 - t0) / params["dt_ns"], f"dt_ns = {params['dt_ns']} over the window")
     return schedule, schedule.grid(params["dt_ns"])
+
+
+def _transitionless_sweep(params: dict, approx: bool = False):
+    """Corrected atom sweep from the upper branch chi_+ and its leakage |c_-|.
+
+    Returns the schedule, the branch basis, the state trajectory and |c_-|
+    on the grid.  approx drives with the Hermitian correction instead.
+    """
+    schedule, grid = _atom_setup(params)
+    basis = cd.adiabatic_basis(schedule, cd.mixing_angle_trajectory(schedule, grid))
+    drive = cd.cd_hamiltonian_approx if approx else cd.cd_hamiltonian
+    traj = propagate(lambda t: drive(schedule, t), basis.right[0, 0], grid)
+    return schedule, basis, traj, np.abs(branch_projection(traj, basis)[:, 1])
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -247,14 +252,9 @@ def run_rap_cd(cfg: RunConfig) -> int:
     The exact drive leaks at roundoff unless the grid misses the turning
     rate near an exceptional point; --approx leaks by design.
     """
-    schedule, grid = _atom_setup(cfg.params)
-    angles = cd.mixing_angle_trajectory(schedule, grid)
-    basis = cd.adiabatic_basis(schedule, angles)
-    hfun = cd.cd_hamiltonian_approx if cfg.approx else cd.cd_hamiltonian
-    traj = propagate(lambda t: hfun(schedule, t), basis.right[0, 0], grid)
-    leak = np.abs(branch_projection(traj, basis)[:, 1])
+    _, _, traj, leak = _transitionless_sweep(cfg.params, cfg.approx)
     write_csv(cfg.out_path, ["t_ns", "P1", "P2", "norm2", "c_minus_abs"],
-              [grid, traj.p1, traj.p2, traj.norm2, leak])
+              [traj.grid, traj.p1, traj.p2, traj.norm2, leak])
     if not cfg.approx and leak.max() > _LEAK_WARN:
         print(f"sta: warning: max branch leakage {leak.max():.3e} exceeds {_LEAK_WARN:.0e}; "
               "the sweep passes too close to the exceptional point for this dt", file=sys.stderr)
@@ -276,6 +276,18 @@ def run_cd_terms(cfg: RunConfig) -> int:
     return 0
 
 
+def _trap_plan(params: dict) -> trap.ErmakovPlan:
+    """Ermakov plan in SI units (rad/s, s, kg, m) from trap config numbers."""
+    return trap.plan_expansion(trap.ExpansionSpec(
+        omega0=TWO_PI * params["f0_hz"],
+        omegaf=TWO_PI * params["ff_hz"],
+        tf=1e-3 * params["tf_ms"],
+        mass=params["mass_kg"],
+        q0=1e-6 * params["q0_um"],
+        v0=1e-3 * params["v0_um_per_ms"],
+    ))
+
+
 def run_oscillator(cfg: RunConfig) -> int:
     """Trap expansion with one display period at either end.
 
@@ -283,14 +295,7 @@ def run_oscillator(cfg: RunConfig) -> int:
     integration of Hamilton's equations as independent columns.
     """
     p = cfg.params
-    plan = trap.plan_expansion(trap.ExpansionSpec(
-        omega0=TWO_PI * p["f0_hz"],
-        omegaf=TWO_PI * p["ff_hz"],
-        tf=1e-3 * p["tf_ms"],
-        mass=p["mass_kg"],
-        q0=1e-6 * p["q0_um"],
-        v0=1e-3 * p["v0_um_per_ms"],
-    ))
+    plan = _trap_plan(p)
     lead = np.linspace(-TWO_PI / plan.omega0, 0.0, p["n_ellipse"] + 1)[:-1]
     ramp = np.linspace(0.0, plan.tf, p["n_shortcut"])
     tail = np.linspace(plan.tf, plan.tf + TWO_PI / plan.omegaf, p["n_ellipse"] + 1)[1:]
@@ -353,20 +358,16 @@ def _check_lines(params: dict) -> tuple[list[str], bool]:
     worst = _biortho_defect()
     report("biorthogonality-closure-reconstruction", worst, 1e-10 * scale, worst < 1e-10 * scale)
 
-    schedule, grid = _atom_setup({**ATOM_DEFAULTS, "dt_ns": dt})
-    angles = cd.mixing_angle_trajectory(schedule, grid)
-    basis_traj = cd.adiabatic_basis(schedule, angles)
-    traj = propagate(lambda t: cd.cd_hamiltonian(schedule, t), basis_traj.right[0, 0], grid)
-    leak = float(np.max(np.abs(branch_projection(traj, basis_traj)[:, 1])))
+    schedule, basis, _, leak = _transitionless_sweep({**ATOM_DEFAULTS, "dt_ns": dt})
+    leak = float(leak.max())
     report("transitionless-branch-leakage", leak, 1e-5 * scale, leak < 1e-5 * scale)
 
     pair = propagate_pair(lambda t: cd.bare_hamiltonian(schedule, t),
-                          basis_traj.right[0, 0], basis_traj.left[0, 0], grid)
+                          basis.right[0, 0], basis.left[0, 0], basis.grid)
     drift = float(np.max(np.abs(pair.biorth_overlap - pair.biorth_overlap[0])))
     report("biorthogonal-overlap-drift", drift, 1e-8 * scale, drift < 1e-8 * scale)
 
-    plan = trap.plan_expansion(trap.ExpansionSpec(omega0=TWO_PI * 250.0, omegaf=TWO_PI * 2.5,
-                                                  tf=0.025, mass=1.44e-25, q0=1e-6, v0=0.0))
+    plan = _trap_plan(TRAP_DEFAULTS)
     ts = np.linspace(0.0, plan.tf, 10001)
     rho = np.asarray(plan.rho(ts))
     res = float(np.max(np.abs(

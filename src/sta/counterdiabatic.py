@@ -36,7 +36,6 @@ from .pulses import PulseSchedule, _const
 from .quadrature import _cumulative_simpson, _refine
 
 __all__ = [
-    "MixingAngleState",
     "MixingAngleTrajectory",
     "PhasePair",
     "XiPolicy",
@@ -117,20 +116,8 @@ def cd_hamiltonian_approx(s: PulseSchedule, t) -> np.ndarray:
     return bare_hamiltonian(s, t) + _mat2(0.0, ci, -ci, 0.0)
 
 
-@dataclass(frozen=True)
-class MixingAngleState:
-    """Complex mixing angle at one instant."""
-
-    t: float
-    alpha: complex
-
-
 class MixingAngleTrajectory:
-    """Branch-continuous mixing angle sampled on a time grid.
-
-    Behaves as a sequence of MixingAngleState; the raw arrays are exposed
-    as ``grid`` and ``alpha`` for vectorized work.
-    """
+    """Branch-continuous mixing angle alpha sampled on a time grid, both read-only."""
 
     def __init__(self, grid: np.ndarray, alpha: np.ndarray):
         # views, so that freezing them leaves the caller's arrays writeable
@@ -140,12 +127,6 @@ class MixingAngleTrajectory:
             raise ValueError("grid and alpha must have matching shapes")
         self.grid.setflags(write=False)
         self.alpha.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.grid)
-
-    def __getitem__(self, i) -> MixingAngleState:
-        return MixingAngleState(t=float(self.grid[i]), alpha=complex(self.alpha[i]))
 
 
 def mixing_angle_anchor(s: PulseSchedule, t) -> complex:
@@ -350,18 +331,17 @@ def cd_correction_numeric(hfun, t: float, h: float = 1e-4) -> np.ndarray:
 class BasisTrajectory:
     """Instantaneous spectral basis along a grid, branch labels continuous.
 
-    values[i, 0] is E_+ at grid[i]; right[i, n] / left[i, n] the paired
-    eigenvectors.  Built from the mixing-angle parametrization, so row n
-    follows one branch smoothly through the sweep.
+    right[i, n] / left[i, n] are the paired eigenvectors at grid[i].  Built
+    from the mixing-angle parametrization, so row n follows one branch
+    smoothly through the sweep.  branch_energies gives the energies.
     """
 
     grid: np.ndarray
-    values: np.ndarray
     right: np.ndarray
     left: np.ndarray
 
     def __post_init__(self):
-        for name in ("grid", "values", "right", "left"):
+        for name in ("grid", "right", "left"):
             getattr(self, name).setflags(write=False)
 
 
@@ -370,12 +350,11 @@ def adiabatic_basis(s: PulseSchedule, traj: MixingAngleTrajectory) -> BasisTraje
 
     chi_+ = (sin(a/2), cos(a/2)), chi_- = (cos(a/2), -sin(a/2)); the left
     partners carry conjugated components, so <chi_hat_n | chi_m> = delta_nm
-    holds exactly (bilinear trigonometric identity).
+    holds exactly (bilinear trigonometric identity).  s is not read: the
+    basis follows from the angle alone and shares the trajectory's
+    read-only grid.
     """
     a = traj.alpha
     sh, ch = np.sin(a / 2.0), np.cos(a / 2.0)
     right = _mat2(sh, ch, ch, -sh)
-    left = right.conj()
-    ep, em = branch_energies(s, traj.grid, a)
-    values = np.stack([ep, em], axis=-1)
-    return BasisTrajectory(grid=traj.grid.copy(), values=values, right=right, left=left)
+    return BasisTrajectory(grid=traj.grid, right=right, left=right.conj())

@@ -11,8 +11,10 @@ The ODE y' = A(t) y is linear, so one RK4 step is one 2x2 matrix,
 M_k = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A0, K2 = Am (I + dt/2 K1),
 K3 = Am (I + dt/2 K2) and K4 = A1 (I + dt K3), and y_{k+1} = M_k y_k.
 
-A = -i H is sampled once per sweep and stored component-major, with the
-time index last (_generator): a[0, i, j, k] is A_ij at node k and
+H is sampled in one call, hfun(times) on every node and midpoint of the
+grid, whose result must broadcast to (len(times), 2, 2): a stack, or one
+constant 2x2 matrix.  A = -i H is stored component-major, with the time
+index last (_generator): a[0, i, j, k] is A_ij at node k and
 a[1, i, j, k] at the midpoint of step k, so every matrix entry is one
 contiguous row.  The M_k are built in batched numpy passes on such rows,
 with the products written out by component (_matmul_2x2).  A component of
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counterdiabatic import BasisTrajectory
-from .errors import NonFiniteState, StaError
+from .errors import ConfigError, NonFiniteState
 from .quadrature import _refine
 
 __all__ = [
@@ -61,6 +63,10 @@ __all__ = [
     "branch_projection",
     "convergence_order",
 ]
+
+# Most steps a run's grid may hold; a config asking for more is rejected
+# before anything is allocated (a sweep of 10**8 steps would hold over 25 GB).
+_MAX_STEPS = 10**8
 
 # Most steps per batched build of the RK4 step matrices, rounded down to
 # whole chunks.  Chosen by tracemalloc peak as well as speed: a 3,002-step
@@ -117,6 +123,13 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
     return grid
 
 
+def _require_steps(steps: float, what: str) -> None:
+    """ConfigError unless a grid of steps (a float, possibly inf) fits under _MAX_STEPS."""
+    if not steps <= _MAX_STEPS:
+        raise ConfigError(f"{what} gives {steps:.3g} steps, more than the {_MAX_STEPS:.0e} "
+                          "a run may hold")
+
+
 def _initial_state(y0, where: str) -> np.ndarray:
     """y0 as a complex 2-vector; NonFiniteState names a non-finite one."""
     y0 = np.asarray(y0, dtype=complex).reshape(2)
@@ -126,25 +139,18 @@ def _initial_state(y0, where: str) -> np.ndarray:
 
 
 def _sample_hamiltonian(hfun, times: np.ndarray) -> np.ndarray:
-    """Evaluate H on all times, batched when the callable broadcasts.
+    """H on all times from one call hfun(times), as a (len(times), 2, 2) array.
 
-    A callable that rejects an array argument (TypeError or ValueError) or
-    returns the wrong shape is sampled pointwise; a StaError always
-    propagates.
+    The result must broadcast to that shape, so a constant (2, 2) matrix is
+    accepted; any other shape is a ValueError that names it.
     """
+    h = np.asarray(hfun(times), dtype=complex)
+    shape = (len(times), 2, 2)
     try:
-        h = np.asarray(hfun(times), dtype=complex)
-    except StaError:
-        raise
-    except (TypeError, ValueError):
-        pass
-    else:
-        if h.shape == (len(times), 2, 2):
-            return h
-    out = np.empty((len(times), 2, 2), dtype=complex)
-    for i, t in enumerate(times):
-        out[i] = hfun(float(t))
-    return out
+        return np.broadcast_to(h, shape)
+    except ValueError:
+        raise ValueError(f"H(t) on {len(times)} times has shape {h.shape}, which does not "
+                         f"broadcast to {shape}") from None
 
 
 def _generator(hfun, grid: np.ndarray) -> np.ndarray:
@@ -280,8 +286,8 @@ def _rk4(a: np.ndarray, y0: np.ndarray, steps: np.ndarray, adjoint: bool = False
 def propagate(hfun, psi0, grid) -> StateTrajectory:
     """Propagate psi0 through i psi' = H(t) psi on a fixed grid.
 
-    hfun maps time to a 2x2 array; callables that broadcast over a time
-    array are sampled in one call, anything else is sampled pointwise.
+    hfun takes an array of times and returns an array that broadcasts to
+    (len(times), 2, 2), H at each time; it is called once per sweep.
     """
     grid = _check_grid(grid)
     psi0 = _initial_state(psi0, "forward")
@@ -294,7 +300,8 @@ def propagate_pair(hfun, psi0, psihat0, grid) -> StateTrajectory:
     """Co-propagate psi under H and the adjoint companion psi_hat under H^dag.
 
     <psi_hat|psi> is a constant of motion of the exact flow, whatever the
-    non-Hermitian H; its numerical drift measures integrator error.
+    non-Hermitian H; its numerical drift measures integrator error.  hfun
+    is sampled once, as in propagate.
     """
     grid = _check_grid(grid)
     psi0 = _initial_state(psi0, "forward")

@@ -11,6 +11,7 @@ swept across resonance realizes rapid adiabatic passage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -98,7 +99,9 @@ def chirped_gaussian(params: ChirpedGaussianParams, window_factor: float = 5.0) 
     if window_factor <= 0:
         raise ValueError("window_factor must be positive")
     o0, a, b, g = params.rabi_peak, params.width_a, params.chirp_b, params.gamma
-    w = window_factor / np.sqrt(a)
+    w = float(window_factor) / math.sqrt(a)  # Python floats: inf on overflow, no warning
+    if not math.isfinite(w):
+        raise ValueError(f"window_factor / sqrt(a) = {w} is not finite")
 
     def rabi(t):
         return o0 * np.exp(-a * np.asarray(t) ** 2)

@@ -38,7 +38,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .biortho import _mat2
-from .propagate import _check_grid, propagate
+from .propagate import _check_grid, _require_steps, propagate
 from .quadrature import _cumulative_simpson
 
 _OMEGA_DT = 0.1  # largest omega dt of one RK4 substep in hamilton_trajectory
@@ -343,15 +343,18 @@ def _substep_grid(plan: ErmakovPlan, grid: np.ndarray) -> np.ndarray:
     omega is bounded by omega_0 before the ramp, omega_f after it, and on
     any interval that overlaps the ramp by the scanned max |omega^2| or
     either end, whichever is larger.  k = 1 where the grid already resolves
-    omega, and the points of grid stay exact points of the result.
+    omega, and the points of grid stay exact points of the result.  The
+    counts are summed as floats and held to the step ceiling (ConfigError)
+    before any integer array is built, so they cannot wrap.
     """
     lo, hi = grid[:-1], grid[1:]
     w0_sq, wf_sq = plan.omega0**2, plan.omegaf**2
     # fmax skips the nan of a plan built without the scan
     ramp_sq = np.fmax(plan.max_abs_omega_sq, max(w0_sq, wf_sq))
     w_sq = np.where(hi <= 0.0, w0_sq, np.where(lo >= plan.tf, wf_sq, ramp_sq))
-    k = np.maximum(1, np.ceil(np.sqrt(w_sq) * (hi - lo) / _OMEGA_DT)).astype(int)
-    ends = np.concatenate([[0], np.cumsum(k)])  # fine-grid index of each grid point
+    k = np.maximum(1, np.ceil(np.sqrt(w_sq) * (hi - lo) / _OMEGA_DT))
+    _require_steps(float(np.sum(k)), f"the trap's grid at omega dt <= {_OMEGA_DT}")
+    ends = np.concatenate([[0], np.cumsum(k.astype(int))])  # fine-grid index of each grid point
     return np.interp(np.arange(ends[-1] + 1), ends, grid)
 
 

@@ -5,6 +5,7 @@ and asserts on the parsed CSV or on the exit code and stderr text.
 """
 
 import json
+import sys
 import warnings
 from pathlib import Path
 
@@ -18,6 +19,8 @@ import sta.cli as climod
 import sta.counterdiabatic as cdmod
 from sta import csvfmt
 from sta.cli import main, write_csv
+
+propagate_module = sys.modules["sta.propagate"]
 
 TWO_PI = 2.0 * np.pi
 WINDOW = 5.0 / np.sqrt(TWO_PI**2 * 0.01)  # default half-window, ns
@@ -208,6 +211,14 @@ def test_check_passes(tmp_path, capsys):
     assert out.count("PASS") == 6 and "FAIL" not in out
     assert out.rstrip().endswith("all checks passed")
     assert path.read_text() == out
+
+
+def test_check_leakage_is_the_rap_cd_maximum(tmp_path, capsys):
+    # the check and a default rap-cd run share one transitionless sweep
+    code, path = run(tmp_path, "rap-cd")
+    assert code == 0 and main(["check"]) == 0
+    leak = table(path)["c_minus_abs"].max()
+    assert f"transitionless-branch-leakage: measured={leak:.3e} " in capsys.readouterr().out
 
 
 def test_check_matrices_match_per_iteration_draws():
@@ -419,8 +430,12 @@ def test_runtime_failure_exit_code(tmp_path, capsys):
     ("check", {"dt_ns": 1e-300}, []),
     ("oscillator", {"n_shortcut": 10**14}, []),
     ("oscillator", {}, ["--dt", "1e-320"]),
+    ("rap", {"window_factor": 1e308, "chirp_a_ghz2": 1e-300}, []),  # the window overflows
+    ("oscillator", {"f0_hz": 1e20}, []),  # substep counts past int64
+    ("oscillator", {"f0_hz": 1e12}, []),  # 1.6e12 substeps, 11.4 TiB
 ], ids=["chirp-a-1e-30", "chirp-a-1e-12", "dt-1e-300", "dt-overflows", "check-dt-1e-300",
-        "n-shortcut-1e14", "oscillator-dt-overflows"])
+        "n-shortcut-1e14", "oscillator-dt-overflows", "window-overflows", "f0-1e20-substeps",
+        "f0-1e12-substeps"])
 def test_oversized_grid_is_config_error(tmp_path, capsys, scenario, payload, flags):
     cfg = config_file(tmp_path, payload)
     code, path = run(tmp_path, scenario, "--config", cfg, *flags)
@@ -431,12 +446,15 @@ def test_oversized_grid_is_config_error(tmp_path, capsys, scenario, payload, fla
     assert not path.exists()
 
 
-def test_step_ceiling_boundary(tmp_path, monkeypatch):
-    monkeypatch.setattr(climod, "_MAX_STEPS", 1000)
-    # 3 + 2 x 499 points are 1,000 steps; one more point is one step too many
-    for n_shortcut, code in ((3, 0), (4, 2)):
-        cfg = config_file(tmp_path, {"n_shortcut": n_shortcut, "n_ellipse": 499})
+def test_step_ceiling_boundary(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(propagate_module, "_MAX_STEPS", 1000)
+    # 401 + 2 x 300 points are 1,000 steps, resolved without substeps; one
+    # more point is one step too many.  3 + 2 x 499 points are 1,000 steps
+    # too, but the integration cuts the two ramp intervals into 394 substeps.
+    for n_shortcut, n_ellipse, code in ((401, 300, 0), (402, 300, 2), (3, 499, 2)):
+        cfg = config_file(tmp_path, {"n_shortcut": n_shortcut, "n_ellipse": n_ellipse})
         assert run(tmp_path, "oscillator", "--config", cfg)[0] == code
+    assert "the trap's grid at omega dt <= 0.1 gives 1.39e+03 steps" in capsys.readouterr().err
     # the 15.9 ns window at dt = 0.0159 ns is 1,001 steps
     assert run(tmp_path, "rap", "--dt", "0.016")[0] == 0
     assert run(tmp_path, "rap", "--dt", "0.0159")[0] == 2

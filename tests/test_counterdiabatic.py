@@ -197,14 +197,6 @@ def test_mixing_angle_coarse_grid_raises():
         mixing_angle_trajectory(s, np.array([-10.0, 10.0]))
 
 
-def test_mixing_angle_sequence_access(atom, atom_grid):
-    traj = mixing_angle_trajectory(atom, atom_grid)
-    assert len(traj) == len(atom_grid)
-    state = traj[5]
-    assert state.t == atom_grid[5]
-    assert state.alpha == complex(traj.alpha[5])
-
-
 def test_mixing_angle_trajectory_leaves_caller_grid_writeable(atom):
     grid = atom.grid(0.05)
     traj = mixing_angle_trajectory(atom, grid)

@@ -15,8 +15,9 @@ Proves:
     and a non-finite initial state is named as such, before H is sampled
   - an overflowing chunk propagator neither breaks a finite sweep nor
     moves the step a blow-up is reported at
-  - pointwise fallback for Hamiltonian callables that cannot broadcast,
-    and package errors from a broadcasting callable reach the caller
+  - H(t) is sampled in one call whose result must broadcast to (N, 2, 2):
+    a constant 2x2 matrix works, any other shape is a ValueError naming
+    it, and package errors from the callable reach the caller
   - the blocked step-matrix RK4 matches a per-step vector RK4 reference,
     forward and adjoint, on sizes at chunk and block edges, and with
     blocks of one chunk
@@ -27,6 +28,7 @@ Proves:
 """
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -253,15 +255,18 @@ def test_caller_grid_stays_writeable():
         np.testing.assert_array_equal(traj.grid, grid)
 
 
-def test_scalar_only_hamiltonian_fallback(atom):
-    def scalar_only(t):
-        bool(t < 0)  # errors on array input, forcing the pointwise sampling path
-        return bare_hamiltonian(atom, float(t))
+@pytest.mark.parametrize("layout", ["stack-time-last", "no-matrix-axes"])
+def test_hamiltonian_of_wrong_shape_is_named(atom, layout):
+    def hfun(t):
+        h = bare_hamiltonian(atom, t)
+        return h.transpose(1, 2, 0) if layout == "stack-time-last" else h[:, 0, 0]
 
     grid = atom.grid(0.05)
-    a = propagate(scalar_only, [0.0, 1.0], grid)
-    b = propagate(lambda t: bare_hamiltonian(atom, t), [0.0, 1.0], grid)
-    np.testing.assert_array_equal(a.states, b.states)
+    n = 2 * len(grid) - 1  # nodes and midpoints
+    shape = (2, 2, n) if layout == "stack-time-last" else (n,)
+    with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))}, which does not "
+                                         rf"broadcast to \({n}, 2, 2\)"):
+        propagate(hfun, [0.0, 1.0], grid)
 
 
 def test_broadcasting_hamiltonian_error_propagates(atom):

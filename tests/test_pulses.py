@@ -76,6 +76,9 @@ def test_params_validation():
         ChirpedGaussianParams(rabi_peak=1.0, width_a=1.0, chirp_b=1.0, gamma=-0.1)
     with pytest.raises(ValueError):
         chirped_gaussian(ChirpedGaussianParams(1.0, 1.0, 1.0, 0.0), window_factor=0.0)
+    with pytest.raises(ValueError, match="not finite"):  # no overflow warning first
+        chirped_gaussian(ChirpedGaussianParams(1.0, 1e-300, 1.0, 0.0),
+                         window_factor=np.float64(1e308))
     with pytest.raises(ValueError):
         constant_schedule(0.0, -1.0, 0.0)
     with pytest.raises(ValueError):
