@@ -277,11 +277,22 @@ def run_cd_terms(cfg: RunConfig) -> int:
 
 
 def _trap_plan(params: dict) -> trap.ErmakovPlan:
-    """Ermakov plan in SI units (rad/s, s, kg, m) from trap config numbers."""
+    """Ermakov plan in SI units (rad/s, s, kg, m) from trap config numbers.
+
+    The plan squares omega0, omegaf and tf; ConfigError names a key whose
+    square in SI units overflows or underflows to zero.
+    """
+    si = {"f0_hz": TWO_PI * params["f0_hz"], "ff_hz": TWO_PI * params["ff_hz"],
+          "tf_ms": 1e-3 * params["tf_ms"]}
+    for key, x in si.items():
+        # a Python float product gives inf or 0.0 where ** would raise OverflowError
+        if not 0.0 < x * x < math.inf:
+            raise ConfigError(f"config key '{key}' = {params[key]:g} is out of range: its "
+                              "square in SI units is not a positive finite double")
     return trap.plan_expansion(trap.ExpansionSpec(
-        omega0=TWO_PI * params["f0_hz"],
-        omegaf=TWO_PI * params["ff_hz"],
-        tf=1e-3 * params["tf_ms"],
+        omega0=si["f0_hz"],
+        omegaf=si["ff_hz"],
+        tf=si["tf_ms"],
         mass=params["mass_kg"],
         q0=1e-6 * params["q0_um"],
         v0=1e-3 * params["v0_um_per_ms"],
@@ -362,8 +373,10 @@ def _check_lines(params: dict) -> tuple[list[str], bool]:
     leak = float(leak.max())
     report("transitionless-branch-leakage", leak, 1e-5 * scale, leak < 1e-5 * scale)
 
-    pair = propagate_pair(lambda t: cd.bare_hamiltonian(schedule, t),
-                          basis.right[0, 0], basis.left[0, 0], basis.grid)
+    # copies of the branch states at t0, so the basis is freed before the pair sweep
+    grid, r0, l0 = basis.grid, basis.right[0, 0].copy(), basis.left[0, 0].copy()
+    del basis
+    pair = propagate_pair(lambda t: cd.bare_hamiltonian(schedule, t), r0, l0, grid)
     drift = float(np.max(np.abs(pair.biorth_overlap - pair.biorth_overlap[0])))
     report("biorthogonal-overlap-drift", drift, 1e-8 * scale, drift < 1e-8 * scale)
 

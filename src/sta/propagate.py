@@ -11,23 +11,30 @@ The ODE y' = A(t) y is linear, so one RK4 step is one 2x2 matrix,
 M_k = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A0, K2 = Am (I + dt/2 K1),
 K3 = Am (I + dt/2 K2) and K4 = A1 (I + dt K3), and y_{k+1} = M_k y_k.
 
-H is sampled in one call, hfun(times) on every node and midpoint of the
-grid, whose result must broadcast to (len(times), 2, 2): a stack, or one
-constant 2x2 matrix.  A = -i H is stored component-major, with the time
-index last (_generator): a[0, i, j, k] is A_ij at node k and
-a[1, i, j, k] at the midpoint of step k, so every matrix entry is one
-contiguous row.  The M_k are built in batched numpy passes on such rows,
-with the products written out by component (_matmul_2x2).  A component of
-a (B, 2, 2) stack, such as x[:, :, 0], has 64 bytes between its values:
-one complex multiply over 16k of them took about 65-96 us against 12 us on
-a contiguous row (numpy 2.4.6, shared 2-vCPU x86-64 host), and numpy's @
-on a stack of tiny matrices costs about 0.4-0.5 us per matrix.  The build
-runs over blocks of whole chunks of at most _BLOCK steps (at least one
-chunk), so each block lands in the chunk layout below with one reshape;
-a longer block would hold several larger temporaries, which sets the peak
-memory of a short sweep.  The adjoint sweep under H^dag takes its
-generator -A^dag block by block from the forward one, so a pair keeps one
-sampled copy of A.
+The step matrices are built one tile at a time (_sweep_matrices): a tile
+is whole chunks of the scan below, at most _TILE steps.  H is sampled in
+one call per tile, hfun(times) on the tile's nodes and midpoints, whose
+result must broadcast to (len(times), 2, 2): a stack, or one constant 2x2
+matrix.  A grid of at most one tile, as every short sweep is, calls hfun
+once; a longer one calls it once per tile, and the node two tiles share
+is sampled by both.  Each M_k depends only on H at its own node, midpoint
+and next node and on dt_k, so the tiling changes no bit of any M_k; it
+keeps the sampled H and its generator at one tile's length whatever the
+grid.  A = -i H is stored component-major, with the time index last
+(_generator): a[0, i, j, k] is A_ij at node k and a[1, i, j, k] at the
+midpoint of step k, so every matrix entry is one contiguous row.  The M_k
+are built in batched numpy passes on such rows, with the products written
+out by component (_matmul_2x2).  A component of a (B, 2, 2) stack, such
+as x[:, :, 0], has 64 bytes between its values: one complex multiply over
+16k of them took about 65-96 us against 12 us on a contiguous row (numpy
+2.4.6, shared 2-vCPU x86-64 host), and numpy's @ on a stack of tiny
+matrices costs about 0.4-0.5 us per matrix.  Within a tile the build runs
+over blocks of whole chunks of at most _BLOCK steps (at least one chunk),
+so each block lands in the chunk layout below with one reshape; a longer
+block would hold several larger temporaries, which sets the peak memory
+of a short sweep.  The adjoint sweep under H^dag takes its generator
+-A^dag block by block from the forward one, and a pair builds both sweeps'
+matrices from each tile's sample, so H is still sampled once per point.
 
 The recurrence is then solved by a two-level scan (Blelloch, "Prefix sums
 and their applications", 1990) over chunks of about sqrt(n) steps, whose
@@ -72,6 +79,13 @@ _MAX_STEPS = 10**8
 # whole chunks.  Chosen by tracemalloc peak as well as speed: a 3,002-step
 # forward sweep peaked at 541 KB with it and at 634 KB with 1,024.
 _BLOCK = 768
+
+# Most steps per sample of H, rounded down to whole chunks.  Above the trap's
+# 3,002-step sweep, which then stays one call: on the oscillator run, tiles
+# of 2,048 steps were about 20% slower (smaller arrays lower glibc's dynamic
+# trim threshold, and the CSV writer that follows pays page faults), and
+# tiles of 768 about 24% slower.
+_TILE = 4096
 
 
 @dataclass(frozen=True)
@@ -161,8 +175,10 @@ def _generator(hfun, grid: np.ndarray) -> np.ndarray:
     """
     h = _sample_hamiltonian(hfun, _refine(grid))
     a = np.empty((2, 2, 2, len(grid)), dtype=complex)
-    np.multiply(-1j, h[0::2].transpose(1, 2, 0), out=a[0])
-    np.multiply(-1j, h[1::2].transpose(1, 2, 0), out=a[1, :, :, :-1])
+    # a non-finite H surfaces as NonFiniteState in the sweep, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(-1j, h[0::2].transpose(1, 2, 0), out=a[0])
+        np.multiply(-1j, h[1::2].transpose(1, 2, 0), out=a[1, :, :, :-1])
     a[1, :, :, -1] = 0.0
     return a
 
@@ -201,18 +217,20 @@ def _step_block(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, dt: np.ndarray) 
     return _scale_add(k2, dt / 6.0, np.eye(2)[:, :, None])
 
 
-def _step_matrices(a: np.ndarray, steps: np.ndarray, width: int, adjoint: bool) -> np.ndarray:
+def _step_matrices(a: np.ndarray, steps: np.ndarray, width: int, adjoint: bool,
+                   out: np.ndarray | None = None, chunk: int = 0) -> np.ndarray:
     """RK4 step matrices laid out by chunks of width steps.
 
     Returns m with m[i, :, :, j] = M_{j width + i}; identities pad the last
-    chunk.  a is the component-major generator of _generator, and
-    adjoint=True builds the steps of y' = A^dag(t) y, taking -A^dag block
-    by block.  Each block holds whole chunks, so it lands in m with one
-    reshape; only the last chunk may be partial.
+    chunk.  a is the component-major generator of _generator over the
+    len(steps) steps, and adjoint=True builds the steps of y' = A^dag(t) y,
+    taking -A^dag block by block.  With out, the steps are written into
+    out from chunk index chunk on, and out is returned; otherwise m is
+    allocated for these steps alone.  Each block holds whole chunks, so it
+    lands in m with one reshape; only the last chunk may be partial.
     """
     n = len(steps)
-    m = np.empty((width, 2, 2, -(-n // width)), dtype=complex)
-    m[:, :, :, -1] = np.eye(2)
+    m = np.empty((width, 2, 2, -(-n // width)), dtype=complex) if out is None else out
     per_block = width * max(1, _BLOCK // width)
     for s in range(0, n, per_block):
         e = min(s + per_block, n)
@@ -220,31 +238,56 @@ def _step_matrices(a: np.ndarray, steps: np.ndarray, width: int, adjoint: bool) 
         if adjoint:  # -A^dag: conjugate and swap the components
             nodes, mids = (-x.transpose(1, 0, 2).conj() for x in (nodes, mids))
         blk = _step_block(nodes[:, :, :-1], mids, nodes[:, :, 1:], steps[s:e])
-        j, (c, r) = s // width, divmod(e - s, width)
+        j, (c, r) = chunk + s // width, divmod(e - s, width)
         m[:, :, :, j:j + c] = blk[:, :, :c * width].reshape(2, 2, c, width).transpose(3, 0, 1, 2)
         if r:
             m[:r, :, :, j + c] = blk[:, :, c * width:].transpose(2, 0, 1)
+            m[r:, :, :, j + c] = np.eye(2)
     return m
 
 
-def _rk4(a: np.ndarray, y0: np.ndarray, steps: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """RK4 sweep for y' = A(t) y given A pre-sampled on nodes and midpoints.
+def _sweep_matrices(hfun, grid: np.ndarray, adjoints=(False,)) -> list[np.ndarray]:
+    """The chunk-layout step matrices of _step_matrices over all of grid, one per sweep.
 
-    a is the component-major (2, 2, 2, n + 1) generator of _generator for
-    n steps.  adjoint=True sweeps y' = A^dag(t) y instead.
+    adjoints holds one flag per sweep, as _step_matrices takes it.  The steps
+    are cut into tiles of whole chunks of at most _TILE steps; each tile's H
+    is sampled in one hfun call, and every sweep's matrices of that tile are
+    built from the sample straight into its array.  The arrays are allocated
+    after the first tile is sampled, so a grid of one tile holds its H stack
+    and its matrices at different times.
+    """
+    n = len(grid) - 1
+    width = math.isqrt(n - 1) + 1  # ceil(sqrt(n)) steps per chunk
+    per_tile = width * max(1, _TILE // width)
+    ms = []
+    for s in range(0, n, per_tile):
+        tile = grid[s:min(s + per_tile, n) + 1]
+        a, steps = _generator(hfun, tile), np.diff(tile)
+        if not ms:
+            ms = [np.empty((width, 2, 2, -(-n // width)), dtype=complex) for _ in adjoints]
+        # blow-ups surface as NonFiniteState in _rk4, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m, adjoint in zip(ms, adjoints):
+                _step_matrices(a, steps, width, adjoint, out=m, chunk=s // width)
+        del a, steps  # before the next tile's H is sampled
+    return ms
+
+
+def _rk4(m: np.ndarray, y0: np.ndarray, n: int, adjoint: bool = False) -> np.ndarray:
+    """RK4 sweep of n steps for y' = A(t) y from its step matrices.
+
+    m holds the chunk-layout step matrices of _step_matrices for the n
+    steps; adjoint=True names the sweep y' = A^dag(t) y in errors.
     y0 must be finite (_initial_state).  Raises NonFiniteState naming the
     first step whose state is not finite.
     """
-    n = len(steps)
-    width = math.isqrt(n - 1) + 1  # ceil(sqrt(n)) steps per chunk
-    chunks = -(-n // width)
+    width, chunks = m.shape[0], m.shape[-1]
     out = np.empty((chunks * width + 1, 2), dtype=complex)
     out[0] = y0
     # blow-ups surface as NonFiniteState below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         # chunks run along the last, contiguous axis of m, so each product
         # below is one pass over all chunks
-        m = _step_matrices(a, steps, width, adjoint)
         # 1. propagators M_{j width + width - 1} ... M_{j width} of all chunks but the last
         prop = m[0, :, :, :-1]
         for q in m[1:, :, :, :-1]:
@@ -287,12 +330,13 @@ def propagate(hfun, psi0, grid) -> StateTrajectory:
     """Propagate psi0 through i psi' = H(t) psi on a fixed grid.
 
     hfun takes an array of times and returns an array that broadcasts to
-    (len(times), 2, 2), H at each time; it is called once per sweep.
+    (len(times), 2, 2), H at each time.  It is called once per tile of at
+    most _TILE steps, so once for any grid of at most one tile.
     """
     grid = _check_grid(grid)
     psi0 = _initial_state(psi0, "forward")
-    a = _generator(hfun, grid)
-    states = _rk4(a, psi0, np.diff(grid))
+    [m] = _sweep_matrices(hfun, grid)
+    states = _rk4(m, psi0, len(grid) - 1)
     return StateTrajectory(grid=grid, states=states)
 
 
@@ -301,15 +345,16 @@ def propagate_pair(hfun, psi0, psihat0, grid) -> StateTrajectory:
 
     <psi_hat|psi> is a constant of motion of the exact flow, whatever the
     non-Hermitian H; its numerical drift measures integrator error.  hfun
-    is sampled once, as in propagate.
+    is called as in propagate, once per tile: both sweeps' step matrices
+    are built from each tile's sample.
     """
     grid = _check_grid(grid)
     psi0 = _initial_state(psi0, "forward")
     psihat0 = _initial_state(psihat0, "adjoint")
-    a = _generator(hfun, grid)
-    steps = np.diff(grid)
-    states = _rk4(a, psi0, steps)
-    adjoint = _rk4(a, psihat0, steps, adjoint=True)
+    ms = _sweep_matrices(hfun, grid, adjoints=(False, True))
+    n = len(grid) - 1
+    states = _rk4(ms.pop(0), psi0, n)  # popped, so each array is freed after its sweep
+    adjoint = _rk4(ms.pop(), psihat0, n, adjoint=True)
     return StateTrajectory(grid=grid, states=states, adjoint_states=adjoint)
 
 

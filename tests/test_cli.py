@@ -422,6 +422,24 @@ def test_runtime_failure_exit_code(tmp_path, capsys):
     assert "sta: runtime error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload,code,message", [
+    # 1j / m is inf, so -i H holds inf and nan entries from the first node on
+    ({"mass_kg": 1e-320}, 3,
+     "sta: runtime error: non-finite forward state after step 1 of 3002;"),
+    # tf^2 and omega0^2 overflow a double; a Python float ** raised OverflowError
+    ({"tf_ms": 1e300}, 2, "sta: config error: config key 'tf_ms' = 1e+300 is out of range"),
+    ({"f0_hz": 1e200}, 2, "sta: config error: config key 'f0_hz' = 1e+200 is out of range"),
+], ids=["mass-1e-320", "tf-1e300", "f0-1e200"])
+def test_oscillator_out_of_range_scales_fail_cleanly(tmp_path, capsys, payload, code, message):
+    # the suite turns RuntimeWarning into an error, so a numpy warning fails here too
+    cfg = config_file(tmp_path, payload)
+    got, path = run(tmp_path, "oscillator", "--config", cfg)
+    err = capsys.readouterr().err
+    assert got == code
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("scenario,payload,flags", [
     ("rap", {"chirp_a_ghz2": 1e-30}, []),  # numpy: "array is too big"
     ("rap", {"chirp_a_ghz2": 1e-12}, []),  # numpy: 11.9 GiB allocation

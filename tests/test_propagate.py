@@ -25,11 +25,19 @@ Proves:
     from it are bitwise the written-out RK4 expression, and the adjoint
     ones bitwise those of the conjugate-transposed generator
   - the component-wise 2x2 product of component-major stacks matches numpy's @
+  - sampling H and building the step matrices one tile at a time gives
+    bitwise the states of one tile over the whole grid, forward and paired,
+    at tile edges and with tiles of one chunk; a grid of at most one tile
+    calls hfun once, a pair samples each tile once for both sweeps, and a
+    blow-up in a later tile is named at the same step
+  - a 15,915-step sweep of the corrected atom drive stays under a 3 MB
+    transient peak: no full-length H stack or generator is held
 """
 
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +58,7 @@ from sta import (
     propagate_pair,
 )
 from sta.propagate import _BLOCK, _generator, _matmul_2x2, _step_matrices
+from sta.quadrature import _refine
 
 propagate_module = sys.modules["sta.propagate"]
 
@@ -458,6 +467,125 @@ def test_matmul_2x2_matches_numpy(scale):
         xs, ys = x.transpose(2, 0, 1), y.transpose(2, 0, 1)  # as (B, 2, 2) stacks
         bound = 1e-15 * (np.abs(xs) @ np.abs(ys))
         assert np.all(np.abs(_matmul_2x2(x, y).transpose(2, 0, 1) - xs @ ys) <= bound)
+
+
+def _per_tile(n):
+    """Steps per tile of an n-step sweep: whole ceil(sqrt(n))-step chunks, at most _TILE."""
+    width = math.isqrt(n - 1) + 1
+    return width * max(1, propagate_module._TILE // width)
+
+
+def _warped_atom_grid(atom, n):
+    u = np.linspace(0.0, 1.0, n + 1)
+    t0, t1 = atom.window
+    return t0 + (t1 - t0) * (u + 0.1 * np.sin(2.0 * np.pi * u) / (2.0 * np.pi))
+
+
+def _bits(states):
+    return states.view(np.uint64)
+
+
+# n = k per_tile - 1, k per_tile and k per_tile + 1 at the default tile (4,095
+# steps at these n), at tiles of 100 steps, and at tiles of one 10-step chunk
+@pytest.mark.parametrize("tile,ns", [(None, (8189, 8190, 8191)), (100, (599, 600, 601)),
+                                     (4, (89, 90, 91))], ids=["default", "tile-100", "tile-4"])
+def test_tiled_states_are_bitwise_one_tile(atom, monkeypatch, tile, ns):
+    if tile is not None:
+        monkeypatch.setattr(propagate_module, "_TILE", tile)
+    hfun = lambda t: cd_hamiltonian(atom, t)
+    psi0, psihat0 = np.array([0.6, 0.8j]), np.array([1.0, -0.5 + 0.2j])
+    for n in ns:
+        per_tile = _per_tile(n)
+        assert n > per_tile and n % per_tile in (0, 1, per_tile - 1)
+        grid = _warped_atom_grid(atom, n)
+        tiled = propagate(hfun, psi0, grid)
+        tiled_pair = propagate_pair(hfun, psi0, psihat0, grid)
+        with monkeypatch.context() as m:
+            m.setattr(propagate_module, "_TILE", 10 * n)  # one tile over the whole grid
+            whole = propagate(hfun, psi0, grid)
+            whole_pair = propagate_pair(hfun, psi0, psihat0, grid)
+        np.testing.assert_array_equal(_bits(tiled.states), _bits(whole.states))
+        np.testing.assert_array_equal(_bits(tiled_pair.states), _bits(whole_pair.states))
+        np.testing.assert_array_equal(_bits(tiled_pair.adjoint_states),
+                                      _bits(whole_pair.adjoint_states))
+        np.testing.assert_array_equal(_bits(tiled_pair.states), _bits(tiled.states))
+
+
+def _recording(hfun):
+    calls = []
+
+    def record(t):
+        calls.append(np.array(t))
+        return hfun(t)
+
+    return record, calls
+
+
+@pytest.mark.parametrize("n", [3002, 4096])  # the trap's sweep; the longest one-tile grid
+def test_one_tile_grid_samples_once(atom, n):
+    assert _per_tile(n) >= n
+    grid = _warped_atom_grid(atom, n)
+    for run in (lambda h: propagate(h, [0.0, 1.0], grid),
+                lambda h: propagate_pair(h, [0.0, 1.0], [1.0, 0.0], grid)):
+        hfun, calls = _recording(lambda t: bare_hamiltonian(atom, t))
+        run(hfun)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], _refine(grid))
+
+
+def test_pair_samples_each_tile_once(atom):
+    n = 8191  # tiles of 4,095, 4,095 and 1 steps
+    per_tile = _per_tile(n)
+    grid = _warped_atom_grid(atom, n)
+    hfun, calls = _recording(lambda t: bare_hamiltonian(atom, t))
+    propagate_pair(hfun, [0.0, 1.0], [1.0, 0.0], grid)
+    starts = range(0, n, per_tile)
+    assert len(calls) == len(starts) == 3
+    for times, s in zip(calls, starts):
+        np.testing.assert_array_equal(times, _refine(grid[s:s + per_tile + 1]))
+
+
+@pytest.mark.parametrize("tile", [None, 100])
+def test_blow_up_in_later_tile_names_same_step(monkeypatch, tile):
+    if tile is not None:
+        monkeypatch.setattr(propagate_module, "_TILE", tile)
+    n = 12000
+    # A = -i H = diag(0, 40) from t = 9000.25 on: psi_2 grows by ~1.2e5 per
+    # step from step 9000, in the third tile or later, and overflows ~61 steps
+    # on; under -i H^dag = diag(0, -40) the unit steps are unstable, and the
+    # adjoint psi_hat_2 overflows a step later
+    hfun = lambda t: np.diag([0.0, 40j]) * (np.asarray(t) >= 9000.25)[..., None, None]
+    grid = np.linspace(0.0, float(n), n + 1)
+    assert 2 * _per_tile(n) < 9000
+
+    def message(run):
+        with pytest.raises(NonFiniteState) as info:
+            run()
+        return str(info.value)
+
+    forward = lambda: propagate(hfun, [0.0, 1.0], grid)
+    adjoint = lambda: propagate_pair(hfun, [1.0, 0.0], [0.0, 1.0], grid)
+    tiled = message(forward), message(adjoint)
+    monkeypatch.setattr(propagate_module, "_TILE", 10 * n)
+    assert tiled == (message(forward), message(adjoint))
+    for text in tiled:
+        step = int(re.search(r"state after step (\d+) of 12000;", text).group(1))
+        assert 9000 < step < 9100
+
+
+def test_long_sweep_holds_no_full_length_stack(atom):
+    grid = atom.grid(1e-3)
+    assert len(grid) - 1 == 15915
+    hfun = lambda t: cd_hamiltonian(atom, t)
+    propagate(hfun, [0.0, 1.0], grid)  # first-call allocations outside the measurement
+    tracemalloc.start()
+    try:
+        propagate(hfun, [0.0, 1.0], grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # full-length stacks held about 5.3 MB: H and its sum terms, 2 MB each, and -iH
+    assert peak < 3e6
 
 
 def test_overlap_requires_pair(atom, atom_grid):
