@@ -195,6 +195,15 @@ def _atom_setup(params: dict):
     # Python floats, so a window that overflows is inf, with no numpy warning
     window = 2.0 * params["window_factor"] / math.sqrt(cg.width_a)
     _require_steps(window / params["dt_ns"], f"dt_ns = {params['dt_ns']} over the window")
+    # alpha_dot and complex_rabi square these rates, doubled, and add up to
+    # three such squares; (4 x)^2 finite keeps every sum finite too
+    rates = {"rabi_peak_mhz": ("the peak Rabi frequency", cg.rabi_peak),
+             "gamma_mhz": ("the decay rate", cg.gamma),
+             "chirp_b_ghz2": ("the detuning at the window edge", abs(cg.chirp_b) * window)}
+    for key, (what, x) in rates.items():
+        if not (4.0 * x) * (4.0 * x) < math.inf:
+            raise ConfigError(f"config key '{key}' = {params[key]:g} is out of range: {what} "
+                              "it gives is too large to square in rad/ns")
     schedule = chirped_gaussian(cg, window_factor=params["window_factor"])
     return schedule, schedule.grid(params["dt_ns"])
 
@@ -208,7 +217,7 @@ def _transitionless_sweep(params: dict, approx: bool = False):
     schedule, grid = _atom_setup(params)
     basis = cd.adiabatic_basis(schedule, cd.mixing_angle_trajectory(schedule, grid))
     drive = cd.cd_hamiltonian_approx if approx else cd.cd_hamiltonian
-    traj = propagate(lambda t: drive(schedule, t), basis.right[0, 0], grid)
+    traj = propagate(lambda t: drive(schedule, t), basis.right_at(0)[0], grid)
     return schedule, basis, traj, np.abs(branch_projection(traj, basis)[:, 1])
 
 
@@ -289,7 +298,13 @@ def _trap_plan(params: dict) -> trap.ErmakovPlan:
         if not 0.0 < x * x < math.inf:
             raise ConfigError(f"config key '{key}' = {params[key]:g} is out of range: its "
                               "square in SI units is not a positive finite double")
-    return trap.plan_expansion(trap.ExpansionSpec(
+    # rho ends at sqrt(f0/ff), and omega^2 divides by rho^4
+    ratio = si["f0_hz"] / si["ff_hz"]
+    if not 0.0 < ratio * ratio < math.inf:
+        raise ConfigError(f"config key 'ff_hz' = {params['ff_hz']:g} is out of range for "
+                          f"f0_hz = {params['f0_hz']:g}: the square of f0_hz / ff_hz is not "
+                          "a positive finite double")
+    plan = trap.plan_expansion(trap.ExpansionSpec(
         omega0=si["f0_hz"],
         omegaf=si["ff_hz"],
         tf=si["tf_ms"],
@@ -297,6 +312,30 @@ def _trap_plan(params: dict) -> trap.ErmakovPlan:
         q0=1e-6 * params["q0_um"],
         v0=1e-3 * params["v0_um_per_ms"],
     ))
+    _require_finite_energy(plan, params)
+    return plan
+
+
+def _require_finite_energy(plan: trap.ErmakovPlan, params: dict) -> None:
+    """ConfigError naming q0_um or v0_um_per_ms if the orbit's SI energy may overflow.
+
+    Bounds the orbit q = R rho cos(theta), p/m = R (rho' cos(theta) -
+    (omega0/rho) sin(theta)) over the run: |q| <= R max(rho), |p/m| <=
+    R (max|rho'| + omega0 / min(rho)), and omega^2 by its largest magnitude.
+    The energy's terms, and q^2 and p alone, must then be finite.  The key
+    named is the larger part of the amplitude R = hypot(q0, v0/omega0).
+    """
+    rho_f = plan.rho_final
+    w2 = max(plan.omega0**2, plan.omegaf**2, plan.max_abs_omega_sq)
+    q = plan.amplitude * max(1.0, rho_f)
+    # max|rho'| of the quintic ramp is 15/8 |rho_f - 1| / tf, at its midpoint
+    v = plan.amplitude * (1.875 * abs(rho_f - 1.0) / plan.tf + plan.omega0 / min(1.0, rho_f))
+    if 0.5 * v * (plan.mass * v) + 0.5 * plan.mass * w2 * (q * q) < math.inf:
+        return
+    q0, v0 = 1e-6 * params["q0_um"], 1e-3 * params["v0_um_per_ms"]
+    key = "q0_um" if abs(q0) >= abs(v0) / plan.omega0 else "v0_um_per_ms"
+    raise ConfigError(f"config key '{key}' = {params[key]:g} is out of range: the energy of "
+                      "the orbit it launches overflows in SI units")
 
 
 def run_oscillator(cfg: RunConfig) -> int:
@@ -369,14 +408,14 @@ def _check_lines(params: dict) -> tuple[list[str], bool]:
     worst = _biortho_defect()
     report("biorthogonality-closure-reconstruction", worst, 1e-10 * scale, worst < 1e-10 * scale)
 
-    schedule, basis, _, leak = _transitionless_sweep({**ATOM_DEFAULTS, "dt_ns": dt})
+    schedule, basis, traj, leak = _transitionless_sweep({**ATOM_DEFAULTS, "dt_ns": dt})
     leak = float(leak.max())
     report("transitionless-branch-leakage", leak, 1e-5 * scale, leak < 1e-5 * scale)
 
-    # copies of the branch states at t0, so the basis is freed before the pair sweep
-    grid, r0, l0 = basis.grid, basis.right[0, 0].copy(), basis.left[0, 0].copy()
-    del basis
-    pair = propagate_pair(lambda t: cd.bare_hamiltonian(schedule, t), r0, l0, grid)
+    # chi_+ and its left partner at t0; the basis and the states are freed before the pair sweep
+    grid, r0 = basis.grid, basis.right_at(0)[0]
+    del basis, traj
+    pair = propagate_pair(lambda t: cd.bare_hamiltonian(schedule, t), r0, r0.conj(), grid)
     drift = float(np.max(np.abs(pair.biorth_overlap - pair.biorth_overlap[0])))
     report("biorthogonal-overlap-drift", drift, 1e-8 * scale, drift < 1e-8 * scale)
 

@@ -21,6 +21,13 @@ cancels transitions between the branches exactly, so the corrected drive
 H_0 + H_1 transports chi_+ without leakage no matter how fast the sweep.
 Since alpha is complex, C has a real part: the correction is non-Hermitian.
 Dropping Re C gives the closest Hermitian (hence implementable) drive.
+
+Along a grid, the mixing angle is integrated from alpha_dot sampled one
+tile of at most quadrature._TILE intervals at a time, and the branch basis
+(BasisTrajectory) stores only the columns sin(alpha/2) and cos(alpha/2),
+16 bytes each per point; its (N, 2, 2) vector stacks right and left are
+built when read.  The corrected drives add +-C into the stack of H_0 in
+place.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import quadrature
 from .biortho import _fd_spectrum, _mat2
 from .errors import BranchJump, ZeroGap
 from .pulses import PulseSchedule, _const
@@ -100,9 +108,24 @@ def cd_correction(s: PulseSchedule, t) -> np.ndarray:
     return _mat2(0.0, c, -c, 0.0)
 
 
+def _add_coupling(s: PulseSchedule, t, c) -> np.ndarray:
+    """H_0 + [[0, c], [-c, 0]], with c added into the off-diagonals of H_0 in place.
+
+    The callers compute c before H_0 is sampled here, so the temporaries of
+    alpha_dot and the H_0 stack are not held at once.
+    """
+    h = bare_hamiltonian(s, t)
+    h[..., 0, 1] += c
+    h[..., 1, 0] -= c
+    # H_0[1, 1] has real part -0.0 where Gamma = 0 and Delta = -0.0; adding
+    # the zero diagonal of H_1, as the sum H_0 + H_1 does, makes it +0.0
+    h[..., 1, 1] += 0.0
+    return h
+
+
 def cd_hamiltonian(s: PulseSchedule, t) -> np.ndarray:
     """Exactly corrected drive H = H_0 + H_1 (non-Hermitian off-diagonals)."""
-    return bare_hamiltonian(s, t) + cd_correction(s, t)
+    return _add_coupling(s, t, cd_coupling(s, t))
 
 
 def cd_hamiltonian_approx(s: PulseSchedule, t) -> np.ndarray:
@@ -112,8 +135,7 @@ def cd_hamiltonian_approx(s: PulseSchedule, t) -> np.ndarray:
     amplitude-modulated laser can implement; the price is that branch
     transport is no longer exact.
     """
-    ci = 1j * np.imag(cd_coupling(s, t))
-    return bare_hamiltonian(s, t) + _mat2(0.0, ci, -ci, 0.0)
+    return _add_coupling(s, t, 1j * np.imag(cd_coupling(s, t)))
 
 
 class MixingAngleTrajectory:
@@ -146,11 +168,22 @@ def mixing_angle_values(s: PulseSchedule, times: np.ndarray) -> np.ndarray:
     The anchor is the principal arctan at times[0]; later samples integrate
     alpha_dot with per-interval Simpson steps (midpoint evaluations), which
     tracks the branch through the resonance crossing where the pointwise
-    principal angle would jump.
+    principal angle would jump.  alpha_dot is evaluated one tile of at most
+    _TILE intervals at a time, and each tile's running sum continues the
+    last one's, so the angle is the same to the bit as from one evaluation
+    over all of times.
     """
     times = np.asarray(times, dtype=float)
-    f = np.asarray(alpha_dot(s, _refine(times)))
-    return mixing_angle_anchor(s, times[0]) + _cumulative_simpson(f[0::2], f[1::2], np.diff(times))
+    n = len(times) - 1
+    alpha = np.empty(len(times), dtype=complex)
+    for a in range(0, max(n, 1), quadrature._TILE):
+        b = min(a + quadrature._TILE, n)
+        tile = times[a:b + 1]
+        f = np.asarray(alpha_dot(s, _refine(tile)))
+        alpha[a:b + 1] = _cumulative_simpson(f[0::2], f[1::2], np.diff(tile),
+                                             start=alpha[a] if a else None)
+    alpha += mixing_angle_anchor(s, times[0])
+    return alpha
 
 
 def mixing_angle_trajectory(s: PulseSchedule, grid: np.ndarray) -> MixingAngleTrajectory:
@@ -331,18 +364,39 @@ def cd_correction_numeric(hfun, t: float, h: float = 1e-4) -> np.ndarray:
 class BasisTrajectory:
     """Instantaneous spectral basis along a grid, branch labels continuous.
 
-    right[i, n] / left[i, n] are the paired eigenvectors at grid[i].  Built
-    from the mixing-angle parametrization, so row n follows one branch
-    smoothly through the sweep.  branch_energies gives the energies.
+    Stores the read-only columns sin_half = sin(alpha/2) and cos_half =
+    cos(alpha/2) of the mixing angle on grid, 16 bytes each per point, which
+    is all the basis holds.  right[i, n] / left[i, n], the paired
+    eigenvectors at grid[i], are built from them when read: a new
+    read-only (N, 2, 2) stack per access, with left the conjugate of right.
+    Row n follows one branch smoothly through the sweep.  right_at builds
+    the rows of some grid points only.  branch_energies gives the energies.
     """
 
     grid: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
+    sin_half: np.ndarray
+    cos_half: np.ndarray
 
     def __post_init__(self):
-        for name in ("grid", "right", "left"):
+        for name in ("grid", "sin_half", "cos_half"):
             getattr(self, name).setflags(write=False)
+
+    def right_at(self, index) -> np.ndarray:
+        """right[index]: (2, 2) at one grid point, (k, 2, 2) for a slice of them."""
+        sh, ch = self.sin_half[index], self.cos_half[index]
+        return _mat2(sh, ch, ch, -sh)
+
+    @property
+    def right(self) -> np.ndarray:
+        right = self.right_at(slice(None))
+        right.setflags(write=False)
+        return right
+
+    @property
+    def left(self) -> np.ndarray:
+        left = self.right_at(slice(None)).conj()
+        left.setflags(write=False)
+        return left
 
 
 def adiabatic_basis(s: PulseSchedule, traj: MixingAngleTrajectory) -> BasisTrajectory:
@@ -350,11 +404,10 @@ def adiabatic_basis(s: PulseSchedule, traj: MixingAngleTrajectory) -> BasisTraje
 
     chi_+ = (sin(a/2), cos(a/2)), chi_- = (cos(a/2), -sin(a/2)); the left
     partners carry conjugated components, so <chi_hat_n | chi_m> = delta_nm
-    holds exactly (bilinear trigonometric identity).  s is not read: the
-    basis follows from the angle alone and shares the trajectory's
-    read-only grid.
+    holds exactly (bilinear trigonometric identity).  Only sin(a/2) and
+    cos(a/2) are computed and stored; the vector stacks are built when
+    read.  s is not read: the basis follows from the angle alone and
+    shares the trajectory's read-only grid.
     """
     a = traj.alpha
-    sh, ch = np.sin(a / 2.0), np.cos(a / 2.0)
-    right = _mat2(sh, ch, ch, -sh)
-    return BasisTrajectory(grid=traj.grid, right=right, left=right.conj())
+    return BasisTrajectory(grid=traj.grid, sin_half=np.sin(a / 2.0), cos_half=np.cos(a / 2.0))

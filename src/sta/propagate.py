@@ -11,30 +11,30 @@ The ODE y' = A(t) y is linear, so one RK4 step is one 2x2 matrix,
 M_k = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A0, K2 = Am (I + dt/2 K1),
 K3 = Am (I + dt/2 K2) and K4 = A1 (I + dt K3), and y_{k+1} = M_k y_k.
 
-The step matrices are built one tile at a time (_sweep_matrices): a tile
-is whole chunks of the scan below, at most _TILE steps.  H is sampled in
-one call per tile, hfun(times) on the tile's nodes and midpoints, whose
-result must broadcast to (len(times), 2, 2): a stack, or one constant 2x2
-matrix.  A grid of at most one tile, as every short sweep is, calls hfun
-once; a longer one calls it once per tile, and the node two tiles share
-is sampled by both.  Each M_k depends only on H at its own node, midpoint
-and next node and on dt_k, so the tiling changes no bit of any M_k; it
-keeps the sampled H and its generator at one tile's length whatever the
-grid.  A = -i H is stored component-major, with the time index last
-(_generator): a[0, i, j, k] is A_ij at node k and a[1, i, j, k] at the
+The step matrices are built one tile at a time (_sweep_matrices): a tile is
+whole chunks of the scan below, at most _TILE steps (quadrature.py).  H is
+sampled in one call per tile, hfun(times) on the tile's nodes and
+midpoints, whose result must broadcast to (len(times), 2, 2): a stack, or
+one constant 2x2 matrix.  A grid of at most one tile, as every short sweep
+is, calls hfun once; a longer one calls it once per tile, and the node two
+tiles share is sampled by both.  Each M_k depends only on H at its own
+node, midpoint and next node and on dt_k, so the tiling changes no bit of
+any M_k; it keeps the sampled H and its generator at one tile's length
+whatever the grid.  A = -i H is stored component-major, with the time index
+last (_generator): a[0, i, j, k] is A_ij at node k and a[1, i, j, k] at the
 midpoint of step k, so every matrix entry is one contiguous row.  The M_k
 are built in batched numpy passes on such rows, with the products written
-out by component (_matmul_2x2).  A component of a (B, 2, 2) stack, such
-as x[:, :, 0], has 64 bytes between its values: one complex multiply over
-16k of them took about 65-96 us against 12 us on a contiguous row (numpy
-2.4.6, shared 2-vCPU x86-64 host), and numpy's @ on a stack of tiny
-matrices costs about 0.4-0.5 us per matrix.  Within a tile the build runs
-over blocks of whole chunks of at most _BLOCK steps (at least one chunk),
-so each block lands in the chunk layout below with one reshape; a longer
-block would hold several larger temporaries, which sets the peak memory
-of a short sweep.  The adjoint sweep under H^dag takes its generator
--A^dag block by block from the forward one, and a pair builds both sweeps'
-matrices from each tile's sample, so H is still sampled once per point.
+out by component (_matmul_2x2).  A component of a (B, 2, 2) stack, such as
+x[:, :, 0], has 64 bytes between its values: one complex multiply over 16k
+of them took about 65-96 us against 12 us on a contiguous row (numpy 2.4.6,
+shared 2-vCPU x86-64 host), and numpy's @ on a stack of tiny matrices costs
+about 0.4-0.5 us per matrix.  Within a tile the build runs over blocks of
+whole chunks of at most _BLOCK steps (at least one chunk), so each block
+lands in the chunk layout below with one reshape; a longer block would hold
+several larger temporaries, which sets the peak memory of a short sweep.
+The adjoint sweep under H^dag takes its generator -A^dag block by block
+from the forward one, and a pair builds both sweeps' matrices from each
+tile's sample, so H is still sampled once per point.
 
 The recurrence is then solved by a two-level scan (Blelloch, "Prefix sums
 and their applications", 1990) over chunks of about sqrt(n) steps, whose
@@ -59,6 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature
 from .counterdiabatic import BasisTrajectory
 from .errors import ConfigError, NonFiniteState
 from .quadrature import _refine
@@ -79,13 +80,6 @@ _MAX_STEPS = 10**8
 # whole chunks.  Chosen by tracemalloc peak as well as speed: a 3,002-step
 # forward sweep peaked at 541 KB with it and at 634 KB with 1,024.
 _BLOCK = 768
-
-# Most steps per sample of H, rounded down to whole chunks.  Above the trap's
-# 3,002-step sweep, which then stays one call: on the oscillator run, tiles
-# of 2,048 steps were about 20% slower (smaller arrays lower glibc's dynamic
-# trim threshold, and the CSV writer that follows pays page faults), and
-# tiles of 768 about 24% slower.
-_TILE = 4096
 
 
 @dataclass(frozen=True)
@@ -258,7 +252,7 @@ def _sweep_matrices(hfun, grid: np.ndarray, adjoints=(False,)) -> list[np.ndarra
     """
     n = len(grid) - 1
     width = math.isqrt(n - 1) + 1  # ceil(sqrt(n)) steps per chunk
-    per_tile = width * max(1, _TILE // width)
+    per_tile = width * max(1, quadrature._TILE // width)
     ms = []
     for s in range(0, n, per_tile):
         tile = grid[s:min(s + per_tile, n) + 1]
@@ -362,10 +356,18 @@ def branch_projection(traj: StateTrajectory, basis: BasisTrajectory) -> np.ndarr
     """Branch amplitudes c_n(t) = <l_n(t)|psi(t)> along a trajectory.
 
     Because the basis closes, sum_n c_n(t) r_n(t) rebuilds psi(t) exactly.
+    The bra of l_n is the conjugate of left, which is right itself, so the
+    states are contracted with right, built one tile of _TILE points at a
+    time.
     """
     if traj.grid.shape != basis.grid.shape or not np.allclose(traj.grid, basis.grid):
         raise ValueError("trajectory and basis live on different grids")
-    return np.einsum("tnj,tj->tn", basis.left.conj(), traj.states)
+    n = len(traj.grid)
+    c = np.empty((n, 2), dtype=complex)
+    for a in range(0, n, quadrature._TILE):
+        rows = slice(a, a + quadrature._TILE)
+        np.einsum("tnj,tj->tn", basis.right_at(rows), traj.states[rows], out=c[rows])
+    return c
 
 
 def convergence_order(hfun, psi0, window, n0: int = 512) -> float:

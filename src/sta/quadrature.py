@@ -1,8 +1,21 @@
-"""Cumulative Simpson quadrature and its midpoint grids, shared by the atom and trap modules."""
+"""Cumulative Simpson quadrature, its midpoint grids and the tile length _TILE.
+
+All three are shared by the atom and trap modules.  _TILE bounds the grid
+intervals one batched evaluation covers: propagate samples H(t) and builds
+the RK4 step matrices, mixing_angle_values evaluates the mixing-angle rate
+and branch_projection builds the basis vectors one tile of at most _TILE
+intervals at a time, so none of them holds a full-length sample of a long
+grid.  It stays at or above the trap's 3,002-step sweep, which is then one
+tile: on the oscillator run, tiles of 2,048 steps were about 20% slower
+(smaller arrays lower glibc's dynamic trim threshold, and the CSV writer
+that follows pays page faults), and tiles of 768 about 24% slower.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+
+_TILE = 4096
 
 
 def _refine(grid: np.ndarray) -> np.ndarray:
@@ -13,16 +26,22 @@ def _refine(grid: np.ndarray) -> np.ndarray:
     return dense
 
 
-def _cumulative_simpson(f_nodes: np.ndarray, f_mids: np.ndarray, h) -> np.ndarray:
+def _cumulative_simpson(f_nodes: np.ndarray, f_mids: np.ndarray, h, start=None) -> np.ndarray:
     """Running integral of f from the first node, one Simpson panel per interval.
 
     f_nodes holds f on n nodes, f_mids on the n - 1 interval midpoints and h
     the interval widths (an array of n - 1 or one scalar).  Panel k adds
     (h_k/6) (f_k + 4 f_mid_k + f_k+1); the n partial sums start at 0.  On
     uniformly spaced nodes this is the composite Simpson rule on the grid
-    with the midpoints inserted.
+    with the midpoints inserted.  start continues the sums of a previous
+    tile that ended at f_nodes[0]: the sums start at start, which is added
+    to the first panel, so tile by tile the additions are those of one
+    running sum over the whole grid.
     """
     inc = (h / 6.0) * (f_nodes[:-1] + 4.0 * f_mids + f_nodes[1:])
     out = np.zeros(len(f_nodes), dtype=inc.dtype)
-    out[1:] = np.cumsum(inc)
+    if start is not None:
+        out[0] = start
+        inc[:1] += start
+    np.cumsum(inc, out=out[1:])
     return out

@@ -6,6 +6,7 @@ and asserts on the parsed CSV or on the exit code and stderr text.
 
 import json
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -429,7 +430,20 @@ def test_runtime_failure_exit_code(tmp_path, capsys):
     # tf^2 and omega0^2 overflow a double; a Python float ** raised OverflowError
     ({"tf_ms": 1e300}, 2, "sta: config error: config key 'tf_ms' = 1e+300 is out of range"),
     ({"f0_hz": 1e200}, 2, "sta: config error: config key 'f0_hz' = 1e+200 is out of range"),
-], ids=["mass-1e-320", "tf-1e300", "f0-1e200"])
+    # rho ends at 1e150 and omega^2 divides by rho^4; the inverse ratio
+    # underflows rho^4, and its tail display period vanished next to tf
+    ({"f0_hz": 1e150, "ff_hz": 1e-150}, 2,
+     "sta: config error: config key 'ff_hz' = 1e-150 is out of range"),
+    ({"f0_hz": 1e-150, "ff_hz": 1e150}, 2,
+     "sta: config error: config key 'ff_hz' = 1e+150 is out of range"),
+    # q^2 and the kinetic term overflowed, and the run exited 0 with inf energies
+    ({"q0_um": 1e300}, 2, "sta: config error: config key 'q0_um' = 1e+300 is out of range"),
+    ({"v0_um_per_ms": 1e300}, 2,
+     "sta: config error: config key 'v0_um_per_ms' = 1e+300 is out of range"),
+    # q^2 is finite at t = 0 but not once rho has grown to 10
+    ({"q0_um": 1e160}, 2, "sta: config error: config key 'q0_um' = 1e+160 is out of range"),
+], ids=["mass-1e-320", "tf-1e300", "f0-1e200", "ratio-1e300", "ratio-1e-300", "q0-1e300",
+        "v0-1e300", "q0-1e160"])
 def test_oscillator_out_of_range_scales_fail_cleanly(tmp_path, capsys, payload, code, message):
     # the suite turns RuntimeWarning into an error, so a numpy warning fails here too
     cfg = config_file(tmp_path, payload)
@@ -597,3 +611,62 @@ def test_write_csv_block_edges(tmp_path, cols, shift):
     header = [f"c{j}" for j in range(cols)]
     write_csv(tmp_path / "t.csv", header, columns)
     assert (tmp_path / "t.csv").read_text() == _reference_csv(header, columns)
+
+
+def test_transitionless_sweep_peak_memory():
+    climod._transitionless_sweep(climod.ATOM_DEFAULTS)  # first-call allocations outside
+    tracemalloc.start()
+    try:
+        climod._transitionless_sweep(climod.ATOM_DEFAULTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 4.56 MB with a full-length mixing-angle rate sample and a stored
+    # (N, 2, 2) basis and its conjugate; the tiles and the sin/cos columns
+    # leave the step matrices, one tile's H and 32 B per point of basis
+    assert peak < 3.2e6
+
+
+def test_check_frees_sweep_before_pair(monkeypatch):
+    live = []
+    original = climod.propagate_pair
+
+    def recorded(*args):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return original(*args)
+
+    monkeypatch.setattr(climod, "propagate_pair", recorded)
+    tracemalloc.start()
+    try:
+        _, ok = climod._check_lines(dict(climod.CHECK_DEFAULTS))
+    finally:
+        tracemalloc.stop()
+    assert ok
+    # the grid alone is 127 KB; the basis and the corrected sweep's states
+    # held 0.64 MB more
+    assert live[0] < 0.25e6
+
+
+@pytest.mark.parametrize("scenario", ["rap", "rap-cd", "rap-cd-approx", "cd-terms"])
+@pytest.mark.parametrize("key", ["rabi_peak_mhz", "gamma_mhz", "chirp_b_ghz2"])
+def test_atom_rates_too_large_to_square_are_config_errors(tmp_path, capsys, scenario, key):
+    # alpha_dot and complex_rabi overflowed; cd-terms then exited 0 with
+    # non-finite columns
+    cfg = config_file(tmp_path, {key: 1e300})
+    code, path = run(tmp_path, scenario, "--config", cfg)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"sta: config error: config key '{key}' = 1e+300 is out of range")
+    assert err.count("\n") == 1
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("scenario,payload", [
+    ("oscillator", {"q0_um": 1e150, "n_shortcut": 101, "n_ellipse": 11}),
+    ("oscillator", {"v0_um_per_ms": 1e150, "n_shortcut": 101, "n_ellipse": 11}),
+    ("cd-terms", {"rabi_peak_mhz": 1e150, "dt_ns": 0.05}),
+], ids=["q0-1e150", "v0-1e150", "rabi-1e150"])
+def test_large_scales_below_the_range_checks_run(tmp_path, scenario, payload):
+    code, path = run(tmp_path, scenario, "--config", config_file(tmp_path, payload))
+    assert code == 0
+    assert np.all(np.isfinite(np.genfromtxt(path, delimiter=",", skip_header=1)[:, :4]))

@@ -19,9 +19,14 @@ Proves:
     match the analytic route at O(h^2), follow a branch swap of the
     principal root, and decompose once per evaluation
   - every builder-backed Hamiltonian is bitwise (zero signs included) the
-    nested-np.stack assembly it replaced
+    nested-np.stack assembly it replaced, and the in-place corrected drives
+    are bitwise H_0 + H_1, also where Gamma = 0 leaves a -0.0 in H_0
+  - the tiled mixing angle is bitwise the one-evaluation angle; the basis
+    stores only sin(alpha/2) and cos(alpha/2) and builds its stacks on read
   - transported branch states solve the corrected Schrodinger equation
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -58,8 +63,9 @@ from sta import (
 )
 import sta.biortho as biortho
 import sta.counterdiabatic as cdmod
+import sta.quadrature as quadrature
 from sta.pulses import PulseSchedule, _const
-from sta.quadrature import _refine
+from sta.quadrature import _cumulative_simpson, _refine
 
 TWO_PI = 2.0 * np.pi
 
@@ -412,3 +418,57 @@ def test_hamiltonians_bitwise_match_stacked_reference(atom, where):
     off = 0.5 * np.sin(alpha) * (xm - xp)
     assert_bitwise(phase_shaped_hamiltonian(atom, policy, t, alpha),
                    _stack(-sh2 * xp - ch2 * xm, off + c, off - c, -ch2 * xp - sh2 * xm))
+
+
+def _untiled_mixing_angle(s, times):
+    """mixing_angle_values as one evaluation of alpha_dot over the whole refined grid."""
+    f = np.asarray(alpha_dot(s, _refine(times)))
+    return mixing_angle_anchor(s, times[0]) + _cumulative_simpson(f[0::2], f[1::2],
+                                                                  np.diff(times))
+
+
+# around one and two tiles of 4,096 intervals, and the default 15,915-step sweep
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193, 15915])
+def test_tiled_mixing_angle_is_bitwise_untiled(atom, n):
+    times = np.linspace(*atom.window, n + 1)
+    assert_bitwise(mixing_angle_values(atom, times), _untiled_mixing_angle(atom, times))
+
+
+def test_tiled_mixing_angle_small_tiles_and_one_time(atom, monkeypatch):
+    monkeypatch.setattr(quadrature, "_TILE", 7)
+    t0, t1 = atom.window
+    for times in (np.array([0.3]), np.array([t0, t1]), np.linspace(t0, t1, 50),
+                  np.linspace(t0, t1, 7 * 9 + 2)):
+        assert_bitwise(mixing_angle_values(atom, times), _untiled_mixing_angle(atom, times))
+
+
+def test_basis_stores_half_angle_columns(atom, atom_grid):
+    alpha = mixing_angle_trajectory(atom, atom_grid).alpha
+    basis = adiabatic_basis(atom, MixingAngleTrajectory(atom_grid, alpha))
+    stored = [getattr(basis, f.name) for f in dataclasses.fields(basis)]
+    assert all(x.ndim == 1 and not x.flags.writeable for x in stored)
+    sh, ch = np.sin(alpha / 2.0), np.cos(alpha / 2.0)
+    right = biortho._mat2(sh, ch, ch, -sh)
+    assert_bitwise(basis.right, right)
+    assert_bitwise(basis.left, right.conj())
+    assert_bitwise(basis.right_at(0), right[0])
+    assert_bitwise(basis.right_at(slice(5, 9)), right[5:9])
+    for stack in (basis.right, basis.left):
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0.0
+
+
+# Gamma = 0 and Delta = -0.0 give H_0[1, 1] a real part of -0.0, which the
+# sum H_0 + H_1 turns into +0.0; Delta(t) = -2 b t is -0.0 at t = +0.0 for
+# b > 0 and at t = -0.0 for b < 0
+@pytest.mark.parametrize("chirp_b", [0.01, -0.01])
+@pytest.mark.parametrize("gamma", [0.0, 0.02])
+def test_in_place_drives_match_sums_bitwise(chirp_b, gamma):
+    s = chirped_gaussian(ChirpedGaussianParams(rabi_peak=0.6, width_a=0.4, chirp_b=chirp_b,
+                                               gamma=gamma))
+    grid = np.concatenate([np.linspace(*s.window, 101), [0.0, -0.0]])
+    for t in (grid, 0.0, -0.0, 1.3):
+        bare = bare_hamiltonian(s, t)
+        ci = 1j * np.imag(cd_coupling(s, t))
+        assert_bitwise(cd_hamiltonian(s, t), bare + cd_correction(s, t))
+        assert_bitwise(cd_hamiltonian_approx(s, t), bare + biortho._mat2(0.0, ci, -ci, 0.0))

@@ -6,7 +6,9 @@ Proves:
   - matrix-exponential oracle agreement for random constant non-Hermitian
     generators, single and paired runs
   - conserved biorthogonal overlap along the swept-atom scenario
-  - branch projection: exactness, reconstruction, grid mismatch rejection
+  - branch projection: exactness, reconstruction, grid mismatch rejection;
+    contracting with right one tile at a time is bitwise the contraction
+    with the conjugated left stack
   - transitionless driving keeps branch leakage tiny; the bare drive leaks
   - empirical convergence order ~4 and the 16x error drop per halving
   - population bounds, monotone decay, non-finite and bad-grid rejection;
@@ -61,6 +63,7 @@ from sta.propagate import _BLOCK, _generator, _matmul_2x2, _step_matrices
 from sta.quadrature import _refine
 
 propagate_module = sys.modules["sta.propagate"]
+quadrature_module = sys.modules["sta.quadrature"]
 
 RNG = np.random.default_rng(23)
 
@@ -472,7 +475,7 @@ def test_matmul_2x2_matches_numpy(scale):
 def _per_tile(n):
     """Steps per tile of an n-step sweep: whole ceil(sqrt(n))-step chunks, at most _TILE."""
     width = math.isqrt(n - 1) + 1
-    return width * max(1, propagate_module._TILE // width)
+    return width * max(1, quadrature_module._TILE // width)
 
 
 def _warped_atom_grid(atom, n):
@@ -491,7 +494,7 @@ def _bits(states):
                                      (4, (89, 90, 91))], ids=["default", "tile-100", "tile-4"])
 def test_tiled_states_are_bitwise_one_tile(atom, monkeypatch, tile, ns):
     if tile is not None:
-        monkeypatch.setattr(propagate_module, "_TILE", tile)
+        monkeypatch.setattr(quadrature_module, "_TILE", tile)
     hfun = lambda t: cd_hamiltonian(atom, t)
     psi0, psihat0 = np.array([0.6, 0.8j]), np.array([1.0, -0.5 + 0.2j])
     for n in ns:
@@ -501,7 +504,7 @@ def test_tiled_states_are_bitwise_one_tile(atom, monkeypatch, tile, ns):
         tiled = propagate(hfun, psi0, grid)
         tiled_pair = propagate_pair(hfun, psi0, psihat0, grid)
         with monkeypatch.context() as m:
-            m.setattr(propagate_module, "_TILE", 10 * n)  # one tile over the whole grid
+            m.setattr(quadrature_module, "_TILE", 10 * n)  # one tile over the whole grid
             whole = propagate(hfun, psi0, grid)
             whole_pair = propagate_pair(hfun, psi0, psihat0, grid)
         np.testing.assert_array_equal(_bits(tiled.states), _bits(whole.states))
@@ -548,7 +551,7 @@ def test_pair_samples_each_tile_once(atom):
 @pytest.mark.parametrize("tile", [None, 100])
 def test_blow_up_in_later_tile_names_same_step(monkeypatch, tile):
     if tile is not None:
-        monkeypatch.setattr(propagate_module, "_TILE", tile)
+        monkeypatch.setattr(quadrature_module, "_TILE", tile)
     n = 12000
     # A = -i H = diag(0, 40) from t = 9000.25 on: psi_2 grows by ~1.2e5 per
     # step from step 9000, in the third tile or later, and overflows ~61 steps
@@ -566,7 +569,7 @@ def test_blow_up_in_later_tile_names_same_step(monkeypatch, tile):
     forward = lambda: propagate(hfun, [0.0, 1.0], grid)
     adjoint = lambda: propagate_pair(hfun, [1.0, 0.0], [0.0, 1.0], grid)
     tiled = message(forward), message(adjoint)
-    monkeypatch.setattr(propagate_module, "_TILE", 10 * n)
+    monkeypatch.setattr(quadrature_module, "_TILE", 10 * n)
     assert tiled == (message(forward), message(adjoint))
     for text in tiled:
         step = int(re.search(r"state after step (\d+) of 12000;", text).group(1))
@@ -592,3 +595,16 @@ def test_overlap_requires_pair(atom, atom_grid):
     traj = propagate(lambda t: bare_hamiltonian(atom, t), [0.0, 1.0], atom_grid)
     with pytest.raises(ValueError):
         traj.biorth_overlap
+
+
+@pytest.mark.parametrize("tile", [None, 5])
+def test_branch_projection_is_bitwise_left_conj_contraction(atom, monkeypatch, tile):
+    # four tiles of 4,096 points at the default tile; 3,183 tiles of 5
+    if tile is not None:
+        monkeypatch.setattr(quadrature_module, "_TILE", tile)
+    grid = atom.grid(1e-3)
+    basis = adiabatic_basis(atom, mixing_angle_trajectory(atom, grid))
+    parts = np.random.default_rng(5).normal(size=(2, len(grid), 2))
+    traj = StateTrajectory(grid=grid.copy(), states=parts[0] + 1j * parts[1])
+    ref = np.einsum("tnj,tj->tn", basis.left.conj(), traj.states)
+    np.testing.assert_array_equal(_bits(branch_projection(traj, basis)), _bits(ref))
