@@ -14,7 +14,6 @@ The ``sta`` console script exposes ready-made scenarios; see the README.
 
 from .biortho import BiorthoBasis, closure_defect, eigensystem_2x2, reconstruct
 from .counterdiabatic import (
-    BasisTrajectory,
     MixingAngleTrajectory,
     PhasePair,
     XiPolicy,

@@ -81,6 +81,11 @@ _CHECK_SEED = 7
 # Max branch leakage of an exact rap-cd run above which it warns on stderr.
 _LEAK_WARN = 1e-5
 
+# Largest departure of the oscillator's Hamilton oracle from the closed form,
+# relative to the closed form's largest value, before it warns on stderr
+# (the agreement bound of acceptance criterion 08).
+_ORACLE_WARN = 1e-6
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -204,6 +209,16 @@ def _atom_setup(params: dict):
         if not (4.0 * x) * (4.0 * x) < math.inf:
             raise ConfigError(f"config key '{key}' = {params[key]:g} is out of range: {what} "
                               "it gives is too large to square in rad/ns")
+    # alpha_dot's numerator multiplies Omega_R' by Delta - i Gamma/2 and Omega_R
+    # by Delta' = -2b; |Omega_R'| <= Omega_0 sqrt(2a/e) and |Omega_R' Delta| <=
+    # (2/e) Omega_0 2|b|, so 4 x y finite for these pairs keeps its sums finite
+    pairs = {("rabi_peak_mhz", "chirp_b_ghz2"): (cg.rabi_peak, 2.0 * abs(cg.chirp_b)),
+             ("rabi_peak_mhz", "gamma_mhz"): (cg.rabi_peak * math.sqrt(cg.width_a), cg.gamma)}
+    for (k1, k2), (x, y) in pairs.items():
+        if not 4.0 * x * y < math.inf:
+            raise ConfigError(f"config keys '{k1}' = {params[k1]:g} and '{k2}' = "
+                              f"{params[k2]:g} are out of range together: their product in "
+                              "the mixing-angle rate is too large in rad/ns")
     schedule = chirped_gaussian(cg, window_factor=params["window_factor"])
     return schedule, schedule.grid(params["dt_ns"])
 
@@ -342,7 +357,8 @@ def run_oscillator(cfg: RunConfig) -> int:
     """Trap expansion with one display period at either end.
 
     Emits the closed-form trajectory, its energy bookkeeping and the RK4
-    integration of Hamilton's equations as independent columns.
+    integration of Hamilton's equations as independent columns, and warns
+    when the two routes disagree in q or v beyond _ORACLE_WARN.
     """
     p = cfg.params
     plan = _trap_plan(p)
@@ -356,13 +372,24 @@ def run_oscillator(cfg: RunConfig) -> int:
     energy = closed.energy(plan)
     w2 = np.asarray(plan.omega_sq(grid))
     e_over_w = np.where(w2 > 0.0, energy / np.sqrt(np.where(w2 > 0.0, w2, 1.0)), np.nan)
+    v, v_oracle = closed.p / plan.mass, oracle.p / plan.mass
     write_csv(
         cfg.out_path,
         ["t_s", "q_m", "v_m_per_s", "energy_J", "energy_over_omega_Js",
          "omega_sq_rad2_per_s2", "rho", "q_oracle_m", "v_oracle_m_per_s"],
-        [grid, closed.q, closed.p / plan.mass, energy, e_over_w,
-         w2, np.asarray(plan.rho(grid)), oracle.q, oracle.p / plan.mass],
+        [grid, closed.q, v, energy, e_over_w,
+         w2, np.asarray(plan.rho(grid)), oracle.q, v_oracle],
     )
+    for name, x, x_oracle in (("q", closed.q, oracle.q), ("v", v, v_oracle)):
+        with np.errstate(over="ignore"):  # a difference past the double range is inf
+            dev = np.max(np.abs(x - x_oracle))
+        scale = np.max(np.abs(x))
+        # multiplied, not divided, so the rest orbit q0 = v0 = 0 is not 0/0
+        if not dev <= _ORACLE_WARN * scale:
+            print(f"sta: warning: max |{name} - {name}_oracle| = {dev:.3e} exceeds "
+                  f"{_ORACLE_WARN:.0e} x max |{name}| = {scale:.3e}; the integrated oracle "
+                  "does not confirm the closed form", file=sys.stderr)
+            break
     return 0
 
 

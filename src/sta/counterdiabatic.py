@@ -23,11 +23,11 @@ Since alpha is complex, C has a real part: the correction is non-Hermitian.
 Dropping Re C gives the closest Hermitian (hence implementable) drive.
 
 Along a grid, the mixing angle is integrated from alpha_dot sampled one
-tile of at most quadrature._TILE intervals at a time, and the branch basis
-(BasisTrajectory) stores only the columns sin(alpha/2) and cos(alpha/2),
-16 bytes each per point; its (N, 2, 2) vector stacks right and left are
-built when read.  The corrected drives add +-C into the stack of H_0 in
-place.
+tile of at most quadrature._TILE intervals at a time.  The angle, 16 bytes
+per point, is all the branch basis holds: MixingAngleTrajectory builds the
+(N, 2, 2) vector stacks right and left, or the rows of some grid points,
+from sin(alpha/2) and cos(alpha/2) when read.  The corrected drives add
++-C into the stack of H_0 in place.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "MixingAngleTrajectory",
     "PhasePair",
     "XiPolicy",
-    "BasisTrajectory",
     "bare_hamiltonian",
     "alpha_dot",
     "mixing_angle_anchor",
@@ -138,17 +137,47 @@ def cd_hamiltonian_approx(s: PulseSchedule, t) -> np.ndarray:
     return _add_coupling(s, t, 1j * np.imag(cd_coupling(s, t)))
 
 
+@dataclass(frozen=True)
 class MixingAngleTrajectory:
-    """Branch-continuous mixing angle alpha sampled on a time grid, both read-only."""
+    """Branch-continuous mixing angle alpha on a time grid, both read-only.
 
-    def __init__(self, grid: np.ndarray, alpha: np.ndarray):
+    The angle is the whole branch basis.  right[i, n] / left[i, n], the
+    paired eigenvectors chi_n at grid[i] (see adiabatic_basis), are built
+    from alpha when read: a new read-only (N, 2, 2) stack per access, with
+    left the conjugate of right.  right_at builds the rows of some grid
+    points only.  Row n follows one branch smoothly through the sweep.
+    """
+
+    grid: np.ndarray
+    alpha: np.ndarray
+
+    def __post_init__(self):
         # views, so that freezing them leaves the caller's arrays writeable
-        self.grid = np.asarray(grid, dtype=float).view()
-        self.alpha = np.asarray(alpha, dtype=complex).view()
-        if self.grid.shape != self.alpha.shape:
+        grid = np.asarray(self.grid, dtype=float).view()
+        alpha = np.asarray(self.alpha, dtype=complex).view()
+        if grid.shape != alpha.shape:
             raise ValueError("grid and alpha must have matching shapes")
-        self.grid.setflags(write=False)
-        self.alpha.setflags(write=False)
+        for name, x in (("grid", grid), ("alpha", alpha)):
+            x.setflags(write=False)
+            object.__setattr__(self, name, x)
+
+    def right_at(self, index) -> np.ndarray:
+        """right[index]: (2, 2) at one grid point, (k, 2, 2) for a slice of them."""
+        half = self.alpha[index] / 2.0
+        sh, ch = np.sin(half), np.cos(half)
+        return _mat2(sh, ch, ch, -sh)
+
+    @property
+    def right(self) -> np.ndarray:
+        right = self.right_at(slice(None))
+        right.setflags(write=False)
+        return right
+
+    @property
+    def left(self) -> np.ndarray:
+        left = self.right_at(slice(None)).conj()
+        left.setflags(write=False)
+        return left
 
 
 def mixing_angle_anchor(s: PulseSchedule, t) -> complex:
@@ -360,54 +389,13 @@ def cd_correction_numeric(hfun, t: float, h: float = 1e-4) -> np.ndarray:
     return 1j * np.einsum("ni,nj->ij", transverse, lc)
 
 
-@dataclass(frozen=True)
-class BasisTrajectory:
-    """Instantaneous spectral basis along a grid, branch labels continuous.
-
-    Stores the read-only columns sin_half = sin(alpha/2) and cos_half =
-    cos(alpha/2) of the mixing angle on grid, 16 bytes each per point, which
-    is all the basis holds.  right[i, n] / left[i, n], the paired
-    eigenvectors at grid[i], are built from them when read: a new
-    read-only (N, 2, 2) stack per access, with left the conjugate of right.
-    Row n follows one branch smoothly through the sweep.  right_at builds
-    the rows of some grid points only.  branch_energies gives the energies.
-    """
-
-    grid: np.ndarray
-    sin_half: np.ndarray
-    cos_half: np.ndarray
-
-    def __post_init__(self):
-        for name in ("grid", "sin_half", "cos_half"):
-            getattr(self, name).setflags(write=False)
-
-    def right_at(self, index) -> np.ndarray:
-        """right[index]: (2, 2) at one grid point, (k, 2, 2) for a slice of them."""
-        sh, ch = self.sin_half[index], self.cos_half[index]
-        return _mat2(sh, ch, ch, -sh)
-
-    @property
-    def right(self) -> np.ndarray:
-        right = self.right_at(slice(None))
-        right.setflags(write=False)
-        return right
-
-    @property
-    def left(self) -> np.ndarray:
-        left = self.right_at(slice(None)).conj()
-        left.setflags(write=False)
-        return left
-
-
-def adiabatic_basis(s: PulseSchedule, traj: MixingAngleTrajectory) -> BasisTrajectory:
-    """Branch basis chi_pm(t) along a mixing-angle trajectory.
+def adiabatic_basis(s: PulseSchedule, traj: MixingAngleTrajectory) -> MixingAngleTrajectory:
+    """Branch basis chi_pm(t) along a mixing-angle trajectory: traj itself.
 
     chi_+ = (sin(a/2), cos(a/2)), chi_- = (cos(a/2), -sin(a/2)); the left
     partners carry conjugated components, so <chi_hat_n | chi_m> = delta_nm
-    holds exactly (bilinear trigonometric identity).  Only sin(a/2) and
-    cos(a/2) are computed and stored; the vector stacks are built when
-    read.  s is not read: the basis follows from the angle alone and
-    shares the trajectory's read-only grid.
+    holds exactly (bilinear trigonometric identity).  traj builds these
+    vectors from its angle when read, so nothing is computed here; s is not
+    read.
     """
-    a = traj.alpha
-    return BasisTrajectory(grid=traj.grid, sin_half=np.sin(a / 2.0), cos_half=np.cos(a / 2.0))
+    return traj

@@ -60,7 +60,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .counterdiabatic import BasisTrajectory
 from .errors import ConfigError, NonFiniteState
 from .quadrature import _refine
 
@@ -352,13 +351,14 @@ def propagate_pair(hfun, psi0, psihat0, grid) -> StateTrajectory:
     return StateTrajectory(grid=grid, states=states, adjoint_states=adjoint)
 
 
-def branch_projection(traj: StateTrajectory, basis: BasisTrajectory) -> np.ndarray:
+def branch_projection(traj: StateTrajectory, basis) -> np.ndarray:
     """Branch amplitudes c_n(t) = <l_n(t)|psi(t)> along a trajectory.
 
-    Because the basis closes, sum_n c_n(t) r_n(t) rebuilds psi(t) exactly.
-    The bra of l_n is the conjugate of left, which is right itself, so the
-    states are contracted with right, built one tile of _TILE points at a
-    time.
+    basis has a grid and right_at(index), the right vectors at those grid
+    points, as counterdiabatic.MixingAngleTrajectory does.  Because the
+    basis closes, sum_n c_n(t) r_n(t) rebuilds psi(t) exactly.  The bra of
+    l_n is the conjugate of left, which is right itself, so the states are
+    contracted with right, built one tile of _TILE points at a time.
     """
     if traj.grid.shape != basis.grid.shape or not np.allclose(traj.grid, basis.grid):
         raise ValueError("trajectory and basis live on different grids")

@@ -150,7 +150,9 @@ def adiabaticity_ratio(s: PulseSchedule, t):
 
     Omega_a = -alpha_dot/2 is the rate at which the mixing angle turns and
     Omega the complex gap frequency; r << 1 means the bare drive follows a
-    single spectral branch, r >~ 1 flags non-adiabatic leakage.
+    single spectral branch, r >~ 1 flags non-adiabatic leakage.  Where the
+    gap is so small that the quotient passes the largest double, r is inf,
+    its honest value, without a numpy warning.
 
     Raises
     ------
@@ -162,7 +164,9 @@ def adiabaticity_ratio(s: PulseSchedule, t):
     gap = np.abs(complex_rabi(s, t))
     if np.any(gap <= 0.0):
         raise ZeroGap("spectral gap vanished; adiabaticity ratio undefined")
-    return np.abs(alpha_dot(s, t)) / gap
+    rate = np.abs(alpha_dot(s, t))
+    with np.errstate(over="ignore"):
+        return rate / gap
 
 
 def generic_adiabaticity_ratio(hfun, t: float, h: float = 1e-4) -> float:

@@ -193,6 +193,29 @@ def test_oscillator_fast_compression_oracle_is_finite(tmp_path):
         assert gap < 1e-2
 
 
+# the closed form and its Hamilton oracle differ by 160 orders of magnitude
+# in a strongly inverted ramp; {"q0_um": 0.0} with v0 = 0 is the rest orbit,
+# where the comparison must not divide 0 by 0
+@pytest.mark.parametrize("payload,warns", [
+    ({}, False),
+    ({"q0_um": 0.0}, False),
+    ({"ff_hz": 1e5}, True),
+    ({"f0_hz": 3.78e-6, "ff_hz": 1.88e-4, "tf_ms": 1.88e-85, "mass_kg": 3.53e-118,
+      "q0_um": 6.8e-243, "v0_um_per_ms": 7.3e95, "n_shortcut": 50, "n_ellipse": 20}, True),
+], ids=["default", "rest", "ff-1e5", "inverted"])
+@pytest.mark.filterwarnings("ignore:q0 = v0 = 0:UserWarning")
+def test_oscillator_warns_when_oracle_disagrees(tmp_path, capsys, payload, warns):
+    code, path = run(tmp_path, "oscillator", "--config", config_file(tmp_path, payload))
+    err = capsys.readouterr().err
+    assert code == 0
+    assert path.exists()
+    if warns:
+        assert err.startswith("sta: warning: max |q - q_oracle| = ")
+        assert err.count("\n") == 1
+    else:
+        assert err == ""
+
+
 def test_oscillator_initial_velocity(tmp_path):
     cfg = config_file(tmp_path, {"v0_um_per_ms": 2.0, "n_shortcut": 101, "n_ellipse": 11})
     code, path = run(tmp_path, "oscillator", "--config", cfg)
@@ -320,6 +343,20 @@ def test_cd_terms_refuses_exceptional_point(tmp_path, capsys, scenario, code, fl
         assert np.count_nonzero(closed) == (1 if flags else 0)
         assert rows["t_ns"][closed].tolist() == ([0.0] if flags else [])
         assert ("adiab_ratio is written as inf" in err) == bool(flags)
+
+
+def test_rap_monitor_past_the_double_range_is_inf(tmp_path, capsys):
+    # the gap is positive on every row, but so small next to the turning
+    # rate near t = 0 that the quotient overflowed with a numpy warning
+    cfg = config_file(tmp_path, {"gamma_mhz": 0.0, "rabi_peak_mhz": 2.1e-36,
+                                 "chirp_a_ghz2": 7.5e43, "chirp_b_ghz2": 2.3e272,
+                                 "window_factor": 2.2e-270, "dt_ns": 2e-294})
+    code, path = run(tmp_path, "rap", "--config", cfg)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    ratio = table(path)["adiab_ratio"]
+    assert np.count_nonzero(np.isinf(ratio)) == 1
+    assert np.all(np.isfinite(ratio) | np.isposinf(ratio))
 
 
 def test_unknown_config_key(tmp_path, capsys):
@@ -622,9 +659,10 @@ def test_transitionless_sweep_peak_memory():
     finally:
         tracemalloc.stop()
     # 4.56 MB with a full-length mixing-angle rate sample and a stored
-    # (N, 2, 2) basis and its conjugate; the tiles and the sin/cos columns
-    # leave the step matrices, one tile's H and 32 B per point of basis
-    assert peak < 3.2e6
+    # (N, 2, 2) basis and its conjugate, 2.84 MB with stored sin/cos
+    # columns; the tiles leave the step matrices, one tile's H and the
+    # angle, 16 B per point, from which the basis is built when read
+    assert peak < 2.75e6
 
 
 def test_check_frees_sweep_before_pair(monkeypatch):
@@ -657,6 +695,25 @@ def test_atom_rates_too_large_to_square_are_config_errors(tmp_path, capsys, scen
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"sta: config error: config key '{key}' = 1e+300 is out of range")
+    assert err.count("\n") == 1
+    assert not path.exists()
+
+
+# each key passes the square check, but alpha_dot's numerator overflowed on
+# Omega_0 x 2b or on Omega_R' x Gamma/2
+@pytest.mark.parametrize("scenario", ["rap", "rap-cd", "rap-cd-approx", "cd-terms"])
+@pytest.mark.parametrize("payload,keys", [
+    ({"rabi_peak_mhz": 1e150, "chirp_b_ghz2": 1e200, "window_factor": 1e-100},
+     "'rabi_peak_mhz' = 1e+150 and 'chirp_b_ghz2' = 1e+200"),
+    ({"rabi_peak_mhz": 1e150, "gamma_mhz": 1e150, "chirp_a_ghz2": 1e30, "chirp_b_ghz2": 0.0},
+     "'rabi_peak_mhz' = 1e+150 and 'gamma_mhz' = 1e+150"),
+], ids=["rabi-chirp", "rabi-gamma"])
+def test_atom_rate_products_too_large_are_config_errors(tmp_path, capsys, scenario, payload,
+                                                        keys):
+    code, path = run(tmp_path, scenario, "--config", config_file(tmp_path, payload))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"sta: config error: config keys {keys} are out of range together")
     assert err.count("\n") == 1
     assert not path.exists()
 

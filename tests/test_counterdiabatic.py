@@ -444,7 +444,10 @@ def test_tiled_mixing_angle_small_tiles_and_one_time(atom, monkeypatch):
 
 def test_basis_stores_half_angle_columns(atom, atom_grid):
     alpha = mixing_angle_trajectory(atom, atom_grid).alpha
-    basis = adiabatic_basis(atom, MixingAngleTrajectory(atom_grid, alpha))
+    traj = MixingAngleTrajectory(atom_grid, alpha)
+    basis = adiabatic_basis(atom, traj)
+    assert basis is traj
+    assert [f.name for f in dataclasses.fields(basis)] == ["grid", "alpha"]
     stored = [getattr(basis, f.name) for f in dataclasses.fields(basis)]
     assert all(x.ndim == 1 and not x.flags.writeable for x in stored)
     sh, ch = np.sin(alpha / 2.0), np.cos(alpha / 2.0)
