@@ -197,8 +197,14 @@ def _atom_setup(params: dict):
         chirp_b=TWO_PI**2 * params["chirp_b_ghz2"],
         gamma=TWO_PI * 1e-3 * params["gamma_mhz"],
     )
-    # Python floats, so a window that overflows is inf, with no numpy warning
-    window = 2.0 * params["window_factor"] / math.sqrt(cg.width_a)
+    # the half-window as chirped_gaussian forms it; Python floats, so a window
+    # that overflows is inf, with no numpy warning
+    half = params["window_factor"] / math.sqrt(cg.width_a)
+    if not half > 0.0:
+        raise ConfigError(f"config keys 'window_factor' = {params['window_factor']:g} and "
+                          f"'chirp_a_ghz2' = {params['chirp_a_ghz2']:g} are out of range "
+                          "together: the window they give underflows to zero")
+    window = 2.0 * half
     _require_steps(window / params["dt_ns"], f"dt_ns = {params['dt_ns']} over the window")
     # alpha_dot and complex_rabi square these rates, doubled, and add up to
     # three such squares; (4 x)^2 finite keeps every sum finite too
@@ -240,19 +246,22 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Comma-separated columns at 17 significant digits, one header row.
 
     Every value is written as "%.17g" % x would write it.  The columns are
-    stacked csvfmt.BLOCK_VALUES // len(columns) rows at a time; each block
-    is formatted by the numpy kernel in csvfmt.format_rows and written
-    before the next one is built.
+    copied csvfmt.BLOCK_VALUES // len(columns) rows at a time into one
+    reused block; each block is formatted by the numpy kernel in
+    csvfmt.format_rows and written before the next one is copied.
     """
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("columns differ in length")
-    columns = [np.asarray(c, dtype=float) for c in columns]
     rows = max(1, csvfmt.BLOCK_VALUES // len(columns))
+    block = np.empty((min(rows, n), len(columns)))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for s in range(0, n, rows):
-            fh.write(csvfmt.format_rows(np.column_stack([c[s:s + rows] for c in columns])))
+            m = min(rows, n - s)
+            for j, c in enumerate(columns):
+                block[:m, j] = c[s:s + m]
+            fh.write(csvfmt.format_rows(block[:m]))
 
 
 def run_rap(cfg: RunConfig) -> int:
@@ -353,6 +362,20 @@ def _require_finite_energy(plan: trap.ErmakovPlan, params: dict) -> None:
                       "the orbit it launches overflows in SI units")
 
 
+def _require_display_grid(params: dict, tf: float, tail: np.ndarray) -> None:
+    """ConfigError naming tf_ms and ff_hz when the period after the ramp repeats grid points.
+
+    The tail steps from tf by 2 pi / (omegaf n_ellipse), which rounds away
+    once it is below the spacing of doubles at tf.  The lead and ramp steps
+    cannot: _trap_plan keeps the squares of omega0 and tf finite and nonzero.
+    """
+    if tail[0] > tf and np.all(tail[1:] > tail[:-1]):
+        return
+    raise ConfigError(f"config keys 'tf_ms' = {params['tf_ms']:g} and 'ff_hz' = "
+                      f"{params['ff_hz']:g} are out of range together: the display period "
+                      "after the ramp is too short to step from tf in doubles")
+
+
 def run_oscillator(cfg: RunConfig) -> int:
     """Trap expansion with one display period at either end.
 
@@ -365,6 +388,7 @@ def run_oscillator(cfg: RunConfig) -> int:
     lead = np.linspace(-TWO_PI / plan.omega0, 0.0, p["n_ellipse"] + 1)[:-1]
     ramp = np.linspace(0.0, plan.tf, p["n_shortcut"])
     tail = np.linspace(plan.tf, plan.tf + TWO_PI / plan.omegaf, p["n_ellipse"] + 1)[1:]
+    _require_display_grid(p, plan.tf, tail)
     grid = np.concatenate([lead, ramp, tail])
 
     closed = trap.closed_form_trajectory(plan, grid)
@@ -505,12 +529,19 @@ def main(argv=None) -> int:
     try:
         cfg = load_run_config(args.scenario, args.config, args.out, args.dt,
                               args.window_factor, args.approx)
-        return _RUNNERS[cfg.scenario](cfg)
+        # numpy's overflow, invalid and divide warnings become runtime errors;
+        # the sites that make inf on purpose hold their own errstate
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _RUNNERS[cfg.scenario](cfg)
     except ConfigError as exc:
         print(f"sta: config error: {exc}", file=sys.stderr)
         return 2
     except StaError as exc:
         print(f"sta: runtime error: {exc}", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:
+        print(f"sta: runtime error: floating-point error in {args.scenario}: {exc}",
+              file=sys.stderr)
         return 3
     except MemoryError as exc:
         reason = str(exc) or "allocation failed"

@@ -7,26 +7,51 @@ For a finite x with 1e-280 <= |x| <= 1e280 the 17 significant digits are
 N = round(|x| 10^(16-k)), k = floor(log10|x|).  The product is formed in
 double-double arithmetic: 10^q is stored as hi + lo (hi the nearest
 double, lo the nearest double to the rest), and |x| hi is split exactly by
-Dekker's TwoProduct (Numer. Math. 18, 224, 1971) with Veltkamp splitting,
-since numpy has no fused multiply-add.  That puts p + r within about 1e-14
-of the exact |x| 10^(16-k).  k is moved by one where log10 missed the
-decade, so that p + r lies in [1e16, 1e17) and p, above 2**53, is an
-integer.  N = p + rint(r) unless r lies within ``_TIE`` of a half, and an
-N that rounds up to 10^17 carries to 10^16 in the next decade.
-Near-ties (exact ones like 2**-25 among them), subnormals and magnitudes
-outside the range go through per-value ``%`` formatting; zeros,
-infinities and NaN are fixed strings.
+Dekker's TwoProduct (Numer. Math. 18, 224, 1971), since numpy has no fused
+multiply-add; |x| is split by rounding away its low 27 bits, hi by
+Veltkamp's splitter.  That puts p + r within about 1e-14 of the exact
+|x| 10^(16-k).  k is moved by one where log10 missed the decade, so that
+N lies in [1e16, 1e17), and an N that rounds up to 10^17 carries to 10^16
+in the next decade.  N = p + rint(r) unless r lies within ``_TIE`` of a
+half; near-ties (exact ones like 2**-25 among them), subnormals and
+magnitudes outside the range go through per-value ``%`` formatting, and
+zeros, infinities and NaN are fixed strings.
 
-The digits become ASCII by SWAR steps on uint64 words (several digits
-packed into one integer and split with multiplies, shifts and masks).
-Each value's text is then laid out in ``_WORDS`` little-endian words with
-zero bytes where nothing is written, and one boolean compress over the
-block gives the lines.
+A block whose least and largest |x| both lie in the range holds no such
+value, and skips the masks that find them.
+
+Each value is written into a slot of three little-endian words: the
+separator that precedes it, a byte for the sign, and its text, with zero
+bytes where nothing is written.  A block that holds a three-digit
+exponent, or a per-value text too long for three words, gets a fourth
+word per slot for the exponent's last digit.  The decimal string S of the
+value's digits, with a ``0`` standing where the dot goes (N with one digit
+inserted, S = N + 9 P (N // P) for the power of ten P at the dot), ends
+the slot in fixed notation and sits before the exponent in exponent
+notation.  So each slot word holds whole 8-digit groups of S scaled by a
+power of ten, which a 10,000-entry table of 4-digit ASCII turns into
+text.  The slot byte L of the last digit other than ``0`` is the highest
+nonzero byte of the third word, read by frexp (of all three words for the
+few values whose third word is all ``0``).  Three XOR words, looked up by
+L and k, write the separator, the ``0.000`` prefix, the dot and the
+exponent, and clear the ``0`` padding, the trailing zeros and a dot left
+last.  Deleting the zero bytes of the block with ``bytes.translate`` gives
+the lines.
+
+Costs, on the 39 blocks of up to 2,045 values that an atom-cd run
+writes (numpy 2.4, a shared 2-vCPU host whose speed drifts by about 2x):
+a block takes about 190-340 us.  Timed statement by statement, the
+double-double digits and their checks take about 25% of it, the digit
+groups 19%, the ASCII gathers 18%, the last digit, XOR words, sign and
+separators 16%, deleting the zero bytes 17%, and the block's range check
+5%.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -37,44 +62,63 @@ BLOCK_VALUES = 2048
 # Largest |k| the fast path meets: log10 of |x| <= 1e280, corrected by one, plus a carry.
 _KMAX = 282
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
+# Values in this range have |k| <= 99 after a carry, so every text fits three words.
+_NARROW_MIN, _NARROW_MAX = 1e-99, 9e99
 # A residual this close to a half is too near a rounding tie to decide in double-double.
 _TIE = 1e-6
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for 53-bit doubles
 
 _U = np.uint64
-_E8 = _U(10**8)
 _E4 = _U(10**4)
+_E8 = _U(10**8)
 _ZEROS = _U(0x3030303030303030)  # eight ASCII "0"
-_LOW7 = _U(0x7F7F7F7F7F7F7F7F)
-_HIGH = _U(0x8080808080808080)
+_WORD_SCALE = np.array([[1.0], [2.0**64], [2.0**128]])
+# |x| rounded to its high 26 bits: add half of the low 27, then clear them.
+_HALF27 = _U(1 << 26)
+_HIGH26 = _U(2**64 - 2**27)
+# N in [10^16 + 1, 10^17 - 1] needs no decade check and no carry.
+_N_FIRST = _U(10**16 + 1)
+_N_SPAN = _U(9 * 10**16 - 2)
+_MINUS = _U(ord("-") << 8)
+_ROW_START = _U(ord(",") ^ ord("\n"))
 
-# One value's text in four words, zero bytes where nothing is written: sign, "0.000"
-# prefix and the first digit; digits 1-16 with the dot among them; the last digit when
-# the dot pushes it out, the exponent and, in byte 6, the separator.
-_WORDS = 4
-_SEP_SHIFT = _U(48)
+# Slot bytes: 0 separator, 1 sign, 2-5 the "0.000" prefix, then S.  In fixed
+# notation S (18 characters) fills bytes 6-23; in exponent notation it fills
+# bytes 2-19 and the exponent bytes 20-23, and byte 24 when it has three digits.
+_FIXED_AT, _EXP_AT = 6, 2
+_LAST_ROWS = 24  # XOR words per k, one per slot byte of the last digit other than "0"
 
 
 class _Tables(NamedTuple):
-    """Lookup tables; rows of pow10 and layout are indexed by k + _KMAX."""
+    """Lookup tables; rows of pow10, digits and tail are indexed by k + _KMAX."""
 
-    pow10: np.ndarray    # float (., 4): hi, lo, and hi's high and low halves of 10^(16-k)
-    layout: np.ndarray   # int64 (., 4): first word, exponent word, dot, digits always kept
-    body: np.ndarray     # uint64 (18 * 18, 6) by 18 dot + kept: word pairs of the digit
-                         # masks before and after the dot and of the dot itself
-    special: np.ndarray  # uint64 (5, _WORDS): "0", "-0", "inf", "-inf", "nan"
+    pow10: np.ndarray     # float (., 4): hi, lo, and hi's high and low halves of 10^(16-k)
+    digits: np.ndarray    # uint64 (., 4): P, Q = 9 P or 0, and the split divisor and scale
+    xor: np.ndarray       # uint64 (_LAST_ROWS * ., 3) by L rows of k: the slot words' fixed
+                          # bytes, XORed over ASCII digits, L the last digit other than "0"
+    tail: np.ndarray      # uint64 (.,): the fourth slot word, the last digit of |k| >= 100
+    ascii_hi: np.ndarray  # uint64 (10**4,): 4 digits as ASCII in bytes 0-3, the first lowest
+    ascii_lo: np.ndarray  # uint64 (10**4,): the same in bytes 4-7
+    special: np.ndarray   # uint64 (5,): ",0", ",-0", ",inf", ",-inf", ",nan"
 
 
-def _pow10(q: int) -> tuple[float, float]:
-    """hi + lo = 10**q to about 2**-106 relative, both correctly rounded."""
-    if q >= 0:
-        n = 10**q
-        hi = float(n)
-        return hi, float(n - int(hi))
-    d = 10**-q
-    hi = 1 / d
-    a, b = hi.as_integer_ratio()
-    return hi, (b - a * d) / (b * d)
+def _pow10_pairs(top: int, bottom: int) -> np.ndarray:
+    """(2, top - bottom + 1): hi, lo for q = top down to bottom, hi + lo = 10**q.
+
+    hi is the nearest double to 10**q and lo the nearest to 10**q - hi.  For
+    q >= 0 both are read off the integer 5**q, and for q < 0 off the floor
+    of 2**1023 / 10**-q, which keeps at least 139 bits.  The floor rounds
+    as the exact quotient unless the bits it drops below hi or lo form an
+    exact tie; the tests compare every row with exact arithmetic.  Scaling
+    by 2**q or 2**-1023 is exact in the normal range.
+    """
+    ints = (list(itertools.accumulate(itertools.repeat(5, top), operator.mul, initial=1))[::-1]
+            + list(itertools.accumulate(itertools.repeat(10, -bottom), operator.floordiv,
+                                        initial=1 << 1023))[1:])
+    hi = list(map(float, ints))
+    lo = list(map(float, map(operator.sub, ints, map(int, hi))))
+    q = np.arange(top, bottom - 1, -1)
+    return np.ldexp(np.array([hi, lo]), np.where(q < 0, -1023, q))
 
 
 def _formatted(value: float) -> bytes:
@@ -82,140 +126,199 @@ def _formatted(value: float) -> bytes:
     return b"%.17g" % value
 
 
-def _word(text: str, at: int = 0) -> int:
-    """text as the bytes of a little-endian word, starting at byte `at`."""
-    return int.from_bytes(bytes(at) + text.encode(), "little")
-
-
-def _digit_mask(first: int, stop: int) -> int:
-    """Byte mask of digits first..stop-1 of digits 1-16, digit j in byte j - 1 of a word pair."""
-    return (1 << 8 * (stop - 1)) - (1 << 8 * (first - 1)) if stop > first else 0
+def _words(byte_rows: np.ndarray) -> np.ndarray:
+    """(m, 8 w) uint8 rows as (m, w) little-endian words."""
+    return np.ascontiguousarray(byte_rows, dtype=np.uint8).view("<u8")
 
 
 @functools.cache
 def _tables() -> _Tables:
     """Every lookup table, built on the first call so importing costs nothing."""
-    ks = range(-_KMAX, _KMAX + 1)
-    hi, lo = np.array([_pow10(16 - k) for k in ks]).T
-    c = _SPLIT * hi
-    high = c - (c - hi)
-    layout = []
-    for k in ks:
-        if 0 <= k < 17:  # ddd.ddd: the integer digits stay even when zero
-            layout.append((0, 0, k + 1, k + 1))
-        elif -4 <= k < 0:  # 0.000ddd
-            layout.append((_word("0." + "0" * (-k - 1), at=1), 0, 17, 0))
-        else:  # d.ddde+kk
-            layout.append((0, _word("e%+03d" % k, at=1), 1, 0))
-    body = []
-    for dot in range(18):
-        for kept in range(18):
-            point = ord(".") << 8 * (dot - 1) if 0 < dot < kept else 0
-            masks = (_digit_mask(1, min(dot, kept)), _digit_mask(max(dot, 1), kept), point)
-            body.append([v >> s & (2**64 - 1) for v in masks for s in (0, 64)])
-    special = [[_word(s)] + [0] * (_WORDS - 1) for s in ("0", "-0", "inf", "-inf", "nan")]
-    return _Tables(np.column_stack([hi, lo, high, hi - high]), np.array(layout, np.int64),
-                   np.array(body, np.uint64), np.array(special, np.uint64))
+    ks = np.arange(-_KMAX, _KMAX + 1)
+    pow10 = np.empty((ks.size, 4))
+    pow10[:, :2] = _pow10_pairs(16 + _KMAX, 16 - _KMAX).T
+    c = _SPLIT * pow10[:, 0]
+    pow10[:, 2] = c - (c - pow10[:, 0])
+    pow10[:, 3] = pow10[:, 0] - pow10[:, 2]
+
+    fixed = (ks >= 0) & (ks < 16)   # ddd.ddd: the dot after digit k
+    small = (ks >= -4) & (ks < 0)   # 0.000ddd
+    expo = (ks < -4) | (ks > 16)    # d.ddde+kk; k = 16 prints all 17 digits, no dot
+    power = 10 ** np.arange(18, dtype=np.uint64)
+    digits = np.empty((ks.size, 4), np.uint64)
+    digits[:, 0] = power[np.where(fixed, 16 - ks, np.where(expo, 16, 17))]
+    digits[:, 1] = np.where(fixed | expo, 9 * digits[:, 0], 0)
+    digits[:, 2:] = np.where(expo[:, None], power[[4, 4]], power[[8, 0]])
+
+    # XOR bytes over the ASCII digits: "0" ^ 0x30 is 0, and 0x30 clears a padding "0"
+    xor = np.zeros((ks.size, 24), np.uint8)
+    xor[:, 0] = 0x30 ^ ord(",")
+    xor[:, 1] = 0x30
+    xor[~expo, 2:6] = 0x30
+    first = np.where(small, 6 + ks, 6)  # the prefix "0." + "0" * (-k - 1) ends at byte 6
+    at = np.arange(2, 7)
+    prefix = np.where(at < first[:, None], 0x30,
+                      np.where(at == first[:, None] + 1, 0x30 ^ 0x2E, 0))
+    xor[small, 2:7] = prefix[small]
+    xor[fixed, _FIXED_AT + 1 + ks[fixed]] = 0x30 ^ 0x2E
+    xor[ks == 16, _FIXED_AT] = 0x30
+    e = np.abs(ks[expo])
+    three = e >= 100
+    xor[expo, _EXP_AT + 1] = 0x30 ^ 0x2E
+    xor[expo, 20] = 0x30 ^ ord("e")
+    xor[expo, 21] = 0x30 ^ np.where(ks[expo] < 0, ord("-"), ord("+"))
+    xor[expo, 22] = np.where(three, e // 100, e // 10)
+    xor[expo, 23] = np.where(three, e // 10 % 10, e % 10)
+    tail = np.zeros(ks.size, np.uint64)
+    tail[expo] = np.where(three, 0x30 + e % 10, 0)  # slot byte 24, written as is
+
+    # A value whose last digit other than "0" sits at slot byte L keeps S up to
+    # byte L, or up to its least kept byte: the whole part in fixed notation, the
+    # first digit in exponent notation.  From there to S's end, a "0" digit or
+    # the dot becomes "0" ^ 0x30 = 0.
+    least = np.where(expo, _EXP_AT + 1, np.where(fixed, _FIXED_AT + 1 + ks,
+                                                  np.where(small, _FIXED_AT + 1, 24)))
+    start = np.arange(_LAST_ROWS + 1)[:, None]
+    pos = np.arange(24)
+    masks = _words(np.concatenate([(pos >= start) & (pos < end) for end in (20, 24)]) * 0xFF)
+    rows = (np.maximum(np.arange(1, _LAST_ROWS + 1)[:, None], least)
+            + np.where(expo, 0, _LAST_ROWS + 1))
+    strip = np.take(masks, rows, axis=0).reshape(_LAST_ROWS, -1)
+    words = _words(xor).ravel()
+    strip &= words ^ _ZEROS
+    strip ^= words
+
+    pair = np.arange(100)
+    pair = pair // 10 + 0x30 | (pair % 10 + 0x30) << 8
+    ascii_hi = (pair[:, None] | pair << 16).ravel().astype(np.uint64)
+    special = [int.from_bytes(b"," + s, "little") for s in (b"0", b"-0", b"inf", b"-inf", b"nan")]
+    return _Tables(pow10, digits, strip.reshape(-1, 3), tail,
+                   ascii_hi, ascii_hi << _U(32), np.array(special, np.uint64))
 
 
 def _scaled(ax: np.ndarray, kk: np.ndarray, pow10: np.ndarray):
     """(p, r) with p + r = ax 10^(16-k) to ~1e-14: p = fl(ax hi), r its exact error plus ax lo."""
     hi, lo, bh, bl = np.take(pow10, kk, axis=0).T
     p = ax * hi
-    c = _SPLIT * ax
-    ah = c - (c - ax)
+    ah = ((ax.view(np.uint64) + _HALF27) & _HIGH26).view(np.float64)
     al = ax - ah
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, e + ax * lo
 
 
-def _ascii8(v: np.ndarray) -> np.ndarray:
-    """The eight decimal digits of each v < 10**8 as ASCII, first digit in the lowest byte.
+def _rounded(p: np.ndarray, r: np.ndarray):
+    """N = p + rint(r) as uint64, and rint(r)."""
+    ri = np.rint(r)
+    n = p.astype(np.int64)
+    n += ri.astype(np.int64)
+    return n.view(np.uint64), ri
 
-    4-digit halves go to 32-bit lanes, 2-digit quarters to 16-bit lanes and
-    digits to bytes; the lane quotients are multiply-shifts (x 5243 >> 19 is
-    x // 100 below 10**4, x 103 >> 10 is x // 10 below 100).
+
+def _last_digit(words: np.ndarray) -> np.ndarray:
+    """Slot byte of the last digit other than "0" in (3, m) words of ASCII digits.
+
+    With "0" XORed away every byte is a digit below 16, so the sum of the
+    words scaled by 2**64 and 2**128 rounds no byte up into a higher one,
+    and frexp reads the highest nonzero byte from its exponent.
     """
-    q = v // _E4
-    v = q | ((v - q * _E4) << _U(32))
-    q = ((v * _U(5243)) >> _U(19)) & _U(0x0000007F0000007F)
-    v = q | ((v - q * _U(100)) << _U(16))
-    q = ((v * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)
-    v = q | ((v - q * _U(10)) << _U(8))
-    return v | _ZEROS
-
-
-def _last_byte(w: np.ndarray) -> np.ndarray:
-    """Index of the highest nonzero byte of each word, -1 for a zero word.
-
-    Bit 7 of each byte flags a nonzero byte; the flags sit 8 bits apart, so
-    the float conversion keeps the highest one exactly for frexp to read.
-    """
-    flags = (((w & _LOW7) + _LOW7) | w) & _HIGH
-    return (np.frexp(flags.astype(np.float64))[1] >> 3) - 1
+    digits = (words ^ _ZEROS).astype(np.float64)
+    digits *= _WORD_SCALE
+    return (np.frexp(digits.sum(axis=0))[1] - 1) >> 3
 
 
 def format_rows(table: np.ndarray) -> bytes:
     """The rows of a 2-D float table as "%.17g" text, comma-separated, one line per row."""
     table = np.asarray(table, dtype=np.float64)
     rows, cols = table.shape
+    if not table.size:
+        return b"\n" * rows
     x = table.ravel()
+    size = x.size
     t = _tables()
     ax = np.abs(x)
-    fast = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)
-    special = (x == 0) | ~np.isfinite(x)
-    ax = np.where(fast, ax, 1.0)
+    least, most = ax.min(), ax.max()
+    special = per_value = np.empty(0, np.intp)
+    if not _FAST_MIN <= least <= most <= _FAST_MAX:  # NaN fails every comparison
+        odd = np.flatnonzero(~((ax >= _FAST_MIN) & (ax <= _FAST_MAX)))
+        xo = x[odd]
+        fixed = (xo == 0) | ~np.isfinite(xo)
+        special, per_value = odd[fixed], odd[~fixed]
+        ax[odd] = 1.0
+        least, most = ax.min(), ax.max()
 
-    # k from log10, then moved into the decade of ax 10^(16-k) where log10 missed it
-    kk = np.floor(np.log10(ax)).astype(np.intp) + _KMAX
+    # k + _KMAX from log10, truncated (it is positive), then moved into the
+    # decade of ax 10^(16-k) where it missed; N = 10^17 carries into the next one
+    kk = np.log10(ax)
+    kk += _KMAX
+    kk = kk.astype(np.intp)
     p, r = _scaled(ax, kk, t.pow10)
-    down = (p - 1e16) + r < 0.0
-    up = (p - 1e17) + r >= 0.0
-    redo = np.flatnonzero(down | up)
-    if redo.size:
-        kk[redo] += up[redo].astype(np.intp) - down[redo]
-        p[redo], r[redo] = _scaled(ax[redo], kk[redo], t.pow10)
-    # now 1e16 <= p + r < 1e17 up to roundoff, so N lies in [1e16, 1e17]
-    n = p.astype(np.int64) + np.rint(r).astype(np.int64)
-    slow = (~fast & ~special) | (np.abs(r - np.floor(r) - 0.5) < _TIE)
-    carry = np.flatnonzero(n == 10**17)  # 9.99...95 and up round into the next decade
-    n[carry] = 10**16
-    kk[carry] += 1
+    n, ri = _rounded(p, r)
+    fix = np.flatnonzero(n - _N_FIRST > _N_SPAN)
+    if fix.size:
+        pf, rf = p[fix], r[fix]
+        kf = kk[fix] + ((pf - 1e17) + rf >= 0.0) - ((pf - 1e16) + rf < 0.0)
+        pf, rf = _scaled(ax[fix], kf, t.pow10)
+        nf, rif = _rounded(pf, rf)
+        carry = nf == _U(10**17)
+        nf[carry] = _U(10**16)
+        kf += carry
+        kk[fix], n[fix], r[fix], ri[fix] = kf, nf, rf, rif
+    r -= ri
+    np.abs(r, out=r)
+    if r.max() > 0.5 - _TIE:
+        per_value = np.union1d(per_value, np.flatnonzero(r > 0.5 - _TIE))
+    texts = {i: _formatted(x[i]) for i in per_value.tolist()}
+    narrow = (_NARROW_MIN <= least and most < _NARROW_MAX
+              and all(len(s) < 24 for s in texts.values()))
 
-    # the first digit, then digits 1-8 and 9-16 as two ASCII words
-    n = n.view(np.uint64)
-    head = n // _E8
-    lead = head // _E8
-    tail = np.empty((x.size, 2), dtype=np.uint64)
-    tail[:, 0] = head - lead * _E8
-    tail[:, 1] = n - head * _E8
-    tail = _ascii8(tail)
-    last = _last_byte(tail ^ _ZEROS)
-    kept = np.where(last[:, 1] >= 0, 10 + last[:, 1], 2 + last[:, 0])  # digits to the last nonzero
+    # S = N with a 0 at the dot, then its three slot words as 8-digit groups
+    dg = np.take(t.digits, kk, axis=0)
+    s = n // dg[:, 0]
+    s *= dg[:, 1]
+    s += n
+    q = s // dg[:, 2]
+    groups = np.empty((3, size), np.uint64)
+    np.floor_divide(q, _E8, out=groups[0])
+    np.multiply(groups[0], _E8, out=groups[1])
+    np.subtract(q, groups[1], out=groups[1])
+    np.multiply(s, dg[:, 3], out=groups[2])
+    q *= _E8
+    groups[2] -= q
+    high = groups // _E4
+    groups -= high * _E4
+    # one slot per value and a last one for the closing newline
+    out = np.empty((size + 1, 3 if narrow else 4), "<u8")
+    out[size] = 0
+    out[size, 0] = ord(",")
+    words = out[:size, :3].T
+    np.bitwise_or(np.take(t.ascii_hi, high.view(np.intp)),
+                  np.take(t.ascii_lo, groups.view(np.intp)), out=words)
 
-    first, expo, dot, whole = np.take(t.layout, kk, axis=0).T
-    kept = np.maximum(kept, whole)
-    before0, before1, after0, after1, point0, point1 = np.take(
-        t.body, dot * 18 + kept, axis=0).T
-    after0 &= tail[:, 0]
-    after1 &= tail[:, 1]
-    out = np.empty((x.size, _WORDS), dtype="<u8")
-    out[:, 0] = (first.view(np.uint64) | ((lead | _U(0x30)) << _U(56))
-                 | np.signbit(x) * _U(ord("-")))
-    out[:, 1] = (tail[:, 0] & before0) | point0 | (after0 << _U(8))
-    out[:, 2] = (tail[:, 1] & before1) | point1 | (after1 << _U(8)) | (after0 >> _U(56))
-    out[:, 3] = (after1 >> _U(56)) | expo.view(np.uint64)
-    special = np.flatnonzero(special)
+    # the last digit other than "0" lies in the third word but for round values;
+    # the XOR word for it clears the trailing zeros, and a dot left last
+    last = np.frexp((words[2] ^ _ZEROS).astype(np.float64))[1]
+    last += 127
+    last >>= 3
+    round_ = np.flatnonzero(last == 15)
+    if round_.size:
+        last[round_] = _last_digit(words[:, round_])
+    last *= 2 * _KMAX + 1
+    last += kk
+    out[:size, :3] ^= np.take(t.xor, last, axis=0)
+    if not narrow:
+        out[:size, 3] = np.take(t.tail, kk)
+    words[0] ^= (x.view(np.uint64) >> _U(63)) * _MINUS
+
     if special.size:
         xs = x[special]
-        out[special] = t.special[np.where(np.isnan(xs), 4, 2 * np.isinf(xs) + np.signbit(xs))]
-    text = out.view(np.uint8)
-    for i in np.flatnonzero(slow):
-        s = _formatted(x[i])
-        text[i] = 0
-        text[i, :len(s)] = np.frombuffer(s, np.uint8)
-    sep = np.full((rows, cols), _U(ord(",")) << _SEP_SHIFT)
-    sep[:, -1] = _U(ord("\n")) << _SEP_SHIFT
-    out[:, 3] |= sep.ravel()
-    text = text.ravel()
-    return text[text != 0].tobytes()
+        out[special, 1:] = 0
+        out[special, 0] = t.special[np.where(np.isnan(xs), 4, 2 * np.isinf(xs) + np.signbit(xs))]
+    if texts:
+        text = out.view(np.uint8).reshape(size + 1, -1)
+        for i, chars in texts.items():
+            text[i, 1:] = 0
+            text[i, 1:1 + len(chars)] = np.frombuffer(chars, np.uint8)
+    # every slot opens with its separator: "," from the XOR word, "\n" at a row start
+    out[::cols, 0] ^= _ROW_START
+    out[0, 0] &= ~_U(0xFF)
+    return out.tobytes().translate(None, b"\0")

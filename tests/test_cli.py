@@ -6,6 +6,7 @@ and asserts on the parsed CSV or on the exit code and stderr text.
 
 import json
 import sys
+from fractions import Fraction
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -638,6 +639,218 @@ def test_format_rows_constant_special_columns(monkeypatch):
     assert calls == []
 
 
+def _reference_csvfmt_tables():
+    """csvfmt's lookup tables built one entry at a time from the slot layout it documents."""
+    kmax = csvfmt._KMAX
+    pow10, digits, rows, tail = [], [], [], []
+    for k in range(-kmax, kmax + 1):
+        q = 16 - k
+        if q >= 0:
+            n = 10**q
+            hi = float(n)
+            lo = float(n - int(hi))
+        else:
+            d = 10**-q
+            hi = 1 / d
+            a, b = hi.as_integer_ratio()
+            lo = (b - a * d) / (b * d)
+        c = 134217729.0 * hi
+        high = c - (c - hi)
+        pow10.append((hi, lo, high, hi - high))
+
+        # byte -> ("digit",), ("char", c) over an ASCII "0", or ("raw", c) past the digits
+        layout = {0: ("char", ","), 1: ("char", None)}
+        if -4 <= k <= 16:  # S ends the slot, from byte 6
+            at = 6
+            dot = k + 1 if 0 <= k < 16 else None
+            digits.append((10 ** (16 - k) if dot else 10**17, 9 * 10 ** (16 - k) if dot else 0,
+                           10**8, 1))
+            for b in range(2, 6):
+                layout[b] = ("char", None)
+            prefix = "0." + "0" * (-k - 1) if k < 0 else ""
+            for i, ch in enumerate(prefix):
+                layout[at + 1 - len(prefix) + i] = ("char", ch)
+            if k == 16:
+                layout[at] = ("char", None)
+            least = at + 1 + k if dot else (at + 1 if k < 0 else 24)
+        else:  # S from byte 2, then the exponent
+            at, dot = 2, 1
+            digits.append((10**16, 9 * 10**16, 10**4, 10**4))
+            for i, ch in enumerate("e%+03d" % k):
+                layout[20 + i] = ("char", ch) if i < 4 else ("raw", ch)
+            least = at + 1
+        if dot:
+            layout[at + dot] = ("char", ".")
+        for b in range(at, at + 18):
+            layout.setdefault(b, ("digit",))
+        row = []
+        for last in range(csvfmt._LAST_ROWS):
+            kept = max(last + 1, least)
+            text = bytearray(24)
+            for b in range(24):
+                kind = layout.get(b, ("char", None))
+                if at <= b < at + 18 and b >= kept:  # a trailing "0" or the dot, cleared
+                    text[b] = 0x30
+                elif kind[0] == "char":
+                    text[b] = 0x30 ^ (ord(kind[1]) if kind[1] else 0)
+            row.append([int.from_bytes(text[8 * w:8 * w + 8], "little") for w in range(3)])
+        rows.append(row)
+        tail.append(ord(layout[24][1]) if 24 in layout else 0)
+    xor = [rows[k][last] for last in range(csvfmt._LAST_ROWS) for k in range(2 * kmax + 1)]
+    four = [int.from_bytes(b"%04d" % i, "little") for i in range(10**4)]
+    special = [int.from_bytes(b"," + s, "little") for s in (b"0", b"-0", b"inf", b"-inf", b"nan")]
+    return csvfmt._Tables(np.array(pow10), np.array(digits, np.uint64), np.array(xor, np.uint64),
+                          np.array(tail, np.uint64), np.array(four, np.uint64),
+                          np.array(four, np.uint64) << np.uint64(32), np.array(special, np.uint64))
+
+
+def test_format_rows_tables_match_loop_reference():
+    tables, reference = csvfmt._tables(), _reference_csvfmt_tables()
+    for name in csvfmt._Tables._fields:
+        built, expected = getattr(tables, name), getattr(reference, name)
+        assert built.dtype == expected.dtype, name
+        assert built.shape == expected.shape, name
+        assert np.array_equal(built, expected), name
+
+
+def _two_digit_exponent_values(rng, n):
+    """Finite values whose texts all have |k| <= 99: signs, all three notations.
+
+    Decades 10-16 are left out: there |x| 10^(16-k) is a multiple of 1/2 often
+    enough that exact ties, which go through per-value formatting, are common.
+    """
+    signs = rng.choice([-1.0, 1.0], size=n)
+    decades = rng.choice(np.r_[-90:10, 17:90], size=n)
+    return signs * rng.uniform(1.0, 10.0, size=n) * 10.0**decades
+
+
+def _near_tie(value):
+    """Whether |value| 10^(16-k) lies within about _TIE of a half, in exact arithmetic."""
+    k = int(("%.16e" % value).split("e")[1])
+    scaled = abs(Fraction(value)) * Fraction(10) ** (16 - k)
+    return abs(scaled - int(scaled) - Fraction(1, 2)) < 2 * csvfmt._TIE
+
+
+@pytest.mark.parametrize("rows,cols", [(csvfmt.BLOCK_VALUES, 1), (csvfmt.BLOCK_VALUES // 5, 5),
+                                       (csvfmt.BLOCK_VALUES // 9, 9)])
+def test_format_rows_full_blocks_on_the_vector_path(monkeypatch, rows, cols):
+    calls = _per_value_calls(monkeypatch)
+    rng = np.random.default_rng(rows)
+    table = _two_digit_exponent_values(rng, rows * cols).reshape(rows, cols)
+    table[:, 0] = rng.uniform(-20.0, 20.0, size=rows)  # fixed notation, k = 0 and 1
+    assert csvfmt.format_rows(table) == _reference_rows(table)
+    # about 2e-6 of random values are near-ties, which only per-value formatting decides
+    assert len(calls) <= 1 and all(_near_tie(v) for v in calls)
+
+
+@pytest.mark.parametrize("at", [0, 1023, csvfmt.BLOCK_VALUES // 5 * 5 - 1])
+@pytest.mark.parametrize("value,per_value", [
+    (0.0, False), (-0.0, False), (np.inf, False), (-np.inf, False), (np.nan, False),
+    (5e-324, True), (-2.2250738585072014e-308, True), (1e300, True), (-1e300, True),
+    (2.0**-25, True),  # an exact tie at the 18th digit
+])
+def test_format_rows_full_block_with_one_value_off_the_vector_path(monkeypatch, at, value,
+                                                                   per_value):
+    calls = _per_value_calls(monkeypatch)
+    rows = csvfmt.BLOCK_VALUES // 5
+    table = _two_digit_exponent_values(np.random.default_rng(at), rows * 5)
+    table[at] = 1.0
+    csvfmt.format_rows(table.reshape(rows, 5))
+    near_ties, calls[:] = list(calls), []
+    table[at] = value
+    table = table.reshape(rows, 5)
+    assert csvfmt.format_rows(table) == _reference_rows(table)
+    assert calls == near_ties + [value] if per_value else calls == near_ties
+
+
+def _significant_digits(text):
+    mantissa = text.split("e")[0].lstrip("-").replace(".", "")
+    return len(mantissa.lstrip("0"))
+
+
+def test_format_rows_trailing_zero_digits_in_full_blocks():
+    # decimals of s <= 16 digits whose nearest double prints exactly them: 17 - s
+    # trailing zeros stripped, in fixed, 0.000ddd and exponent notation
+    rng = np.random.default_rng(16)
+    found = {}
+    while len(found) < 16 * 3:
+        s = int(rng.integers(1, 17))
+        k = int(rng.choice([-60, -3, -1, 0, 5, 15, 40]))
+        x = float(f"{int(rng.integers(10 ** (s - 1), 10**s))}e{k - s + 1}")
+        if _significant_digits("%.17g" % x) == s and abs(x) != 0.0:
+            found[17 - s, -4 <= k < 0, 0 <= k < 17] = x * rng.choice([-1.0, 1.0])
+    assert {zeros for zeros, *_ in found} == set(range(1, 17))
+    rows = csvfmt.BLOCK_VALUES // 5
+    table = _two_digit_exponent_values(rng, rows * 5)
+    table[rng.choice(table.size, size=len(found), replace=False)] = list(found.values())
+    table = table.reshape(rows, 5)
+    assert csvfmt.format_rows(table) == _reference_rows(table)
+
+
+def test_format_rows_three_digit_exponents_among_two_digit_ones():
+    rng = np.random.default_rng(100)
+    rows = csvfmt.BLOCK_VALUES // 5
+    table = _two_digit_exponent_values(rng, rows * 5)
+    wide = [1e100, -1e100, 1.5e-100, -9.8765432109876543e-101, 3.3e200, -2.5e-250,
+            np.nextafter(1e100, 0.0), 9.9999999999999999e99, 1e-99, np.nextafter(1e-99, 0.0)]
+    table[rng.choice(table.size, size=len(wide), replace=False)] = wide
+    table = table.reshape(rows, 5)
+    text = csvfmt.format_rows(table)
+    assert text == _reference_rows(table)
+    assert b"e+100" in text and b"e-250" in text
+
+
+def test_format_rows_carries_into_the_next_decade():
+    # doubles just below a power of ten whose 17 digits round up to it: 9.99...95 -> 1e+k
+    carried = []
+    for k in range(-279, 280):
+        x = float(Fraction(10) ** k)
+        for y in (x, float(np.nextafter(x, 0.0))):
+            if Fraction(y) < Fraction(10) ** k and _significant_digits("%.17g" % y) == 1:
+                carried.append(y)
+    assert len(carried) >= 10
+    rows = csvfmt.BLOCK_VALUES // 4
+    table = _two_digit_exponent_values(np.random.default_rng(17), rows * 4)
+    table[:len(carried)] = carried
+    table = table.reshape(rows, 4)
+    assert csvfmt.format_rows(table) == _reference_rows(table)
+    assert csvfmt.format_rows(-table) == _reference_rows(-table)
+
+
+@st.composite
+def _blocks_of_bit_patterns(draw):
+    """Whole blocks of random float bit patterns, with hypothesis floats planted in them.
+
+    The bits come from a drawn seed: hypothesis cannot draw the 16 kB of a
+    block itself.  Half the blocks keep every exponent within 2**-323 ..
+    2**327, so |k| <= 99 and no value is special.
+    """
+    cols = draw(st.integers(1, 9))
+    rows = csvfmt.BLOCK_VALUES // cols - draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**64 - 1)))
+    bits = rng.integers(0, 2**64, size=rows * cols, dtype=np.uint64, endpoint=False)
+    if draw(st.booleans()):
+        field = (bits >> np.uint64(52)) & np.uint64(0x7FF)
+        bits ^= (field ^ (field % np.uint64(650) + np.uint64(700))) << np.uint64(52)
+    values = bits.view(np.float64)
+    planted = draw(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                                      allow_subnormal=True), max_size=16))
+    values[rng.choice(values.size, size=len(planted), replace=False)] = planted
+    return values.reshape(rows, cols)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_blocks_of_bit_patterns())
+def test_format_rows_matches_per_value_format_on_whole_blocks(table):
+    assert csvfmt.format_rows(table) == _reference_rows(table)
+
+
+def test_format_rows_raises_nothing_under_floating_point_errors():
+    table = np.array([[0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 2.0**-25, 0.1]] * 3)
+    with np.errstate(all="raise"):
+        assert csvfmt.format_rows(table) == _reference_rows(table)
+
+
 @pytest.mark.parametrize("cols", [1, 3])
 @pytest.mark.parametrize("shift", [-1, 0, 1])
 def test_write_csv_block_edges(tmp_path, cols, shift):
@@ -727,3 +940,76 @@ def test_large_scales_below_the_range_checks_run(tmp_path, scenario, payload):
     code, path = run(tmp_path, scenario, "--config", config_file(tmp_path, payload))
     assert code == 0
     assert np.all(np.isfinite(np.genfromtxt(path, delimiter=",", skip_header=1)[:, :4]))
+
+
+@pytest.mark.parametrize("scenario", ["rap", "rap-cd", "rap-cd-approx", "cd-terms"])
+def test_atom_window_underflow_is_config_error(tmp_path, capsys, scenario):
+    # window_factor / sqrt(a) rounded to 0, and the schedule raised ValueError
+    cfg = config_file(tmp_path, {"window_factor": 1e-300, "chirp_a_ghz2": 1e100})
+    code, path = run(tmp_path, scenario, "--config", cfg)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("sta: config error: config keys 'window_factor' = 1e-300 and "
+                          "'chirp_a_ghz2' = 1e+100 are out of range together")
+    assert err.count("\n") == 1
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("payload", [
+    {"tf_ms": 1e20},
+    {"tf_ms": 1e40},
+    {"f0_hz": 1.4e-78, "ff_hz": 7.6e18, "n_shortcut": 49},
+], ids=["tf-1e20", "tf-1e40", "ff-7.6e18"])
+def test_oscillator_display_period_below_the_spacing_at_tf_is_config_error(
+        tmp_path, capsys, monkeypatch, payload):
+    # the period after the ramp rounded away, and the oracle's grid check raised
+    def no_sweep(*args):
+        raise AssertionError("the grid is checked before any sweep")
+
+    monkeypatch.setattr(climod.trap, "closed_form_trajectory", no_sweep)
+    code, path = run(tmp_path, "oscillator", "--config", config_file(tmp_path, payload))
+    err = capsys.readouterr().err
+    params = {**climod.TRAP_DEFAULTS, **payload}
+    assert code == 2
+    assert err.startswith(f"sta: config error: config keys 'tf_ms' = {params['tf_ms']:g} and "
+                          f"'ff_hz' = {params['ff_hz']:g} are out of range together")
+    assert err.count("\n") == 1
+    assert not path.exists()
+
+
+# alpha_dot's quotient num / den overflows while den stays above the ZeroGap floor
+OVERFLOWING_QUOTIENT = {"gamma_mhz": 0.0, "rabi_peak_mhz": 3.1e-142, "chirp_a_ghz2": 4.3e-86,
+                        "chirp_b_ghz2": 2.3e206, "window_factor": 1e-182, "dt_ns": 1.2e34}
+
+
+@pytest.mark.parametrize("scenario", ["rap", "rap-cd", "cd-terms"])
+def test_floating_point_error_is_runtime_error(tmp_path, capsys, scenario):
+    before = np.geterr()
+    code, path = run(tmp_path, scenario, "--config", config_file(tmp_path, OVERFLOWING_QUOTIENT))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == (f"sta: runtime error: floating-point error in {scenario}: "
+                   "overflow encountered in divide\n")
+    assert np.geterr() == before  # the policy is the CLI's alone
+
+
+def test_state_overflow_is_runtime_error(tmp_path, capsys):
+    # one RK4 step far past stability leaves a finite state whose |psi|^2
+    # overflows; without the policy the run warned and wrote inf populations
+    cfg = config_file(tmp_path, {"chirp_a_ghz2": 3.5e-43, "dt_ns": 5.5e187})
+    code, path = run(tmp_path, "rap", "--config", cfg)
+    assert code == 3
+    assert capsys.readouterr().err == ("sta: runtime error: floating-point error in rap: "
+                                       "overflow encountered in square\n")
+    assert not path.exists()
+
+
+def test_library_keeps_numpy_floating_point_defaults():
+    # outside the CLI the same overflow is numpy's warning, which the suite's
+    # error::RuntimeWarning filter turns into an exception
+    p = OVERFLOWING_QUOTIENT
+    schedule = climod.chirped_gaussian(climod.ChirpedGaussianParams(
+        rabi_peak=TWO_PI * 1e-3 * p["rabi_peak_mhz"], width_a=TWO_PI**2 * p["chirp_a_ghz2"],
+        chirp_b=TWO_PI**2 * p["chirp_b_ghz2"], gamma=0.0), window_factor=p["window_factor"])
+    with pytest.raises(RuntimeWarning, match="overflow encountered in divide"):
+        cdmod.alpha_dot(schedule, schedule.grid(p["dt_ns"]))
