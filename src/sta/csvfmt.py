@@ -20,19 +20,18 @@ zeros, infinities and NaN are fixed strings.
 A block whose least and largest |x| both lie in the range holds no such
 value, and skips the masks that find them.
 
-Each value is written into a slot of three little-endian words: the
+Each value is written into a slot of four little-endian words: the
 separator that precedes it, a byte for the sign, and its text, with zero
-bytes where nothing is written.  A block that holds a three-digit
-exponent, or a per-value text too long for three words, gets a fourth
-word per slot for the exponent's last digit.  The decimal string S of the
-value's digits, with a ``0`` standing where the dot goes (N with one digit
+bytes where nothing is written.  The fourth word holds only the last
+digit of a three-digit exponent.  The decimal string S of the value's
+digits, with a ``0`` standing where the dot goes (N with one digit
 inserted, S = N + 9 P (N // P) for the power of ten P at the dot), ends
 the slot in fixed notation and sits before the exponent in exponent
 notation.  So each slot word holds whole 8-digit groups of S scaled by a
 power of ten, which a 10,000-entry table of 4-digit ASCII turns into
 text.  The slot byte L of the last digit other than ``0`` is the highest
 nonzero byte of the third word, read by frexp (of all three words for the
-few values whose third word is all ``0``).  Three XOR words, looked up by
+few values whose third word is all ``0``).  Four XOR words, looked up by
 L and k, write the separator, the ``0.000`` prefix, the dot and the
 exponent, and clear the ``0`` padding, the trailing zeros and a dot left
 last.  Deleting the zero bytes of the block with ``bytes.translate`` gives
@@ -40,11 +39,11 @@ the lines.
 
 Costs, on the 39 blocks of up to 2,045 values that an atom-cd run
 writes (numpy 2.4, a shared 2-vCPU host whose speed drifts by about 2x):
-a block takes about 190-340 us.  Timed statement by statement, the
+a block takes about 240-410 us.  Timed statement by statement, the
 double-double digits and their checks take about 25% of it, the digit
-groups 19%, the ASCII gathers 18%, the last digit, XOR words, sign and
-separators 16%, deleting the zero bytes 17%, and the block's range check
-5%.
+groups 19%, the slot array and its ASCII gathers 13%, the last digit, XOR
+words, sign and separators 18%, deleting the zero bytes 20%, and the
+block's range check 4%.
 """
 
 from __future__ import annotations
@@ -62,8 +61,6 @@ BLOCK_VALUES = 2048
 # Largest |k| the fast path meets: log10 of |x| <= 1e280, corrected by one, plus a carry.
 _KMAX = 282
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
-# Values in this range have |k| <= 99 after a carry, so every text fits three words.
-_NARROW_MIN, _NARROW_MAX = 1e-99, 9e99
 # A residual this close to a half is too near a rounding tie to decide in double-double.
 _TIE = 1e-6
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for 53-bit doubles
@@ -84,19 +81,19 @@ _ROW_START = _U(ord(",") ^ ord("\n"))
 
 # Slot bytes: 0 separator, 1 sign, 2-5 the "0.000" prefix, then S.  In fixed
 # notation S (18 characters) fills bytes 6-23; in exponent notation it fills
-# bytes 2-19 and the exponent bytes 20-23, and byte 24 when it has three digits.
+# bytes 2-19 and the exponent bytes 20-23, and byte 24 when it has three digits;
+# bytes 25-31 stay zero.
 _FIXED_AT, _EXP_AT = 6, 2
 _LAST_ROWS = 24  # XOR words per k, one per slot byte of the last digit other than "0"
 
 
 class _Tables(NamedTuple):
-    """Lookup tables; rows of pow10, digits and tail are indexed by k + _KMAX."""
+    """Lookup tables; rows of pow10 and digits are indexed by k + _KMAX."""
 
     pow10: np.ndarray     # float (., 4): hi, lo, and hi's high and low halves of 10^(16-k)
     digits: np.ndarray    # uint64 (., 4): P, Q = 9 P or 0, and the split divisor and scale
-    xor: np.ndarray       # uint64 (_LAST_ROWS * ., 3) by L rows of k: the slot words' fixed
+    xor: np.ndarray       # uint64 (_LAST_ROWS * ., 4) by L rows of k: the slot words' fixed
                           # bytes, XORed over ASCII digits, L the last digit other than "0"
-    tail: np.ndarray      # uint64 (.,): the fourth slot word, the last digit of |k| >= 100
     ascii_hi: np.ndarray  # uint64 (10**4,): 4 digits as ASCII in bytes 0-3, the first lowest
     ascii_lo: np.ndarray  # uint64 (10**4,): the same in bytes 4-7
     special: np.ndarray   # uint64 (5,): ",0", ",-0", ",inf", ",-inf", ",nan"
@@ -151,7 +148,7 @@ def _tables() -> _Tables:
     digits[:, 2:] = np.where(expo[:, None], power[[4, 4]], power[[8, 0]])
 
     # XOR bytes over the ASCII digits: "0" ^ 0x30 is 0, and 0x30 clears a padding "0"
-    xor = np.zeros((ks.size, 24), np.uint8)
+    xor = np.zeros((ks.size, 32), np.uint8)
     xor[:, 0] = 0x30 ^ ord(",")
     xor[:, 1] = 0x30
     xor[~expo, 2:6] = 0x30
@@ -169,8 +166,7 @@ def _tables() -> _Tables:
     xor[expo, 21] = 0x30 ^ np.where(ks[expo] < 0, ord("-"), ord("+"))
     xor[expo, 22] = np.where(three, e // 100, e // 10)
     xor[expo, 23] = np.where(three, e // 10 % 10, e % 10)
-    tail = np.zeros(ks.size, np.uint64)
-    tail[expo] = np.where(three, 0x30 + e % 10, 0)  # slot byte 24, written as is
+    xor[expo, 24] = np.where(three, 0x30 + e % 10, 0)  # past the digits: written as is
 
     # A value whose last digit other than "0" sits at slot byte L keeps S up to
     # byte L, or up to its least kept byte: the whole part in fixed notation, the
@@ -179,7 +175,7 @@ def _tables() -> _Tables:
     least = np.where(expo, _EXP_AT + 1, np.where(fixed, _FIXED_AT + 1 + ks,
                                                   np.where(small, _FIXED_AT + 1, 24)))
     start = np.arange(_LAST_ROWS + 1)[:, None]
-    pos = np.arange(24)
+    pos = np.arange(32)
     masks = _words(np.concatenate([(pos >= start) & (pos < end) for end in (20, 24)]) * 0xFF)
     rows = (np.maximum(np.arange(1, _LAST_ROWS + 1)[:, None], least)
             + np.where(expo, 0, _LAST_ROWS + 1))
@@ -192,8 +188,8 @@ def _tables() -> _Tables:
     pair = pair // 10 + 0x30 | (pair % 10 + 0x30) << 8
     ascii_hi = (pair[:, None] | pair << 16).ravel().astype(np.uint64)
     special = [int.from_bytes(b"," + s, "little") for s in (b"0", b"-0", b"inf", b"-inf", b"nan")]
-    return _Tables(pow10, digits, strip.reshape(-1, 3), tail,
-                   ascii_hi, ascii_hi << _U(32), np.array(special, np.uint64))
+    return _Tables(pow10, digits, strip.reshape(-1, 4), ascii_hi, ascii_hi << _U(32),
+                   np.array(special, np.uint64))
 
 
 def _scaled(ax: np.ndarray, kk: np.ndarray, pow10: np.ndarray):
@@ -236,15 +232,13 @@ def format_rows(table: np.ndarray) -> bytes:
     size = x.size
     t = _tables()
     ax = np.abs(x)
-    least, most = ax.min(), ax.max()
     special = per_value = np.empty(0, np.intp)
-    if not _FAST_MIN <= least <= most <= _FAST_MAX:  # NaN fails every comparison
+    if not _FAST_MIN <= ax.min() <= ax.max() <= _FAST_MAX:  # NaN fails every comparison
         odd = np.flatnonzero(~((ax >= _FAST_MIN) & (ax <= _FAST_MAX)))
         xo = x[odd]
         fixed = (xo == 0) | ~np.isfinite(xo)
         special, per_value = odd[fixed], odd[~fixed]
         ax[odd] = 1.0
-        least, most = ax.min(), ax.max()
 
     # k + _KMAX from log10, truncated (it is positive), then moved into the
     # decade of ax 10^(16-k) where it missed; N = 10^17 carries into the next one
@@ -268,8 +262,6 @@ def format_rows(table: np.ndarray) -> bytes:
     if r.max() > 0.5 - _TIE:
         per_value = np.union1d(per_value, np.flatnonzero(r > 0.5 - _TIE))
     texts = {i: _formatted(x[i]) for i in per_value.tolist()}
-    narrow = (_NARROW_MIN <= least and most < _NARROW_MAX
-              and all(len(s) < 24 for s in texts.values()))
 
     # S = N with a 0 at the dot, then its three slot words as 8-digit groups
     dg = np.take(t.digits, kk, axis=0)
@@ -287,7 +279,7 @@ def format_rows(table: np.ndarray) -> bytes:
     high = groups // _E4
     groups -= high * _E4
     # one slot per value and a last one for the closing newline
-    out = np.empty((size + 1, 3 if narrow else 4), "<u8")
+    out = np.empty((size + 1, 4), "<u8")
     out[size] = 0
     out[size, 0] = ord(",")
     words = out[:size, :3].T
@@ -304,9 +296,8 @@ def format_rows(table: np.ndarray) -> bytes:
         last[round_] = _last_digit(words[:, round_])
     last *= 2 * _KMAX + 1
     last += kk
-    out[:size, :3] ^= np.take(t.xor, last, axis=0)
-    if not narrow:
-        out[:size, 3] = np.take(t.tail, kk)
+    out[:size, 3] = 0
+    out[:size] ^= np.take(t.xor, last, axis=0)
     words[0] ^= (x.view(np.uint64) >> _U(63)) * _MINUS
 
     if special.size:

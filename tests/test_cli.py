@@ -642,7 +642,7 @@ def test_format_rows_constant_special_columns(monkeypatch):
 def _reference_csvfmt_tables():
     """csvfmt's lookup tables built one entry at a time from the slot layout it documents."""
     kmax = csvfmt._KMAX
-    pow10, digits, rows, tail = [], [], [], []
+    pow10, digits, rows = [], [], []
     for k in range(-kmax, kmax + 1):
         q = 16 - k
         if q >= 0:
@@ -686,21 +686,22 @@ def _reference_csvfmt_tables():
         row = []
         for last in range(csvfmt._LAST_ROWS):
             kept = max(last + 1, least)
-            text = bytearray(24)
-            for b in range(24):
-                kind = layout.get(b, ("char", None))
+            text = bytearray(32)
+            for b in range(32):
+                kind = layout.get(b, ("raw", None))
                 if at <= b < at + 18 and b >= kept:  # a trailing "0" or the dot, cleared
                     text[b] = 0x30
                 elif kind[0] == "char":
                     text[b] = 0x30 ^ (ord(kind[1]) if kind[1] else 0)
-            row.append([int.from_bytes(text[8 * w:8 * w + 8], "little") for w in range(3)])
+                elif kind[0] == "raw" and kind[1]:
+                    text[b] = ord(kind[1])
+            row.append([int.from_bytes(text[8 * w:8 * w + 8], "little") for w in range(4)])
         rows.append(row)
-        tail.append(ord(layout[24][1]) if 24 in layout else 0)
     xor = [rows[k][last] for last in range(csvfmt._LAST_ROWS) for k in range(2 * kmax + 1)]
     four = [int.from_bytes(b"%04d" % i, "little") for i in range(10**4)]
     special = [int.from_bytes(b"," + s, "little") for s in (b"0", b"-0", b"inf", b"-inf", b"nan")]
     return csvfmt._Tables(np.array(pow10), np.array(digits, np.uint64), np.array(xor, np.uint64),
-                          np.array(tail, np.uint64), np.array(four, np.uint64),
+                          np.array(four, np.uint64),
                           np.array(four, np.uint64) << np.uint64(32), np.array(special, np.uint64))
 
 
@@ -823,7 +824,7 @@ def _blocks_of_bit_patterns(draw):
 
     The bits come from a drawn seed: hypothesis cannot draw the 16 kB of a
     block itself.  Half the blocks keep every exponent within 2**-323 ..
-    2**327, so |k| <= 99 and no value is special.
+    2**327, so every value lies in the vector path's range and none is special.
     """
     cols = draw(st.integers(1, 9))
     rows = csvfmt.BLOCK_VALUES // cols - draw(st.integers(0, 2))
