@@ -15,7 +15,6 @@ The ``sta`` console script exposes ready-made scenarios; see the README.
 from .biortho import BiorthoBasis, closure_defect, eigensystem_2x2, reconstruct
 from .counterdiabatic import (
     MixingAngleTrajectory,
-    PhasePair,
     XiPolicy,
     adiabatic_basis,
     adiabatic_phase,

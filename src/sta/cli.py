@@ -1,13 +1,12 @@
 """Command-line front end.
 
     sta <scenario> [--config PATH] [--out PATH] [--dt X] [--window-factor X]
-                   [--approx]
 
 Scenarios
 ---------
 rap           bare chirped-Gaussian sweep of the decaying atom
 rap-cd        sweep with the exact counterdiabatic correction
-rap-cd-approx sweep with the Hermitian (Re C dropped) correction
+rap-cd-approx sweep with the Hermitian (Re C dropped) correction; never warns
 cd-terms      counterdiabatic coupling C(t) and adiabaticity monitor
 oscillator    trap expansion: closed-form and integrated trajectories
 check         self-test of the core invariants, exit 4 on failure
@@ -67,24 +66,20 @@ CHECK_DEFAULTS = {
     "dt_ns": 0.001,
 }
 
-_DEFAULTS = {
-    "rap": ATOM_DEFAULTS,
-    "rap-cd": ATOM_DEFAULTS,
-    "rap-cd-approx": ATOM_DEFAULTS,
-    "cd-terms": ATOM_DEFAULTS,
-    "oscillator": TRAP_DEFAULTS,
-    "check": CHECK_DEFAULTS,
-}
-
 _CHECK_SEED = 7
 
-# Max branch leakage of an exact rap-cd run above which it warns on stderr.
+# Max branch leakage of an exact rap-cd run above which it warns on stderr,
+# and the check's leakage threshold at tolerance_scale 1.
 _LEAK_WARN = 1e-5
 
 # Largest departure of the oscillator's Hamilton oracle from the closed form,
 # relative to the closed form's largest value, before it warns on stderr
 # (the agreement bound of acceptance criterion 08).
 _ORACLE_WARN = 1e-6
+
+# Largest relative miss of the closed-form E(tf)/E(0) from omega_f/omega_0
+# before the oscillator warns on stderr.
+_ENERGY_WARN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -94,7 +89,6 @@ class RunConfig:
     scenario: str
     out: Path | None
     params: dict
-    approx: bool = False
 
     @property
     def out_path(self) -> Path:
@@ -104,7 +98,11 @@ class RunConfig:
 def _require_number(scenario: str, key: str, value, minimum=None, strict=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key '{key}' for scenario '{scenario}' must be a number")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # a JSON integer past the double range
+        raise ConfigError(f"config key '{key}' must be finite, got an integer too large "
+                          "for a double") from None
     if not np.isfinite(v):
         raise ConfigError(f"config key '{key}' must be finite, got {value}")
     if minimum is not None and (v < minimum or (strict and v == minimum)):
@@ -113,8 +111,9 @@ def _require_number(scenario: str, key: str, value, minimum=None, strict=False):
     return v
 
 
-def _validate(scenario: str, params: dict) -> dict:
-    out = dict(params)
+def _validate(scenario: str, params: dict, flags: dict) -> dict:
+    """params with every value checked, then the flag values checked and merged over them."""
+    out = {**params, **flags}
     rules = {
         "gamma_mhz": dict(minimum=0.0),
         "rabi_peak_mhz": dict(minimum=0.0),
@@ -130,22 +129,21 @@ def _validate(scenario: str, params: dict) -> dict:
         "v0_um_per_ms": dict(),
         "tolerance_scale": dict(minimum=0.0, strict=True),
     }
-    for key, value in out.items():
+    for key, value in [*params.items(), *flags.items()]:
         if key in ("n_shortcut", "n_ellipse"):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"config key '{key}' must be an integer")
-            if value < 2:
-                raise ConfigError(f"config key '{key}' must be >= 2, got {value}")
+            _require_number(scenario, key, value, minimum=2)
         else:
             out[key] = _require_number(scenario, key, value, **rules[key])
     return out
 
 
-def load_run_config(scenario: str, config_path, out, dt, window_factor, approx) -> RunConfig:
+def load_run_config(scenario: str, config_path, out, dt, window_factor) -> RunConfig:
     """Merge defaults, the JSON config file and command-line overrides."""
-    if scenario not in _DEFAULTS:
+    if scenario not in _SCENARIOS:
         raise ConfigError(f"unknown scenario '{scenario}'")
-    params = dict(_DEFAULTS[scenario])
+    params = dict(_SCENARIOS[scenario][1])
     if config_path is not None:
         try:
             raw = Path(config_path).read_text()
@@ -161,32 +159,25 @@ def load_run_config(scenario: str, config_path, out, dt, window_factor, approx) 
             if key not in params:
                 raise ConfigError(f"unknown config key '{key}' for scenario '{scenario}'")
         params.update(user)
-    params = _validate(scenario, params)
-    if dt is not None:
-        if scenario == "oscillator":
-            if not 0.0 < dt < params["tf_ms"] * 1e-3:
-                raise ConfigError("--dt must lie in (0, tf) seconds for the oscillator")
-            steps = params["tf_ms"] * 1e-3 / dt
-            _require_steps(steps, f"--dt {dt}")
-            params["n_shortcut"] = int(round(steps)) + 1
-        else:
-            params["dt_ns"] = _require_number(scenario, "dt_ns", dt, minimum=0.0, strict=True)
-    if window_factor is not None:
-        if "window_factor" not in params:
-            raise ConfigError(f"--window-factor does not apply to scenario '{scenario}'")
-        params["window_factor"] = _require_number(
-            scenario, "window_factor", window_factor, minimum=0.0, strict=True)
-    if approx and scenario not in ("rap-cd", "rap-cd-approx"):
-        raise ConfigError("--approx only applies to the rap-cd scenario")
+    flags = {}
+    if dt is not None and scenario != "oscillator":
+        flags["dt_ns"] = dt
+    if window_factor is not None and "window_factor" in params:
+        flags["window_factor"] = window_factor
+    params = _validate(scenario, params, flags)
+    if dt is not None and scenario == "oscillator":
+        if not 0.0 < dt < params["tf_ms"] * 1e-3:
+            raise ConfigError("--dt must lie in (0, tf) seconds for the oscillator")
+        steps = params["tf_ms"] * 1e-3 / dt
+        _require_steps(steps, f"--dt {dt}")
+        params["n_shortcut"] = int(round(steps)) + 1
+    if window_factor is not None and "window_factor" not in params:
+        raise ConfigError(f"--window-factor does not apply to scenario '{scenario}'")
     if scenario == "oscillator":
-        _require_steps(params["n_shortcut"] + 2 * params["n_ellipse"] - 1,
+        # summed as floats: a sum past the double range is inf, which the message can print
+        _require_steps(float(params["n_shortcut"]) + 2.0 * params["n_ellipse"] - 1.0,
                        "n_shortcut + 2 n_ellipse")
-    return RunConfig(
-        scenario=scenario,
-        out=Path(out) if out is not None else None,
-        params=params,
-        approx=bool(approx) or scenario == "rap-cd-approx",
-    )
+    return RunConfig(scenario=scenario, out=Path(out) if out is not None else None, params=params)
 
 
 def _atom_setup(params: dict):
@@ -283,12 +274,13 @@ def run_rap_cd(cfg: RunConfig) -> int:
     """Corrected sweep starting on the upper branch, with branch leakage.
 
     The exact drive leaks at roundoff unless the grid misses the turning
-    rate near an exceptional point; --approx leaks by design.
+    rate near an exceptional point; rap-cd-approx leaks by design.
     """
-    _, _, traj, leak = _transitionless_sweep(cfg.params, cfg.approx)
+    approx = cfg.scenario == "rap-cd-approx"
+    _, _, traj, leak = _transitionless_sweep(cfg.params, approx)
     write_csv(cfg.out_path, ["t_ns", "P1", "P2", "norm2", "c_minus_abs"],
               [traj.grid, traj.p1, traj.p2, traj.norm2, leak])
-    if not cfg.approx and leak.max() > _LEAK_WARN:
+    if not approx and leak.max() > _LEAK_WARN:
         print(f"sta: warning: max branch leakage {leak.max():.3e} exceeds {_LEAK_WARN:.0e}; "
               "the sweep passes too close to the exceptional point for this dt", file=sys.stderr)
     return 0
@@ -376,12 +368,33 @@ def _require_display_grid(params: dict, tf: float, tail: np.ndarray) -> None:
                       "after the ramp is too short to step from tf in doubles")
 
 
+def _energy_warning(plan: trap.ErmakovPlan, e0: float, ef: float) -> str | None:
+    """The warning when E(0) is not positive or E(tf)/E(0) misses omega_f/omega_0.
+
+    e0 and ef are Python floats, whose quotient is inf past the double
+    range where a numpy one would raise under the CLI's float policy.  The
+    ratio is taken from the energies as written, so subnormal energies,
+    which keep too few digits for it, are caught.  The rest orbit (R = 0)
+    has no energy to compare and keeps the library's UserWarning.
+    """
+    if plan.amplitude == 0.0:
+        return None
+    ratio = plan.omegaf / plan.omega0
+    if e0 > 0.0 and abs(ef / e0 - ratio) <= _ENERGY_WARN * ratio:
+        return None
+    return (f"closed-form E(tf)/E(0) misses omega_f/omega_0 = {ratio:.6e} by more than "
+            f"{_ENERGY_WARN:.0e} relative (E(0) = {e0:.3e} J, E(tf) = {ef:.3e} J); the run "
+            "does not confirm the energy claim")
+
+
 def run_oscillator(cfg: RunConfig) -> int:
     """Trap expansion with one display period at either end.
 
     Emits the closed-form trajectory, its energy bookkeeping and the RK4
-    integration of Hamilton's equations as independent columns, and warns
-    when the two routes disagree in q or v beyond _ORACLE_WARN.
+    integration of Hamilton's equations as independent columns.  Warns
+    when the two routes disagree in q or v beyond _ORACLE_WARN, or else
+    when the closed-form E(tf)/E(0) misses omega_f/omega_0 beyond
+    _ENERGY_WARN.
     """
     p = cfg.params
     plan = _trap_plan(p)
@@ -410,10 +423,15 @@ def run_oscillator(cfg: RunConfig) -> int:
         scale = np.max(np.abs(x))
         # multiplied, not divided, so the rest orbit q0 = v0 = 0 is not 0/0
         if not dev <= _ORACLE_WARN * scale:
-            print(f"sta: warning: max |{name} - {name}_oracle| = {dev:.3e} exceeds "
-                  f"{_ORACLE_WARN:.0e} x max |{name}| = {scale:.3e}; the integrated oracle "
-                  "does not confirm the closed form", file=sys.stderr)
+            warning = (f"max |{name} - {name}_oracle| = {dev:.3e} exceeds {_ORACLE_WARN:.0e} "
+                       f"x max |{name}| = {scale:.3e}; the integrated oracle does not confirm "
+                       "the closed form")
             break
+    else:
+        start, end = p["n_ellipse"], p["n_ellipse"] + p["n_shortcut"] - 1  # t = 0 and t = tf
+        warning = _energy_warning(plan, float(energy[start]), float(energy[end]))
+    if warning:
+        print(f"sta: warning: {warning}", file=sys.stderr)
     return 0
 
 
@@ -461,7 +479,7 @@ def _check_lines(params: dict) -> tuple[list[str], bool]:
 
     schedule, basis, traj, leak = _transitionless_sweep({**ATOM_DEFAULTS, "dt_ns": dt})
     leak = float(leak.max())
-    report("transitionless-branch-leakage", leak, 1e-5 * scale, leak < 1e-5 * scale)
+    report("transitionless-branch-leakage", leak, _LEAK_WARN * scale, leak < _LEAK_WARN * scale)
 
     # chi_+ and its left partner at t0; the basis and the states are freed before the pair sweep
     grid, r0 = basis.grid, basis.right_at(0)[0]
@@ -501,13 +519,14 @@ def run_check(cfg: RunConfig) -> int:
     return 0 if ok else 4
 
 
-_RUNNERS = {
-    "rap": run_rap,
-    "rap-cd": run_rap_cd,
-    "rap-cd-approx": run_rap_cd,
-    "cd-terms": run_cd_terms,
-    "oscillator": run_oscillator,
-    "check": run_check,
+# scenario name -> (runner, defaults)
+_SCENARIOS = {
+    "rap": (run_rap, ATOM_DEFAULTS),
+    "rap-cd": (run_rap_cd, ATOM_DEFAULTS),
+    "rap-cd-approx": (run_rap_cd, ATOM_DEFAULTS),
+    "cd-terms": (run_cd_terms, ATOM_DEFAULTS),
+    "oscillator": (run_oscillator, TRAP_DEFAULTS),
+    "check": (run_check, CHECK_DEFAULTS),
 }
 
 
@@ -516,23 +535,20 @@ def main(argv=None) -> int:
         prog="sta",
         description="Shortcuts to adiabaticity: counterdiabatic atom sweeps and trap expansions.",
     )
-    parser.add_argument("scenario", choices=sorted(_RUNNERS))
+    parser.add_argument("scenario", choices=sorted(_SCENARIOS))
     parser.add_argument("--config", metavar="PATH", help="JSON parameter file (strict keys)")
     parser.add_argument("--out", metavar="PATH", help="output CSV path (default <scenario>.csv)")
     parser.add_argument("--dt", type=float, help="time step override (ns for atom, s for trap)")
     parser.add_argument("--window-factor", type=float, dest="window_factor",
                         help="half-window in units of the pulse width 1/sqrt(a)")
-    parser.add_argument("--approx", action="store_true",
-                        help="with rap-cd: drop Re C, keeping the correction Hermitian")
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_run_config(args.scenario, args.config, args.out, args.dt,
-                              args.window_factor, args.approx)
+        cfg = load_run_config(args.scenario, args.config, args.out, args.dt, args.window_factor)
         # numpy's overflow, invalid and divide warnings become runtime errors;
         # the sites that make inf on purpose hold their own errstate
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _RUNNERS[cfg.scenario](cfg)
+            return _SCENARIOS[cfg.scenario][0](cfg)
     except ConfigError as exc:
         print(f"sta: config error: {exc}", file=sys.stderr)
         return 2

@@ -45,7 +45,6 @@ from .quadrature import _cumulative_simpson, _refine
 
 __all__ = [
     "MixingAngleTrajectory",
-    "PhasePair",
     "XiPolicy",
     "bare_hamiltonian",
     "alpha_dot",
@@ -254,14 +253,6 @@ def branch_energies(s: PulseSchedule, t, alpha):
     return e0 + 0.5 * sigma, e0 - 0.5 * sigma
 
 
-@dataclass(frozen=True)
-class PhasePair:
-    """Adiabatic phase of a branch and its left-basis partner (the conjugate)."""
-
-    beta: complex
-    beta_hat: complex
-
-
 def adiabatic_phase_values(s: PulseSchedule, grid: np.ndarray):
     """Adiabatic phases beta_pm(t) = -integral of E_pm from grid[0], on the grid.
 
@@ -277,34 +268,30 @@ def adiabatic_phase_values(s: PulseSchedule, grid: np.ndarray):
     return tuple(_cumulative_simpson(e[0::2], e[1::2], neg_h) for e in (ep, em))
 
 
-def adiabatic_phase(s: PulseSchedule, branch: int, t: float) -> PhasePair:
-    """Adiabatic phase accumulated by one branch from the window start to t.
+def adiabatic_phase(s: PulseSchedule, branch: int, t: float) -> complex:
+    """Adiabatic phase beta accumulated by one branch from the window start to t.
 
-    branch is +1 or -1.  The left-basis phase is the complex conjugate.
+    branch is +1 or -1.  The left-basis phase is its conjugate, beta_hat = beta*.
     """
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
     t0 = s.window[0]
     if t == t0:
-        return PhasePair(beta=0.0 + 0.0j, beta_hat=0.0 - 0.0j)
+        return 0j
     grid = np.linspace(t0, t, _PHASE_NODES)
     bp, bm = adiabatic_phase_values(s, grid)
-    beta = complex(bp[-1] if branch == +1 else bm[-1])
-    return PhasePair(beta=beta, beta_hat=np.conj(beta))
+    return complex(bp[-1] if branch == +1 else bm[-1])
 
 
 @dataclass(frozen=True)
 class XiPolicy:
-    """Phase policy xi_pm(t) assigning each branch a transport phase.
+    """Phase policy: the rates xi_dot_pm(t) of each branch's transport phase.
 
-    xi functions vanish at the window start; only the derivatives enter the
-    shaped Hamiltonian.  The zero policy reproduces the plain
-    counterdiabatic term; the canonical policy (xi_dot = -E) reproduces the
-    full corrected drive.
+    Only these rates enter the shaped Hamiltonian.  The zero policy
+    reproduces the plain counterdiabatic term; the canonical policy
+    (xi_dot = -E) reproduces the full corrected drive.
     """
 
-    xi_plus: Callable
-    xi_minus: Callable
     xi_dot_plus: Callable
     xi_dot_minus: Callable
 
@@ -312,28 +299,22 @@ class XiPolicy:
 def zero_policy() -> XiPolicy:
     """Policy with xi_pm identically zero."""
     z = _const(0.0)
-    return XiPolicy(xi_plus=z, xi_minus=z, xi_dot_plus=z, xi_dot_minus=z)
+    return XiPolicy(xi_dot_plus=z, xi_dot_minus=z)
 
 
 def canonical_policy(s: PulseSchedule, traj: MixingAngleTrajectory) -> XiPolicy:
     """Policy xi_dot_pm = -E_pm, which turns phase shaping into the exact drive.
 
-    Values between the trajectory nodes are linearly interpolated; on the
+    Rates between the trajectory nodes are linearly interpolated; on the
     nodes they are exact.
     """
     grid = traj.grid
     ep, em = branch_energies(s, grid, traj.alpha)
-    bp, bm = adiabatic_phase_values(s, grid)
 
     def interp(values):
         return lambda t: np.interp(t, grid, values)
 
-    return XiPolicy(
-        xi_plus=interp(bp),
-        xi_minus=interp(bm),
-        xi_dot_plus=interp(-ep),
-        xi_dot_minus=interp(-em),
-    )
+    return XiPolicy(xi_dot_plus=interp(-ep), xi_dot_minus=interp(-em))
 
 
 def phase_shaped_hamiltonian(s: PulseSchedule, policy: XiPolicy, t, alpha) -> np.ndarray:

@@ -84,7 +84,9 @@ _ROW_START = _U(ord(",") ^ ord("\n"))
 # bytes 2-19 and the exponent bytes 20-23, and byte 24 when it has three digits;
 # bytes 25-31 stay zero.
 _FIXED_AT, _EXP_AT = 6, 2
-_LAST_ROWS = 24  # XOR words per k, one per slot byte of the last digit other than "0"
+# XOR words per k, one per slot byte L = 2-23 of the last digit other than "0"
+# (row L - 2): S starts at byte 2 or later, so L is never 0 or 1.
+_LAST_ROWS = 22
 
 
 class _Tables(NamedTuple):
@@ -92,8 +94,8 @@ class _Tables(NamedTuple):
 
     pow10: np.ndarray     # float (., 4): hi, lo, and hi's high and low halves of 10^(16-k)
     digits: np.ndarray    # uint64 (., 4): P, Q = 9 P or 0, and the split divisor and scale
-    xor: np.ndarray       # uint64 (_LAST_ROWS * ., 4) by L rows of k: the slot words' fixed
-                          # bytes, XORed over ASCII digits, L the last digit other than "0"
+    xor: np.ndarray       # uint64 (_LAST_ROWS * ., 4) by L - 2 rows of k: the slot words'
+                          # fixed bytes, XORed over ASCII digits, L the last digit other than "0"
     ascii_hi: np.ndarray  # uint64 (10**4,): 4 digits as ASCII in bytes 0-3, the first lowest
     ascii_lo: np.ndarray  # uint64 (10**4,): the same in bytes 4-7
     special: np.ndarray   # uint64 (5,): ",0", ",-0", ",inf", ",-inf", ",nan"
@@ -174,11 +176,12 @@ def _tables() -> _Tables:
     # the dot becomes "0" ^ 0x30 = 0.
     least = np.where(expo, _EXP_AT + 1, np.where(fixed, _FIXED_AT + 1 + ks,
                                                   np.where(small, _FIXED_AT + 1, 24)))
-    start = np.arange(_LAST_ROWS + 1)[:, None]
+    # masks for start 0-24, to byte 20 or 24; the row of slot byte L (2-23) is L - 2
+    start = np.arange(25)[:, None]
     pos = np.arange(32)
     masks = _words(np.concatenate([(pos >= start) & (pos < end) for end in (20, 24)]) * 0xFF)
-    rows = (np.maximum(np.arange(1, _LAST_ROWS + 1)[:, None], least)
-            + np.where(expo, 0, _LAST_ROWS + 1))
+    rows = (np.maximum(np.arange(3, 3 + _LAST_ROWS)[:, None], least)
+            + np.where(expo, 0, start.size))
     strip = np.take(masks, rows, axis=0).reshape(_LAST_ROWS, -1)
     words = _words(xor).ravel()
     strip &= words ^ _ZEROS
@@ -287,13 +290,14 @@ def format_rows(table: np.ndarray) -> bytes:
                   np.take(t.ascii_lo, groups.view(np.intp)), out=words)
 
     # the last digit other than "0" lies in the third word but for round values;
-    # the XOR word for it clears the trailing zeros, and a dot left last
+    # the XOR word for it clears the trailing zeros, and a dot left last.  Slot
+    # byte L reads as row L - 2, and a third word of all "0" as row 15 - 2
     last = np.frexp((words[2] ^ _ZEROS).astype(np.float64))[1]
-    last += 127
+    last += 127 - 16
     last >>= 3
-    round_ = np.flatnonzero(last == 15)
+    round_ = np.flatnonzero(last == 15 - 2)
     if round_.size:
-        last[round_] = _last_digit(words[:, round_])
+        last[round_] = _last_digit(words[:, round_]) - 2
     last *= 2 * _KMAX + 1
     last += kk
     out[:size, 3] = 0

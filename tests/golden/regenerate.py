@@ -1,0 +1,75 @@
+"""Regenerate the golden outputs of the default scenarios.
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+Runs the five CSV scenarios and ``sta check`` at their defaults, in
+process, and writes ``manifest.json`` (numpy version; per CSV its
+SHA-256, header, row count, and every 100th data row plus the last, as
+text) and ``check.txt`` (the check's stdout, verbatim) next to this file.
+``tests/test_golden.py`` compares fresh runs with them.  A change that
+alters these bytes by design reruns this script and names the changed
+files and the reason in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from sta.cli import main
+
+HERE = Path(__file__).resolve().parent
+SCENARIOS = ("rap", "rap-cd", "rap-cd-approx", "cd-terms", "oscillator")
+EVERY = 100
+
+
+def sampled_rows(n: int) -> list[int]:
+    """Data-row indices kept in the manifest: every EVERY-th row and the last."""
+    return sorted({*range(0, n, EVERY), n - 1}) if n else []
+
+
+def csv_entry(data: bytes) -> dict:
+    lines = data.decode().splitlines()
+    header, rows = lines[0], lines[1:]
+    return {
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "header": header,
+        "rows": len(rows),
+        "sample": {str(i): rows[i] for i in sampled_rows(len(rows))},
+    }
+
+
+def run_scenario(scenario: str, directory: Path) -> bytes:
+    path = directory / f"{scenario}.csv"
+    if main([scenario, "--out", str(path)]) != 0:
+        raise SystemExit(f"sta {scenario} failed")
+    return path.read_bytes()
+
+
+def run_check() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["check"])
+    if code != 0:
+        raise SystemExit("sta check failed")
+    return out.getvalue()
+
+
+def regenerate() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        csvs = {s: csv_entry(run_scenario(s, Path(tmp))) for s in SCENARIOS}
+    manifest = {"numpy": np.__version__, "every": EVERY, "csv": csvs}
+    (HERE / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    (HERE / "check.txt").write_text(run_check())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())

@@ -103,12 +103,14 @@ def test_rap_cd_lossless_is_unitary(tmp_path):
     assert rows["P1"][-1] > 1.0 - 1e-6
 
 
-def test_approx_scenario_equals_flag(tmp_path):
+def test_approx_scenario_drops_re_c(tmp_path, capsys):
     _, exact = run(tmp_path, "rap-cd", "--dt", "0.01", out="exact.csv")
-    _, flagged = run(tmp_path, "rap-cd", "--approx", "--dt", "0.01", out="flag.csv")
-    _, scenario = run(tmp_path, "rap-cd-approx", "--dt", "0.01", out="scen.csv")
-    assert flagged.read_bytes() == scenario.read_bytes()
-    e, a = table(exact), table(flagged)
+    code, approx = run(tmp_path, "rap-cd-approx", "--dt", "0.01", out="approx.csv")
+    assert code == 0
+    # the truncated drive leaks by design and never warns
+    assert capsys.readouterr().err == ""
+    e, a = table(exact), table(approx)
+    assert np.max(a["c_minus_abs"]) > 1e-5
     gap = max(np.max(np.abs(e["P1"] - a["P1"])), np.max(np.abs(e["P2"] - a["P2"])))
     # dropping Re C is visible in the populations but stays below a percent
     assert 1e-4 < gap < 0.01
@@ -217,6 +219,30 @@ def test_oscillator_warns_when_oracle_disagrees(tmp_path, capsys, payload, warns
         assert err == ""
 
 
+# E(0) = m omega0^2 q0^2 / 2 is subnormal at q0 = 1e-145 um, where the
+# written E(tf)/E(0) reads 0.0111 against omega_f/omega_0 = 0.01, and it
+# underflows to 0 at 1e-150 um; the rest orbit keeps its library UserWarning
+@pytest.mark.parametrize("payload,warns", [
+    ({}, False),
+    ({"q0_um": 0.0}, False),
+    ({"q0_um": 1e-145}, True),
+    ({"q0_um": 1e-150}, True),
+], ids=["default", "rest", "subnormal-energy", "zero-energy"])
+@pytest.mark.filterwarnings("ignore:q0 = v0 = 0:UserWarning")
+def test_oscillator_warns_when_energy_ratio_misses(tmp_path, capsys, payload, warns):
+    code, path = run(tmp_path, "oscillator", "--config", config_file(tmp_path, payload))
+    err = capsys.readouterr().err
+    assert code == 0
+    energy = table(path)["energy_J"]
+    e0, ef = energy[501], energy[501 + 2000]  # t = 0 and t = tf
+    if warns:
+        assert err.startswith("sta: warning: closed-form E(tf)/E(0) misses omega_f/omega_0 = ")
+        assert err.count("\n") == 1
+        assert not (e0 > 0 and abs(ef / e0 - 0.01) <= 1e-11)
+    else:
+        assert err == ""
+
+
 def test_oscillator_initial_velocity(tmp_path):
     cfg = config_file(tmp_path, {"v0_um_per_ms": 2.0, "n_shortcut": 101, "n_ellipse": 11})
     code, path = run(tmp_path, "oscillator", "--config", cfg)
@@ -302,7 +328,7 @@ def test_rap_cd_at_exceptional_point_is_runtime_error(tmp_path, capsys):
 @pytest.mark.parametrize("payload, flags, code, warns", [
     ({"rabi_peak_mhz": 1.001, "gamma_mhz": 2.0}, [], 0, True),   # grid misses the peak rate
     ({}, [], 0, False),                                          # defaults: roundoff leakage
-    ({}, ["--approx"], 0, False),                                # truncation leaks by design
+    ({}, ["--dt", "0.01"], 0, False),                            # a coarser grid, still small
     ({"rabi_peak_mhz": 1.0, "gamma_mhz": 2.0}, [], 3, False),    # on the exceptional point
 ])
 def test_rap_cd_leakage_warning(tmp_path, capsys, payload, flags, code, warns):
@@ -313,8 +339,7 @@ def test_rap_cd_leakage_warning(tmp_path, capsys, payload, flags, code, warns):
     assert ("sta: warning: max branch leakage" in err) == warns
     if got == 0:
         leak = np.max(table(path)["c_minus_abs"])
-        if not flags:
-            assert (leak > 1e-5) == warns
+        assert (leak > 1e-5) == warns
         if not warns:
             assert err == ""
 
@@ -386,6 +411,36 @@ def test_bad_config_values(tmp_path, capsys, scenario, payload):
     assert "sta: config error:" in capsys.readouterr().err
 
 
+BIG = 10**400  # a JSON integer past the double range
+
+
+@pytest.mark.parametrize("scenario,key", [
+    *[("rap", key) for key in climod.ATOM_DEFAULTS],
+    *[("oscillator", key) for key in climod.TRAP_DEFAULTS if not key.startswith("n_")],
+    *[("check", key) for key in climod.CHECK_DEFAULTS],
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integer_too_large_for_a_double_is_config_error(tmp_path, capsys, scenario, key, sign):
+    code, _ = run(tmp_path, scenario, "--config", config_file(tmp_path, {key: sign * BIG}))
+    assert code == 2
+    assert capsys.readouterr().err == (f"sta: config error: config key '{key}' must be finite, "
+                                       "got an integer too large for a double\n")
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"n_shortcut": BIG}, "config key 'n_shortcut' must be finite"),
+    ({"n_ellipse": BIG}, "config key 'n_ellipse' must be finite"),
+    # each count is a double, but n_shortcut + 2 n_ellipse is not
+    ({"n_shortcut": 10**308, "n_ellipse": 10**308}, "n_shortcut + 2 n_ellipse gives inf steps"),
+], ids=["n_shortcut", "n_ellipse", "sum"])
+def test_oscillator_counts_too_large_for_a_double_are_config_errors(tmp_path, capsys, payload,
+                                                                     message):
+    code, _ = run(tmp_path, "oscillator", "--config", config_file(tmp_path, payload))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"sta: config error: {message}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("tf_ms", ["25", None])
 def test_oscillator_dt_with_bad_tf_is_config_error(tmp_path, capsys, tf_ms):
     # the config is validated before --dt is converted with tf_ms
@@ -416,9 +471,6 @@ def test_flag_misuse(tmp_path, capsys):
     code, _ = run(tmp_path, "oscillator", "--window-factor", "3.0")
     assert code == 2 and "window-factor" in capsys.readouterr().err
 
-    code, _ = run(tmp_path, "rap", "--approx")
-    assert code == 2 and "--approx" in capsys.readouterr().err
-
     code, _ = run(tmp_path, "rap", "--dt", "-1.0")
     assert code == 2
 
@@ -434,6 +486,35 @@ def test_unknown_scenario_exits_via_argparse(capsys):
         main(["frobnicate"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+def test_approx_flag_exits_via_argparse(capsys):
+    # rap-cd-approx is the one selector of the Hermitian drive
+    with pytest.raises(SystemExit) as excinfo:
+        main(["rap-cd", "--approx"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --approx" in capsys.readouterr().err
+
+
+# --dt and --window-factor obey the config rules of dt_ns and window_factor,
+# checked after the config file's keys and in that order
+@pytest.mark.parametrize("scenario,payload,flags,message", [
+    ("rap", {"dt_ns": -1}, ["--dt", "-2"], "config key 'dt_ns' must be > 0.0, got -1"),
+    ("rap", {}, ["--dt", "-1", "--window-factor", "-2"],
+     "config key 'dt_ns' must be > 0.0, got -1.0"),
+    ("rap", {}, ["--window-factor", "nan"], "config key 'window_factor' must be finite, got nan"),
+    ("rap", {"window_factor": 0}, ["--window-factor", "-2"],
+     "config key 'window_factor' must be > 0.0, got 0"),
+    ("check", {}, ["--dt", "-1", "--window-factor", "3"],
+     "config key 'dt_ns' must be > 0.0, got -1.0"),
+    ("check", {}, ["--window-factor", "-3"], "--window-factor does not apply to scenario 'check'"),
+    ("oscillator", {}, ["--dt", "1.0", "--window-factor", "3"],
+     "--dt must lie in (0, tf) seconds for the oscillator"),
+])
+def test_flag_values_follow_the_config_rules(tmp_path, capsys, scenario, payload, flags, message):
+    code, _ = run(tmp_path, scenario, "--config", config_file(tmp_path, payload), *flags)
+    assert code == 2
+    assert capsys.readouterr().err == f"sta: config error: {message}\n"
 
 
 def test_default_output_name(tmp_path, monkeypatch):
@@ -684,7 +765,7 @@ def _reference_csvfmt_tables():
         for b in range(at, at + 18):
             layout.setdefault(b, ("digit",))
         row = []
-        for last in range(csvfmt._LAST_ROWS):
+        for last in range(2, 2 + csvfmt._LAST_ROWS):  # S starts at slot byte 2 or later
             kept = max(last + 1, least)
             text = bytearray(32)
             for b in range(32):

@@ -232,22 +232,23 @@ def test_adiabatic_phase_static():
     a0 = mixing_angle_anchor(s, 0.0)
     ep, em = branch_energies(s, 0.0, a0)
     for branch, e in ((+1, ep), (-1, em)):
-        pair = adiabatic_phase(s, branch, 1.7)
-        np.testing.assert_allclose(pair.beta, -e * 1.7, rtol=1e-10)
-        assert pair.beta_hat == np.conj(pair.beta)
+        beta = adiabatic_phase(s, branch, 1.7)
+        assert isinstance(beta, complex)
+        np.testing.assert_allclose(beta, -e * 1.7, rtol=1e-10)
+    assert adiabatic_phase(s, +1, 0.0) == 0j
 
 
 def test_adiabatic_phase_decay_law():
     g = 0.3
     s = constant_schedule(0.0, 0.0, g, window=(0.0, 10.0))
     for t in (2.0, 10.0):
-        beta = adiabatic_phase(s, +1, t).beta
+        beta = adiabatic_phase(s, +1, t)
         np.testing.assert_allclose(abs(np.exp(1j * beta)) ** 2, np.exp(-g * t), rtol=1e-12)
 
 
 def test_adiabatic_phase_net_decay(atom):
     # net loss accumulated along the followed branch over the full sweep
-    beta = adiabatic_phase(atom, +1, atom.window[1]).beta
+    beta = adiabatic_phase(atom, +1, atom.window[1])
     survival = abs(np.exp(1j * beta)) ** 2
     assert survival < 1.0
     np.testing.assert_allclose(survival, np.exp(-0.1), atol=1e-9)
@@ -277,8 +278,7 @@ def test_policy_obstruction(atom, atom_grid):
         def xd(k):
             return lambda t: w[k] + w[k + 1] * np.sin(0.2 * np.asarray(t))
 
-        policy = XiPolicy(xi_plus=xd(0), xi_minus=xd(2),
-                          xi_dot_plus=xd(0), xi_dot_minus=xd(2))
+        policy = XiPolicy(xi_dot_plus=xd(0), xi_dot_minus=xd(2))
         h = phase_shaped_hamiltonian(atom, policy, atom_grid, traj.alpha)
         np.testing.assert_allclose(h[:, 0, 1] - h[:, 1, 0], 2.0 * c, rtol=1e-13, atol=5e-15)
 
@@ -412,8 +412,7 @@ def test_hamiltonians_bitwise_match_stacked_reference(atom, where):
              else mixing_angle_values(atom, np.array([t]))[0])
     rng = np.random.default_rng(3)
     xp, xm = rng.normal(size=(2,) + np.shape(t))
-    policy = XiPolicy(xi_plus=None, xi_minus=None,
-                      xi_dot_plus=lambda u: xp, xi_dot_minus=lambda u: xm)
+    policy = XiPolicy(xi_dot_plus=lambda u: xp, xi_dot_minus=lambda u: xm)
     sh2, ch2 = np.sin(alpha / 2.0) ** 2, np.cos(alpha / 2.0) ** 2
     off = 0.5 * np.sin(alpha) * (xm - xp)
     assert_bitwise(phase_shaped_hamiltonian(atom, policy, t, alpha),

@@ -1,0 +1,77 @@
+"""Golden outputs of the default scenarios (tests/golden/, see regenerate.py there).
+
+Each default CSV is compared value by value with the recorded rows: every
+100th data row and the last, within 1e-12 of the column's largest recorded
+magnitude (an absolute 1e-12 for c_minus_abs, which is roundoff at the
+defaults).  The whole file's SHA-256, and the check's stdout verbatim, are
+compared only under the numpy version that recorded them; under another
+one each check line must keep its verdict, name and threshold, and its
+measured residual within 1% of the threshold.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sta.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
+SAME_NUMPY = np.__version__ == MANIFEST["numpy"]
+ABSOLUTE = {"c_minus_abs"}
+TOL = 1e-12
+
+
+def _values(lines):
+    return np.array([[float(v) for v in line.split(",")] for line in lines])
+
+
+@pytest.mark.parametrize("scenario", sorted(MANIFEST["csv"]))
+def test_default_csv_matches_golden(tmp_path, scenario):
+    want = MANIFEST["csv"][scenario]
+    path = tmp_path / f"{scenario}.csv"
+    assert main([scenario, "--out", str(path)]) == 0
+    data = path.read_bytes()
+    lines = data.decode().splitlines()
+    assert lines[0] == want["header"]
+    assert len(lines) - 1 == want["rows"]
+
+    index = [int(i) for i in want["sample"]]
+    expected = _values(want["sample"].values())
+    got = _values(lines[1 + i] for i in index)
+    finite = np.isfinite(expected)
+    assert np.array_equal(finite, np.isfinite(got))
+    assert np.array_equal(expected[~finite], got[~finite], equal_nan=True)
+    scale = np.max(np.abs(np.where(finite, expected, 0.0)), axis=0)
+    for j, name in enumerate(want["header"].split(",")):
+        bound = TOL if name in ABSOLUTE else TOL * scale[j]
+        dev = np.abs(np.where(finite[:, j], got[:, j] - expected[:, j], 0.0))
+        assert dev.max() <= bound, f"{scenario} column {name}: {dev.max():.3e} > {bound:.3e}"
+    if SAME_NUMPY:
+        assert hashlib.sha256(data).hexdigest() == want["sha256"]
+
+
+_LINE = re.compile(r"(PASS|FAIL) (\S+): measured=(\S+) threshold=(\S+)")
+
+
+def test_check_stdout_matches_golden():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["check"]) == 0
+    want = (GOLDEN / "check.txt").read_text()
+    if SAME_NUMPY:
+        assert out.getvalue() == want
+        return
+    got_lines, want_lines = out.getvalue().splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines) and got_lines[-1] == want_lines[-1]
+    for g, w in zip(got_lines[:-1], want_lines[:-1]):
+        (verdict, name, measured, threshold), expected = _LINE.match(g).groups(), _LINE.match(w)
+        assert (verdict, name, threshold) == expected.group(1, 2, 4)
+        # most residuals are roundoff, which another numpy may round differently
+        assert abs(float(measured) - float(expected.group(3))) <= 0.01 * float(threshold), g
