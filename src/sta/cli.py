@@ -77,10 +77,6 @@ _LEAK_WARN = 1e-5
 # (the agreement bound of acceptance criterion 08).
 _ORACLE_WARN = 1e-6
 
-# Largest relative miss of the closed-form E(tf)/E(0) from omega_f/omega_0
-# before the oscillator warns on stderr.
-_ENERGY_WARN = 1e-9
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -223,14 +219,14 @@ def _atom_setup(params: dict):
 def _transitionless_sweep(params: dict, approx: bool = False):
     """Corrected atom sweep from the upper branch chi_+ and its leakage |c_-|.
 
-    Returns the schedule, the branch basis, the state trajectory and |c_-|
-    on the grid.  approx drives with the Hermitian correction instead.
+    Returns the state trajectory and |c_-| on the grid.  approx drives
+    with the Hermitian correction instead.
     """
     schedule, grid = _atom_setup(params)
     basis = cd.adiabatic_basis(schedule, cd.mixing_angle_trajectory(schedule, grid))
     drive = cd.cd_hamiltonian_approx if approx else cd.cd_hamiltonian
     traj = propagate(lambda t: drive(schedule, t), basis.right_at(0)[0], grid)
-    return schedule, basis, traj, np.abs(branch_projection(traj, basis)[:, 1])
+    return traj, np.abs(branch_projection(traj, basis)[:, 1])
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -277,7 +273,7 @@ def run_rap_cd(cfg: RunConfig) -> int:
     rate near an exceptional point; rap-cd-approx leaks by design.
     """
     approx = cfg.scenario == "rap-cd-approx"
-    _, _, traj, leak = _transitionless_sweep(cfg.params, approx)
+    traj, leak = _transitionless_sweep(cfg.params, approx)
     write_csv(cfg.out_path, ["t_ns", "P1", "P2", "norm2", "c_minus_abs"],
               [traj.grid, traj.p1, traj.p2, traj.norm2, leak])
     if not approx and leak.max() > _LEAK_WARN:
@@ -368,33 +364,14 @@ def _require_display_grid(params: dict, tf: float, tail: np.ndarray) -> None:
                       "after the ramp is too short to step from tf in doubles")
 
 
-def _energy_warning(plan: trap.ErmakovPlan, e0: float, ef: float) -> str | None:
-    """The warning when E(0) is not positive or E(tf)/E(0) misses omega_f/omega_0.
-
-    e0 and ef are Python floats, whose quotient is inf past the double
-    range where a numpy one would raise under the CLI's float policy.  The
-    ratio is taken from the energies as written, so subnormal energies,
-    which keep too few digits for it, are caught.  The rest orbit (R = 0)
-    has no energy to compare and keeps the library's UserWarning.
-    """
-    if plan.amplitude == 0.0:
-        return None
-    ratio = plan.omegaf / plan.omega0
-    if e0 > 0.0 and abs(ef / e0 - ratio) <= _ENERGY_WARN * ratio:
-        return None
-    return (f"closed-form E(tf)/E(0) misses omega_f/omega_0 = {ratio:.6e} by more than "
-            f"{_ENERGY_WARN:.0e} relative (E(0) = {e0:.3e} J, E(tf) = {ef:.3e} J); the run "
-            "does not confirm the energy claim")
-
-
 def run_oscillator(cfg: RunConfig) -> int:
     """Trap expansion with one display period at either end.
 
     Emits the closed-form trajectory, its energy bookkeeping and the RK4
     integration of Hamilton's equations as independent columns.  Warns
     when the two routes disagree in q or v beyond _ORACLE_WARN, or else
-    when the closed-form E(tf)/E(0) misses omega_f/omega_0 beyond
-    _ENERGY_WARN.
+    when the energies written at t = 0 and t = tf break the energy claim
+    (trap.energy_claim_error).
     """
     p = cfg.params
     plan = _trap_plan(p)
@@ -429,7 +406,8 @@ def run_oscillator(cfg: RunConfig) -> int:
             break
     else:
         start, end = p["n_ellipse"], p["n_ellipse"] + p["n_shortcut"] - 1  # t = 0 and t = tf
-        warning = _energy_warning(plan, float(energy[start]), float(energy[end]))
+        reason = trap.energy_claim_error(plan, float(energy[start]), float(energy[end]))
+        warning = reason and f"{reason}; the run does not confirm the energy claim"
     if warning:
         print(f"sta: warning: {warning}", file=sys.stderr)
     return 0
@@ -462,7 +440,11 @@ def _biortho_defect() -> float:
 
 
 def _check_lines(params: dict) -> tuple[list[str], bool]:
-    """Run the invariant suite; every line reports the measured residual."""
+    """Run the invariant suite; every line reports the measured residual.
+
+    One pair sweep under the corrected drive gives both atom lines: its
+    forward states the leakage, its conserved overlap <psi_hat|psi> the drift.
+    """
     scale = params["tolerance_scale"]
     dt = params["dt_ns"]
     lines = []
@@ -477,14 +459,16 @@ def _check_lines(params: dict) -> tuple[list[str], bool]:
     worst = _biortho_defect()
     report("biorthogonality-closure-reconstruction", worst, 1e-10 * scale, worst < 1e-10 * scale)
 
-    schedule, basis, traj, leak = _transitionless_sweep({**ATOM_DEFAULTS, "dt_ns": dt})
-    leak = float(leak.max())
+    schedule, grid = _atom_setup({**ATOM_DEFAULTS, "dt_ns": dt})
+    # chi_+(t0) from the anchor angle, where the mixing-angle trajectory starts
+    anchor = cd.mixing_angle_anchor(schedule, grid[0])
+    r0 = cd.MixingAngleTrajectory(grid[:1], [anchor]).right_at(0)[0]
+    pair = propagate_pair(lambda t: cd.cd_hamiltonian(schedule, t), r0, r0.conj(), grid)
+    # built after the sweep, so that no basis is held during it
+    basis = cd.mixing_angle_trajectory(schedule, grid)
+    leak = float(np.max(np.abs(branch_projection(pair, basis)[:, 1])))
     report("transitionless-branch-leakage", leak, _LEAK_WARN * scale, leak < _LEAK_WARN * scale)
 
-    # chi_+ and its left partner at t0; the basis and the states are freed before the pair sweep
-    grid, r0 = basis.grid, basis.right_at(0)[0]
-    del basis, traj
-    pair = propagate_pair(lambda t: cd.bare_hamiltonian(schedule, t), r0, r0.conj(), grid)
     drift = float(np.max(np.abs(pair.biorth_overlap - pair.biorth_overlap[0])))
     report("biorthogonal-overlap-drift", drift, 1e-8 * scale, drift < 1e-8 * scale)
 

@@ -1,11 +1,13 @@
-"""Regenerate the golden outputs of the default scenarios.
+"""Regenerate the golden outputs of the default and seeded scenarios.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Runs the five CSV scenarios and ``sta check`` at their defaults, in
-process, and writes ``manifest.json`` (numpy version; per CSV its
-SHA-256, header, row count, and every 100th data row plus the last, as
-text) and ``check.txt`` (the check's stdout, verbatim) next to this file.
+Runs the five CSV scenarios and ``sta check`` at their defaults, and
+``rap-cd`` on the benchmark's ``atom_config`` draws for SEEDS, in process.
+Writes ``manifest.json`` (numpy version; per CSV its SHA-256, header, row
+count, and every 100th data row plus the last, as text; per seeded run
+also its seed and config) and ``check.txt`` (the check's stdout,
+verbatim) next to this file.
 ``tests/test_golden.py`` compares fresh runs with them.  A change that
 alters these bytes by design reruns this script and names the changed
 files and the reason in CHANGES.md.
@@ -26,7 +28,11 @@ import numpy as np
 from sta.cli import main
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parents[1] / "bench"))
+from workloads import atom_config  # noqa: E402
+
 SCENARIOS = ("rap", "rap-cd", "rap-cd-approx", "cd-terms", "oscillator")
+SEEDS = (1, 2, 3, 4, 5)  # seeds of the rap-cd runs on atom_config
 EVERY = 100
 
 
@@ -46,11 +52,21 @@ def csv_entry(data: bytes) -> dict:
     }
 
 
-def run_scenario(scenario: str, directory: Path) -> bytes:
+def run_scenario(scenario: str, directory: Path, config: dict | None = None) -> bytes:
     path = directory / f"{scenario}.csv"
-    if main([scenario, "--out", str(path)]) != 0:
+    argv = [scenario, "--out", str(path)]
+    if config is not None:
+        (directory / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(directory / "config.json")]
+    if main(argv) != 0:
         raise SystemExit(f"sta {scenario} failed")
     return path.read_bytes()
+
+
+def seeded_entry(seed: int, directory: Path) -> dict:
+    config = atom_config(np.random.default_rng(seed))
+    return {"scenario": "rap-cd", "seed": seed, "config": config,
+            **csv_entry(run_scenario("rap-cd", directory, config))}
 
 
 def run_check() -> str:
@@ -65,7 +81,8 @@ def run_check() -> str:
 def regenerate() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         csvs = {s: csv_entry(run_scenario(s, Path(tmp))) for s in SCENARIOS}
-    manifest = {"numpy": np.__version__, "every": EVERY, "csv": csvs}
+        seeded = {f"rap-cd-seed-{k}": seeded_entry(k, Path(tmp)) for k in SEEDS}
+    manifest = {"numpy": np.__version__, "every": EVERY, "csv": csvs, "seeded": seeded}
     (HERE / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
     (HERE / "check.txt").write_text(run_check())
     return 0

@@ -197,14 +197,15 @@ def test_oscillator_fast_compression_oracle_is_finite(tmp_path):
 
 
 # the closed form and its Hamilton oracle differ by 160 orders of magnitude
-# in a strongly inverted ramp; {"q0_um": 0.0} with v0 = 0 is the rest orbit,
+# in a strongly inverted ramp; at ff_hz = 1e5 q agrees, but v misses by
+# 1.2e-7 against 3.1e-8; {"q0_um": 0.0} with v0 = 0 is the rest orbit,
 # where the comparison must not divide 0 by 0
 @pytest.mark.parametrize("payload,warns", [
-    ({}, False),
-    ({"q0_um": 0.0}, False),
-    ({"ff_hz": 1e5}, True),
+    ({}, None),
+    ({"q0_um": 0.0}, None),
+    ({"ff_hz": 1e5}, "v"),
     ({"f0_hz": 3.78e-6, "ff_hz": 1.88e-4, "tf_ms": 1.88e-85, "mass_kg": 3.53e-118,
-      "q0_um": 6.8e-243, "v0_um_per_ms": 7.3e95, "n_shortcut": 50, "n_ellipse": 20}, True),
+      "q0_um": 6.8e-243, "v0_um_per_ms": 7.3e95, "n_shortcut": 50, "n_ellipse": 20}, "q"),
 ], ids=["default", "rest", "ff-1e5", "inverted"])
 @pytest.mark.filterwarnings("ignore:q0 = v0 = 0:UserWarning")
 def test_oscillator_warns_when_oracle_disagrees(tmp_path, capsys, payload, warns):
@@ -213,7 +214,7 @@ def test_oscillator_warns_when_oracle_disagrees(tmp_path, capsys, payload, warns
     assert code == 0
     assert path.exists()
     if warns:
-        assert err.startswith("sta: warning: max |q - q_oracle| = ")
+        assert err.startswith(f"sta: warning: max |{warns} - {warns}_oracle| = ")
         assert err.count("\n") == 1
     else:
         assert err == ""
@@ -241,6 +242,20 @@ def test_oscillator_warns_when_energy_ratio_misses(tmp_path, capsys, payload, wa
         assert not (e0 > 0 and abs(ef / e0 - 0.01) <= 1e-11)
     else:
         assert err == ""
+
+
+@pytest.mark.parametrize("q0_um", [1e-145, 1e-150], ids=["subnormal-energy", "zero-energy"])
+def test_energy_audit_raises_with_the_cli_warning(tmp_path, capsys, q0_um):
+    # one statement of the energy claim: the library raises the reason the
+    # command line warns with, and a moving orbit whose E(0) is 0 fails it
+    code, _ = run(tmp_path, "oscillator", "--config", config_file(tmp_path, {"q0_um": q0_um}))
+    err = capsys.readouterr().err
+    assert code == 0
+    plan = climod._trap_plan({**climod.TRAP_DEFAULTS, "q0_um": q0_um})
+    assert plan.amplitude > 0.0
+    with pytest.raises(ValueError) as raised:
+        climod.trap.energy_audit(plan)
+    assert err == f"sta: warning: {raised.value}; the run does not confirm the energy claim\n"
 
 
 def test_oscillator_initial_velocity(tmp_path):
@@ -304,6 +319,27 @@ def test_check_detects_sign_error(monkeypatch, capsys):
     assert "FAIL transitionless-branch-leakage" in out
     assert "PASS biorthogonality-closure-reconstruction" in out
     assert out.rstrip().endswith("some checks FAILED")
+
+
+def test_check_drift_is_the_corrected_pairs(capsys):
+    # at dt_ns = 0.1 the corrected drive's pair drifts 9.3e-8, past the
+    # 1e-8 threshold (the bare drive's pair drifted 3.3e-10), while its
+    # forward states leak 7.5e-8
+    assert main(["check", "--dt", "0.1"]) == 4
+    out = capsys.readouterr().out
+    assert "FAIL biorthogonal-overlap-drift" in out
+    assert "PASS transitionless-branch-leakage" in out
+
+
+def test_check_branch_jump_follows_the_sweep(monkeypatch, capsys):
+    # the mixing-angle trajectory is built after the pair sweep, and a grid
+    # too coarse for it still ends the check with exit 3
+    pairs = []
+    original = climod.propagate_pair
+    monkeypatch.setattr(climod, "propagate_pair", lambda *args: pairs.append(1) or original(*args))
+    assert main(["check", "--dt", "5.0"]) == 3
+    assert "sta: runtime error: mixing angle jumps" in capsys.readouterr().err
+    assert pairs == [1]
 
 
 def test_check_tightened_tolerances_fail(tmp_path, capsys):
@@ -599,13 +635,15 @@ def test_oversized_grid_is_config_error(tmp_path, capsys, scenario, payload, fla
 
 def test_step_ceiling_boundary(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(propagate_module, "_MAX_STEPS", 1000)
-    # 401 + 2 x 300 points are 1,000 steps, resolved without substeps; one
-    # more point is one step too many.  3 + 2 x 499 points are 1,000 steps
-    # too, but the integration cuts the two ramp intervals into 394 substeps.
+    # 401 + 2 x 300 points are 1,000 steps; over a 5 ms ramp they resolve
+    # omega without substeps, and one more point is one step too many.
+    # 3 + 2 x 499 points are 1,000 steps too, but the integration cuts the
+    # two ramp intervals into 316 substeps.
     for n_shortcut, n_ellipse, code in ((401, 300, 0), (402, 300, 2), (3, 499, 2)):
-        cfg = config_file(tmp_path, {"n_shortcut": n_shortcut, "n_ellipse": n_ellipse})
+        cfg = config_file(tmp_path, {"n_shortcut": n_shortcut, "n_ellipse": n_ellipse,
+                                     "tf_ms": 5.0})
         assert run(tmp_path, "oscillator", "--config", cfg)[0] == code
-    assert "the trap's grid at omega dt <= 0.1 gives 1.39e+03 steps" in capsys.readouterr().err
+    assert "the trap's grid at omega dt <= 0.025 gives 1.31e+03 steps" in capsys.readouterr().err
     # the 15.9 ns window at dt = 0.0159 ns is 1,001 steps
     assert run(tmp_path, "rap", "--dt", "0.016")[0] == 0
     assert run(tmp_path, "rap", "--dt", "0.0159")[0] == 2
@@ -960,7 +998,7 @@ def test_transitionless_sweep_peak_memory():
     assert peak < 2.75e6
 
 
-def test_check_frees_sweep_before_pair(monkeypatch):
+def test_check_holds_no_basis_during_pair(monkeypatch):
     live = []
     original = climod.propagate_pair
 
@@ -968,15 +1006,19 @@ def test_check_frees_sweep_before_pair(monkeypatch):
         live.append(tracemalloc.get_traced_memory()[0])
         return original(*args)
 
+    def second_sweep(*args):
+        raise AssertionError("the corrected pair carries both atom lines")
+
     monkeypatch.setattr(climod, "propagate_pair", recorded)
+    monkeypatch.setattr(climod, "propagate", second_sweep)
     tracemalloc.start()
     try:
         _, ok = climod._check_lines(dict(climod.CHECK_DEFAULTS))
     finally:
         tracemalloc.stop()
-    assert ok
-    # the grid alone is 127 KB; the basis and the corrected sweep's states
-    # held 0.64 MB more
+    assert ok and len(live) == 1
+    # the grid alone is 127 KB; a mixing-angle basis and a forward sweep's
+    # states, built before the pair, would hold 0.64 MB more
     assert live[0] < 0.25e6
 
 

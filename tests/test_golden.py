@@ -1,9 +1,9 @@
-"""Golden outputs of the default scenarios (tests/golden/, see regenerate.py there).
+"""Golden outputs of the default and seeded scenarios (tests/golden/, see regenerate.py there).
 
-Each default CSV is compared value by value with the recorded rows: every
-100th data row and the last, within 1e-12 of the column's largest recorded
-magnitude (an absolute 1e-12 for c_minus_abs, which is roundoff at the
-defaults).  The whole file's SHA-256, and the check's stdout verbatim, are
+Each default CSV, and each seeded rap-cd run on its recorded config, is
+compared value by value with the recorded rows: every 100th data row and
+the last, within 1e-12 of the column's largest recorded magnitude (an
+absolute 1e-12 for c_minus_abs, which is roundoff on these runs).  The whole file's SHA-256, and the check's stdout verbatim, are
 compared only under the numpy version that recorded them; under another
 one each check line must keep its verdict, name and threshold, and its
 measured residual within 1% of the threshold.
@@ -32,12 +32,7 @@ def _values(lines):
     return np.array([[float(v) for v in line.split(",")] for line in lines])
 
 
-@pytest.mark.parametrize("scenario", sorted(MANIFEST["csv"]))
-def test_default_csv_matches_golden(tmp_path, scenario):
-    want = MANIFEST["csv"][scenario]
-    path = tmp_path / f"{scenario}.csv"
-    assert main([scenario, "--out", str(path)]) == 0
-    data = path.read_bytes()
+def _assert_matches(want: dict, label: str, data: bytes):
     lines = data.decode().splitlines()
     assert lines[0] == want["header"]
     assert len(lines) - 1 == want["rows"]
@@ -52,9 +47,25 @@ def test_default_csv_matches_golden(tmp_path, scenario):
     for j, name in enumerate(want["header"].split(",")):
         bound = TOL if name in ABSOLUTE else TOL * scale[j]
         dev = np.abs(np.where(finite[:, j], got[:, j] - expected[:, j], 0.0))
-        assert dev.max() <= bound, f"{scenario} column {name}: {dev.max():.3e} > {bound:.3e}"
+        assert dev.max() <= bound, f"{label} column {name}: {dev.max():.3e} > {bound:.3e}"
     if SAME_NUMPY:
         assert hashlib.sha256(data).hexdigest() == want["sha256"]
+
+
+@pytest.mark.parametrize("scenario", sorted(MANIFEST["csv"]))
+def test_default_csv_matches_golden(tmp_path, scenario):
+    path = tmp_path / f"{scenario}.csv"
+    assert main([scenario, "--out", str(path)]) == 0
+    _assert_matches(MANIFEST["csv"][scenario], scenario, path.read_bytes())
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST["seeded"]))
+def test_seeded_csv_matches_golden(tmp_path, name):
+    want = MANIFEST["seeded"][name]
+    config, path = tmp_path / "config.json", tmp_path / f"{name}.csv"
+    config.write_text(json.dumps(want["config"]))
+    assert main([want["scenario"], "--config", str(config), "--out", str(path)]) == 0
+    _assert_matches(want, name, path.read_bytes())
 
 
 _LINE = re.compile(r"(PASS|FAIL) (\S+): measured=(\S+) threshold=(\S+)")

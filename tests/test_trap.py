@@ -208,8 +208,22 @@ class _ScaledOmegaPlan(ErmakovPlan):
 def _scaled_omega_plan(plan, factor):
     return _ScaledOmegaPlan(omega0=plan.omega0, omegaf=plan.omegaf, tf=plan.tf, mass=plan.mass,
                             coeffs=plan.coeffs, amplitude=plan.amplitude,
-                            theta0=plan.theta0, min_omega_sq=plan.min_omega_sq,
-                            factor=factor)
+                            theta0=plan.theta0, factor=factor)
+
+
+def test_plan_scans_its_own_omega_sq(expansion_plan):
+    # a plan made by replace or by a subclass scans its own omega^2; none
+    # carries the scan of the plan it was made from
+    ts = np.linspace(0.0, expansion_plan.tf, 10001)
+    steeper = plan_expansion(ExpansionSpec(omega0=TWO_PI * 250.0, omegaf=TWO_PI * 0.25,
+                                           tf=0.025, mass=1.44e-25, q0=1e-6))
+    replaced = dataclasses.replace(expansion_plan, coeffs=steeper.coeffs)
+    w2 = np.asarray(replaced.omega_sq(ts))
+    assert replaced.min_omega_sq == float(np.min(w2)) != expansion_plan.min_omega_sq
+    assert replaced.max_abs_omega_sq == float(np.max(np.abs(w2)))
+    doubled = _scaled_omega_plan(expansion_plan, 2.0)
+    assert doubled.min_omega_sq == 2.0 * expansion_plan.min_omega_sq
+    assert doubled.max_abs_omega_sq == 2.0 * expansion_plan.max_abs_omega_sq
 
 
 def test_invariance_residual_sensitivity():
