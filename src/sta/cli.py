@@ -169,10 +169,6 @@ def load_run_config(scenario: str, config_path, out, dt, window_factor) -> RunCo
         params["n_shortcut"] = int(round(steps)) + 1
     if window_factor is not None and "window_factor" not in params:
         raise ConfigError(f"--window-factor does not apply to scenario '{scenario}'")
-    if scenario == "oscillator":
-        # summed as floats: a sum past the double range is inf, which the message can print
-        _require_steps(float(params["n_shortcut"]) + 2.0 * params["n_ellipse"] - 1.0,
-                       "n_shortcut + 2 n_ellipse")
     return RunConfig(scenario=scenario, out=Path(out) if out is not None else None, params=params)
 
 
@@ -216,17 +212,26 @@ def _atom_setup(params: dict):
     return schedule, schedule.grid(params["dt_ns"])
 
 
-def _transitionless_sweep(params: dict, approx: bool = False):
-    """Corrected atom sweep from the upper branch chi_+ and its leakage |c_-|.
+def _transitionless_sweep(schedule, grid: np.ndarray, sweep):
+    """Corrected atom sweep from the upper branch chi_+, then its leakage |c_-|.
 
-    Returns the state trajectory and |c_-| on the grid.  approx drives
-    with the Hermitian correction instead.
+    H_0 + H_1 carries chi_+ from t0, so sweep(r0), the caller's propagation
+    under the caller's drive, needs only the anchor angle.  The mixing-angle
+    trajectory is built after it, so no basis is held during the sweep and
+    a BranchJump comes after it.  Returns the trajectory and |c_-| on the grid.
     """
-    schedule, grid = _atom_setup(params)
-    basis = cd.adiabatic_basis(schedule, cd.mixing_angle_trajectory(schedule, grid))
-    drive = cd.cd_hamiltonian_approx if approx else cd.cd_hamiltonian
-    traj = propagate(lambda t: drive(schedule, t), basis.right_at(0)[0], grid)
+    start = cd.MixingAngleTrajectory(grid[:1], [cd.mixing_angle_anchor(schedule, grid[0])])
+    traj = sweep(start.right_at(0)[0])
+    basis = cd.mixing_angle_trajectory(schedule, grid)
     return traj, np.abs(branch_projection(traj, basis)[:, 1])
+
+
+def _open_out(path: Path, mode: str):
+    """path opened for writing; ConfigError if it cannot be, as for the config file."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -242,7 +247,7 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
         raise ValueError("columns differ in length")
     rows = max(1, csvfmt.BLOCK_VALUES // len(columns))
     block = np.empty((min(rows, n), len(columns)))
-    with open(path, "wb") as fh:
+    with _open_out(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for s in range(0, n, rows):
             m = min(rows, n - s)
@@ -273,7 +278,10 @@ def run_rap_cd(cfg: RunConfig) -> int:
     rate near an exceptional point; rap-cd-approx leaks by design.
     """
     approx = cfg.scenario == "rap-cd-approx"
-    traj, leak = _transitionless_sweep(cfg.params, approx)
+    schedule, grid = _atom_setup(cfg.params)
+    drive = cd.cd_hamiltonian_approx if approx else cd.cd_hamiltonian
+    traj, leak = _transitionless_sweep(
+        schedule, grid, lambda r0: propagate(lambda t: drive(schedule, t), r0, grid))
     write_csv(cfg.out_path, ["t_ns", "P1", "P2", "norm2", "c_minus_abs"],
               [traj.grid, traj.p1, traj.p2, traj.norm2, leak])
     if not approx and leak.max() > _LEAK_WARN:
@@ -350,18 +358,26 @@ def _require_finite_energy(plan: trap.ErmakovPlan, params: dict) -> None:
                       "the orbit it launches overflows in SI units")
 
 
-def _require_display_grid(params: dict, tf: float, tail: np.ndarray) -> None:
-    """ConfigError naming tf_ms and ff_hz when the period after the ramp repeats grid points.
+def _display_grid(params: dict, plan: trap.ErmakovPlan) -> tuple[np.ndarray, int, int]:
+    """The ramp's grid with one display period either side; indices of t = 0 and tf.
 
-    The tail steps from tf by 2 pi / (omegaf n_ellipse), which rounds away
-    once it is below the spacing of doubles at tf.  The lead and ramp steps
-    cannot: _trap_plan keeps the squares of omega0 and tf finite and nonzero.
+    ConfigError past the step ceiling, or naming tf_ms and ff_hz when the
+    period after the ramp repeats points: it steps from tf by 2 pi /
+    (omegaf n_ellipse), which rounds away below the spacing of doubles at
+    tf.  The lead and ramp steps cannot: _trap_plan keeps the squares of
+    omega0 and tf finite and nonzero.
     """
-    if tail[0] > tf and np.all(tail[1:] > tail[:-1]):
-        return
-    raise ConfigError(f"config keys 'tf_ms' = {params['tf_ms']:g} and 'ff_hz' = "
-                      f"{params['ff_hz']:g} are out of range together: the display period "
-                      "after the ramp is too short to step from tf in doubles")
+    n_ramp, n_period = params["n_shortcut"], params["n_ellipse"]
+    # summed as floats: a sum past the double range is inf, which the message can print
+    _require_steps(float(n_ramp) + 2.0 * n_period - 1.0, "n_shortcut + 2 n_ellipse")
+    lead = np.linspace(-TWO_PI / plan.omega0, 0.0, n_period + 1)[:-1]
+    ramp = np.linspace(0.0, plan.tf, n_ramp)
+    tail = np.linspace(plan.tf, plan.tf + TWO_PI / plan.omegaf, n_period + 1)[1:]
+    if not (tail[0] > plan.tf and np.all(tail[1:] > tail[:-1])):
+        raise ConfigError(f"config keys 'tf_ms' = {params['tf_ms']:g} and 'ff_hz' = "
+                          f"{params['ff_hz']:g} are out of range together: the display "
+                          "period after the ramp is too short to step from tf in doubles")
+    return np.concatenate([lead, ramp, tail]), n_period, n_period + n_ramp - 1
 
 
 def run_oscillator(cfg: RunConfig) -> int:
@@ -373,13 +389,8 @@ def run_oscillator(cfg: RunConfig) -> int:
     when the energies written at t = 0 and t = tf break the energy claim
     (trap.energy_claim_error).
     """
-    p = cfg.params
-    plan = _trap_plan(p)
-    lead = np.linspace(-TWO_PI / plan.omega0, 0.0, p["n_ellipse"] + 1)[:-1]
-    ramp = np.linspace(0.0, plan.tf, p["n_shortcut"])
-    tail = np.linspace(plan.tf, plan.tf + TWO_PI / plan.omegaf, p["n_ellipse"] + 1)[1:]
-    _require_display_grid(p, plan.tf, tail)
-    grid = np.concatenate([lead, ramp, tail])
+    plan = _trap_plan(cfg.params)
+    grid, start, end = _display_grid(cfg.params, plan)
 
     closed = trap.closed_form_trajectory(plan, grid)
     oracle = trap.hamilton_trajectory(plan, grid)
@@ -405,7 +416,6 @@ def run_oscillator(cfg: RunConfig) -> int:
                        "the closed form")
             break
     else:
-        start, end = p["n_ellipse"], p["n_ellipse"] + p["n_shortcut"] - 1  # t = 0 and t = tf
         reason = trap.energy_claim_error(plan, float(energy[start]), float(energy[end]))
         warning = reason and f"{reason}; the run does not confirm the energy claim"
     if warning:
@@ -442,8 +452,9 @@ def _biortho_defect() -> float:
 def _check_lines(params: dict) -> tuple[list[str], bool]:
     """Run the invariant suite; every line reports the measured residual.
 
-    One pair sweep under the corrected drive gives both atom lines: its
-    forward states the leakage, its conserved overlap <psi_hat|psi> the drift.
+    Both atom lines come from one _transitionless_sweep under the corrected
+    drive, run as a pair from (r0, r0*): its forward states give the
+    leakage, its conserved overlap <psi_hat|psi> the drift.
     """
     scale = params["tolerance_scale"]
     dt = params["dt_ns"]
@@ -460,13 +471,9 @@ def _check_lines(params: dict) -> tuple[list[str], bool]:
     report("biorthogonality-closure-reconstruction", worst, 1e-10 * scale, worst < 1e-10 * scale)
 
     schedule, grid = _atom_setup({**ATOM_DEFAULTS, "dt_ns": dt})
-    # chi_+(t0) from the anchor angle, where the mixing-angle trajectory starts
-    anchor = cd.mixing_angle_anchor(schedule, grid[0])
-    r0 = cd.MixingAngleTrajectory(grid[:1], [anchor]).right_at(0)[0]
-    pair = propagate_pair(lambda t: cd.cd_hamiltonian(schedule, t), r0, r0.conj(), grid)
-    # built after the sweep, so that no basis is held during it
-    basis = cd.mixing_angle_trajectory(schedule, grid)
-    leak = float(np.max(np.abs(branch_projection(pair, basis)[:, 1])))
+    pair, leak = _transitionless_sweep(schedule, grid, lambda r0: propagate_pair(
+        lambda t: cd.cd_hamiltonian(schedule, t), r0, r0.conj(), grid))
+    leak = float(np.max(leak))
     report("transitionless-branch-leakage", leak, _LEAK_WARN * scale, leak < _LEAK_WARN * scale)
 
     drift = float(np.max(np.abs(pair.biorth_overlap - pair.biorth_overlap[0])))
@@ -498,7 +505,8 @@ def run_check(cfg: RunConfig) -> int:
     lines, ok = _check_lines(cfg.params)
     text = "\n".join(lines) + "\n"
     if cfg.out is not None:
-        Path(cfg.out).write_text(text)
+        with _open_out(cfg.out, "w") as fh:
+            fh.write(text)
     sys.stdout.write(text)
     return 0 if ok else 4
 

@@ -360,7 +360,7 @@ def branch_projection(traj: StateTrajectory, basis) -> np.ndarray:
     l_n is the conjugate of left, which is right itself, so the states are
     contracted with right, built one tile of _TILE points at a time.
     """
-    if traj.grid.shape != basis.grid.shape or not np.allclose(traj.grid, basis.grid):
+    if not np.array_equal(traj.grid, basis.grid):
         raise ValueError("trajectory and basis live on different grids")
     n = len(traj.grid)
     c = np.empty((n, 2), dtype=complex)

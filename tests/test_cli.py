@@ -488,6 +488,19 @@ def test_oscillator_dt_with_bad_tf_is_config_error(tmp_path, capsys, tf_ms):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("scenario,dt", [("rap", "0.1"), ("check", "0.05")])
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_path_is_config_error(tmp_path, capsys, scenario, dt, where):
+    # IsADirectoryError and FileNotFoundError ended in a traceback, exit 1
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    code = main([scenario, "--dt", dt, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("sta: config error: cannot write output file: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_config_file_errors(tmp_path, capsys):
     code, _ = run(tmp_path, "rap", "--config", str(tmp_path / "missing.json"))
     assert code == 2 and "cannot read config file" in capsys.readouterr().err
@@ -984,41 +997,53 @@ def test_write_csv_block_edges(tmp_path, cols, shift):
 
 
 def test_transitionless_sweep_peak_memory():
-    climod._transitionless_sweep(climod.ATOM_DEFAULTS)  # first-call allocations outside
+    def rap_cd():
+        schedule, grid = climod._atom_setup(climod.ATOM_DEFAULTS)
+        return climod._transitionless_sweep(schedule, grid, lambda r0: climod.propagate(
+            lambda t: cdmod.cd_hamiltonian(schedule, t), r0, grid))
+
+    rap_cd()  # first-call allocations outside
     tracemalloc.start()
     try:
-        climod._transitionless_sweep(climod.ATOM_DEFAULTS)
+        rap_cd()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # 4.56 MB with a full-length mixing-angle rate sample and a stored
     # (N, 2, 2) basis and its conjugate, 2.84 MB with stored sin/cos
-    # columns; the tiles leave the step matrices, one tile's H and the
-    # angle, 16 B per point, from which the basis is built when read
-    assert peak < 2.75e6
+    # columns, 2.58 MB with the angle built before the sweep; the tiles
+    # leave the step matrices, one tile's H and the states, and the angle,
+    # 16 B per point, is built after them
+    assert peak < 2.45e6
 
 
-def test_check_holds_no_basis_during_pair(monkeypatch):
+@pytest.mark.parametrize("scenario,sweep,other", [
+    ("check", "propagate_pair", "propagate"),
+    ("rap-cd", "propagate", "propagate_pair"),
+])
+def test_check_holds_no_basis_during_pair(monkeypatch, tmp_path, scenario, sweep, other):
     live = []
-    original = climod.propagate_pair
+    original = getattr(climod, sweep)
 
     def recorded(*args):
         live.append(tracemalloc.get_traced_memory()[0])
         return original(*args)
 
     def second_sweep(*args):
-        raise AssertionError("the corrected pair carries both atom lines")
+        raise AssertionError("one corrected sweep carries every atom line")
 
-    monkeypatch.setattr(climod, "propagate_pair", recorded)
-    monkeypatch.setattr(climod, "propagate", second_sweep)
+    monkeypatch.setattr(climod, sweep, recorded)
+    monkeypatch.setattr(climod, other, second_sweep)
+    cfg = climod.load_run_config(scenario, None, tmp_path / "out", None, None)
+    np.random.default_rng()  # numpy may import numpy.random, 0.5 MB, on first use
     tracemalloc.start()
     try:
-        _, ok = climod._check_lines(dict(climod.CHECK_DEFAULTS))
+        code = climod._SCENARIOS[scenario][0](cfg)
     finally:
         tracemalloc.stop()
-    assert ok and len(live) == 1
-    # the grid alone is 127 KB; a mixing-angle basis and a forward sweep's
-    # states, built before the pair, would hold 0.64 MB more
+    assert code == 0 and len(live) == 1
+    # the grid alone is 127 KB; a mixing-angle basis (255 KB) built before
+    # the sweep, or a forward sweep's states before the pair, would add to it
     assert live[0] < 0.25e6
 
 

@@ -131,10 +131,12 @@ def test_branch_projection_exact(atom, atom_grid):
 
 def test_branch_projection_grid_mismatch(atom, atom_grid):
     basis = adiabatic_basis(atom, mixing_angle_trajectory(atom, atom_grid))
-    other = np.linspace(0.0, 1.0, len(atom_grid))
-    traj = StateTrajectory(grid=other, states=np.zeros((len(other), 2), dtype=complex))
-    with pytest.raises(ValueError):
-        branch_projection(traj, basis)
+    # the second grid lies inside np.allclose's relative 1e-5: the default
+    # corrected sweep read a leakage of 1.37e-5 on it, 5.1e-15 on its own grid
+    for other in (np.linspace(0.0, 1.0, len(atom_grid)), atom_grid * (1 + 9e-6)):
+        traj = StateTrajectory(grid=other, states=np.zeros((len(other), 2), dtype=complex))
+        with pytest.raises(ValueError):
+            branch_projection(traj, basis)
 
 
 def test_transitionless_leakage(atom, atom_grid):
