@@ -22,6 +22,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -226,12 +227,22 @@ def _transitionless_sweep(schedule, grid: np.ndarray, sweep):
     return traj, np.abs(branch_projection(traj, basis)[:, 1])
 
 
+@contextlib.contextmanager
 def _open_out(path: Path, mode: str):
-    """path opened for writing; ConfigError if it cannot be, as for the config file."""
+    """path opened for writing, and closed after the block.
+
+    ConfigError if it cannot be opened, as for the config file; StaError if
+    a write or the close fails, as on a full device.
+    """
     try:
-        return open(path, mode)
+        fh = open(path, mode)
     except OSError as exc:
         raise ConfigError(f"cannot write output file: {exc}") from exc
+    try:
+        with fh:
+            yield fh
+    except OSError as exc:
+        raise StaError(f"cannot write output file: {exc}") from exc
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:

@@ -501,6 +501,17 @@ def test_unwritable_out_path_is_config_error(tmp_path, capsys, scenario, dt, whe
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("scenario,dt", [("rap", "0.1"), ("check", "0.05")])
+def test_failed_write_to_out_is_runtime_error(capsys, scenario, dt):
+    # /dev/full opens but fails every write: an OSError traceback, exit 1, before
+    code = main([scenario, "--dt", dt, "--out", "/dev/full"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("sta: runtime error: cannot write output file: [Errno 28]")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_config_file_errors(tmp_path, capsys):
     code, _ = run(tmp_path, "rap", "--config", str(tmp_path / "missing.json"))
     assert code == 2 and "cannot read config file" in capsys.readouterr().err

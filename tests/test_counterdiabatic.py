@@ -449,9 +449,16 @@ def test_basis_stores_half_angle_columns(atom, atom_grid):
     assert [f.name for f in dataclasses.fields(basis)] == ["grid", "alpha"]
     stored = [getattr(basis, f.name) for f in dataclasses.fields(basis)]
     assert all(x.ndim == 1 and not x.flags.writeable for x in stored)
-    sh, ch = np.sin(alpha / 2.0), np.cos(alpha / 2.0)
+    # sin and cos of the half-angle x + iy from real sines and hyperbolics
+    x, y = (alpha / 2.0).real, (alpha / 2.0).imag
+    sh, ch = np.empty((2, len(alpha)), dtype=complex)
+    sh.real, sh.imag = np.sin(x) * np.cosh(y), np.cos(x) * np.sinh(y)
+    ch.real, ch.imag = np.cos(x) * np.cosh(y), np.sin(x) * -np.sinh(y)
     right = biortho._mat2(sh, ch, ch, -sh)
     assert_bitwise(basis.right, right)
+    # within a few ulp of numpy's complex sin and cos
+    sh_c, ch_c = np.sin(alpha / 2.0), np.cos(alpha / 2.0)
+    assert np.max(np.abs(right - biortho._mat2(sh_c, ch_c, ch_c, -sh_c))) <= 4e-16
     assert_bitwise(basis.left, right.conj())
     assert_bitwise(basis.right_at(0), right[0])
     assert_bitwise(basis.right_at(slice(5, 9)), right[5:9])

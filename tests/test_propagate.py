@@ -59,7 +59,8 @@ from sta import (
     propagate,
     propagate_pair,
 )
-from sta.propagate import _BLOCK, _generator, _matmul_2x2, _step_matrices
+from sta.propagate import (_BLOCK, _chunk_width, _generator, _matmul_2x2, _step_matrices,
+                           _whole_chunks)
 from sta.quadrature import _refine
 
 propagate_module = sys.modules["sta.propagate"]
@@ -214,23 +215,38 @@ def test_non_finite_initial_state_is_named(psi0, psihat0, where):
     assert calls == []  # both states are checked before H is sampled
 
 
-# A = -i H = diag(0, 40) on unit steps: psi_2 grows by ~1.2e5 per step, so a
-# 64-step chunk propagator overflows after 61 steps
-OVERFLOW_H = np.diag([0.0, 40j])
+# A = -i H = diag(0, 2e5) on unit steps: one RK4 step multiplies psi_2 by
+# 1 + x + x^2/2 + x^3/6 + x^4/24 at x = 2e5, about 6.7e19, so a chunk
+# propagator of the 4,000-step sweep (16 steps) overflows, while every step
+# matrix stays finite
+OVERFLOW_RATE = 2e5
+OVERFLOW_H = np.diag([0.0, 1j * OVERFLOW_RATE])
 OVERFLOW_GRID = np.linspace(0.0, 4000.0, 4001)
+OVERFLOW_GROWTH = sum(OVERFLOW_RATE**k / math.factorial(k) for k in range(5))
 
 
 def test_overflowing_chunk_propagator_keeps_finite_sweep():
+    [m] = propagate_module._sweep_matrices(lambda t: OVERFLOW_H, OVERFLOW_GRID)
+    assert m.shape[0] == _chunk_width(4000) == 16
+    assert np.isfinite(m).all()
+    np.testing.assert_allclose(m[:, 1, 1, 0], OVERFLOW_GROWTH, rtol=1e-12)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.prod(m[:, 1, 1, 0]))  # the first chunk's propagator
     traj = propagate(lambda t: OVERFLOW_H, [1.0, 0.0], OVERFLOW_GRID)
     assert np.all(traj.states[:, 0] == 1.0)
     assert np.all(traj.states[:, 1] == 0.0)
 
 
 def test_overflowing_chunk_propagator_names_sequential_step():
-    # 1e-300 * growth^k passes the largest double at k = 120, inside the second chunk
-    with pytest.raises(NonFiniteState, match=r"forward state after step 120 of 4000;"):
+    # 1e-300 * growth^k passes the largest double at k = 31, inside the second
+    # chunk, after the first chunk's propagator has overflowed
+    width = _chunk_width(4000)
+    step = math.ceil((math.log(sys.float_info.max) - math.log(1e-300)) / math.log(OVERFLOW_GROWTH))
+    assert width * math.log(OVERFLOW_GROWTH) > math.log(sys.float_info.max)
+    assert width < step == 31 <= 2 * width
+    with pytest.raises(NonFiniteState, match=r"forward state after step 31 of 4000;"):
         propagate(lambda t: OVERFLOW_H, [1.0, 1e-300], OVERFLOW_GRID)
-    with pytest.raises(NonFiniteState, match=r"adjoint state after step 120 of 4000;"):
+    with pytest.raises(NonFiniteState, match=r"adjoint state after step 31 of 4000;"):
         propagate_pair(lambda t: OVERFLOW_H.conj().T, [1.0, 0.0], [1.0, 1e-300], OVERFLOW_GRID)
 
 
@@ -354,21 +370,27 @@ def _assert_pair_matches_reference(n):
         assert np.max(np.abs(states - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-# chunks hold ceil(sqrt(n)) steps (1,024, 2,304 and 4,096 are squares), and the
-# build works in blocks of whole chunks, 756 steps at n = 756, 741 at 1,482 and
-# 768 at 2,304: one, two and three blocks, then a 1-step block past them
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 10, 755, 756, 757, 1023, 1024, 1025,
-                               1481, 1482, 1483, 2303, 2304, 2305, 4095, 4096, 4097])
+# chunks hold ceil(sqrt(n / 16)) steps, one up to n = 16 and a new width past
+# each 16 k^2 (1,024, 2,304 and 4,096 among them), and the build works in
+# blocks of whole chunks, 763 steps at n = 763, 760 at 1,520 and 768 at 2,304:
+# one, two and three blocks, then a 1-step block past them.  The sizes around
+# 9, 756 and 1,482, edges of the earlier ceil(sqrt(n)) chunks, stay as
+# partial-chunk cases.
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 10, 15, 16, 17, 755, 756, 757, 762, 763, 764,
+                               1023, 1024, 1025, 1481, 1482, 1483, 1519, 1520, 1521,
+                               2303, 2304, 2305, 4095, 4096, 4097])
 def test_scan_matches_reference_at_chunk_and_block_edges(n):
-    width = math.isqrt(n - 1) + 1
-    assert n not in (756, 1482, 2304) or n % (width * (_BLOCK // width)) == 0
+    width = _chunk_width(n)
+    assert n not in (16, 1024, 2304, 4096) or n == 16 * width**2
+    assert n not in (763, 1520, 2304) or n % _whole_chunks(width, _BLOCK) == 0
     _assert_pair_matches_reference(n)
 
 
 @pytest.mark.parametrize("n", [99, 100, 101])
 def test_scan_matches_reference_with_one_chunk_per_block(monkeypatch, n):
-    # a block smaller than a chunk still holds one whole chunk of 10 or 11 steps
-    monkeypatch.setattr(propagate_module, "_BLOCK", 4)
+    # a block smaller than a chunk still holds one whole chunk of 3 steps
+    monkeypatch.setattr(propagate_module, "_BLOCK", 2)
+    assert _chunk_width(n) == 3
     _assert_pair_matches_reference(n)
 
 
@@ -420,10 +442,11 @@ def test_step_matrices_bitwise(n):
     h[::3, 0, 1] = 0.0  # zeros of both signs, whose signs the adjoint may flip
     h[1::3, 1, 0] = -0.0
     steps = RNG.uniform(1e-3, 2e-3, n)
-    width = math.isqrt(n - 1) + 1
+    width = _chunk_width(n)
 
     def by_step(m):  # m[i, :, :, j] holds step j * width + i
-        return m.transpose(3, 0, 1, 2).reshape(-1, 2, 2)
+        # a copy: at width 1 the reshape is a view with a strided last axis
+        return np.ascontiguousarray(m.transpose(3, 0, 1, 2).reshape(-1, 2, 2))
 
     def bits(m):
         return m[:n].view(np.uint64)
@@ -448,7 +471,7 @@ def test_step_matrices_add_identity_to_zero_off_diagonals():
     h[:, 0, 1] = complex(-0.0, -0.0)
     h[:, 1, 0] = complex(0.0, -0.0)
     steps = RNG.uniform(1e-3, 2e-3, n)
-    width = math.isqrt(n - 1) + 1
+    width = _chunk_width(n)
     a = -1j * h
     for adjoint, generator in ((False, a), (True, -1j * h.conj().transpose(0, 2, 1))):
         m = _step_matrices(component_major(a), steps, width, adjoint)
@@ -475,9 +498,8 @@ def test_matmul_2x2_matches_numpy(scale):
 
 
 def _per_tile(n):
-    """Steps per tile of an n-step sweep: whole ceil(sqrt(n))-step chunks, at most _TILE."""
-    width = math.isqrt(n - 1) + 1
-    return width * max(1, quadrature_module._TILE // width)
+    """Steps per tile of an n-step sweep: whole chunks, at most _TILE, at least one chunk."""
+    return _whole_chunks(_chunk_width(n), quadrature_module._TILE)
 
 
 def _warped_atom_grid(atom, n):
@@ -490,10 +512,10 @@ def _bits(states):
     return states.view(np.uint64)
 
 
-# n = k per_tile - 1, k per_tile and k per_tile + 1 at the default tile (4,095
-# steps at these n), at tiles of 100 steps, and at tiles of one 10-step chunk
-@pytest.mark.parametrize("tile,ns", [(None, (8189, 8190, 8191)), (100, (599, 600, 601)),
-                                     (4, (89, 90, 91))], ids=["default", "tile-100", "tile-4"])
+# n = k per_tile - 1, k per_tile and k per_tile + 1 at the default tile (4,094
+# steps at these n), at tiles of 100 steps, and at tiles of one 5-step chunk
+@pytest.mark.parametrize("tile,ns", [(None, (8187, 8188, 8189)), (100, (299, 300, 301)),
+                                     (4, (349, 350, 351))], ids=["default", "tile-100", "tile-4"])
 def test_tiled_states_are_bitwise_one_tile(atom, monkeypatch, tile, ns):
     if tile is not None:
         monkeypatch.setattr(quadrature_module, "_TILE", tile)
@@ -539,7 +561,7 @@ def test_one_tile_grid_samples_once(atom, n):
 
 
 def test_pair_samples_each_tile_once(atom):
-    n = 8191  # tiles of 4,095, 4,095 and 1 steps
+    n = 8189  # tiles of 4,094, 4,094 and 1 steps
     per_tile = _per_tile(n)
     grid = _warped_atom_grid(atom, n)
     hfun, calls = _recording(lambda t: bare_hamiltonian(atom, t))
