@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -274,8 +275,9 @@ def run_rap(cfg: RunConfig) -> int:
     gapped = complex_rabi(schedule, grid) != 0
     ratio = np.full(len(grid), np.inf)
     ratio[gapped] = adiabaticity_ratio(schedule, grid[gapped])
+    p1, p2 = traj.p1, traj.p2
     write_csv(cfg.out_path, ["t_ns", "P1", "P2", "norm2", "adiab_ratio"],
-              [grid, traj.p1, traj.p2, traj.norm2, ratio])
+              [grid, p1, p2, p1 + p2, ratio])
     if not gapped.all():
         print(f"sta: warning: the spectral gap closes at {np.sum(~gapped)} grid point(s); "
               "adiab_ratio is written as inf there", file=sys.stderr)
@@ -293,8 +295,9 @@ def run_rap_cd(cfg: RunConfig) -> int:
     drive = cd.cd_hamiltonian_approx if approx else cd.cd_hamiltonian
     traj, leak = _transitionless_sweep(
         schedule, grid, lambda r0: propagate(lambda t: drive(schedule, t), r0, grid))
+    p1, p2 = traj.p1, traj.p2
     write_csv(cfg.out_path, ["t_ns", "P1", "P2", "norm2", "c_minus_abs"],
-              [traj.grid, traj.p1, traj.p2, traj.norm2, leak])
+              [traj.grid, p1, p2, p1 + p2, leak])
     if not approx and leak.max() > _LEAK_WARN:
         print(f"sta: warning: max branch leakage {leak.max():.3e} exceeds {_LEAK_WARN:.0e}; "
               "the sweep passes too close to the exceptional point for this dt", file=sys.stderr)
@@ -487,7 +490,8 @@ def _check_lines(params: dict) -> tuple[list[str], bool]:
     leak = float(np.max(leak))
     report("transitionless-branch-leakage", leak, _LEAK_WARN * scale, leak < _LEAK_WARN * scale)
 
-    drift = float(np.max(np.abs(pair.biorth_overlap - pair.biorth_overlap[0])))
+    overlap = pair.biorth_overlap
+    drift = float(np.max(np.abs(overlap - overlap[0])))
     report("biorthogonal-overlap-drift", drift, 1e-8 * scale, drift < 1e-8 * scale)
 
     plan = _trap_plan(TRAP_DEFAULTS)
@@ -518,7 +522,15 @@ def run_check(cfg: RunConfig) -> int:
     if cfg.out is not None:
         with _open_out(cfg.out, "w") as fh:
             fh.write(text)
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit; let that flush reach devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise StaError(f"cannot write standard output: {exc}") from exc
     return 0 if ok else 4
 
 

@@ -11,30 +11,34 @@ The ODE y' = A(t) y is linear, so one RK4 step is one 2x2 matrix,
 M_k = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A0, K2 = Am (I + dt/2 K1),
 K3 = Am (I + dt/2 K2) and K4 = A1 (I + dt K3), and y_{k+1} = M_k y_k.
 
-The step matrices are built one tile at a time (_sweep_matrices): a tile is
-whole chunks of the scan below, at most _TILE steps (quadrature.py).  H is
-sampled in one call per tile, hfun(times) on the tile's nodes and
-midpoints, whose result must broadcast to (len(times), 2, 2): a stack, or
-one constant 2x2 matrix.  A grid of at most one tile, as every short sweep
-is, calls hfun once; a longer one calls it once per tile, and the node two
-tiles share is sampled by both.  Each M_k depends only on H at its own
-node, midpoint and next node and on dt_k, so the tiling changes no bit of
-any M_k; it keeps the sampled H and its generator at one tile's length
-whatever the grid.  A = -i H is stored component-major, with the time index
-last (_generator): a[0, i, j, k] is A_ij at node k and a[1, i, j, k] at the
-midpoint of step k, so every matrix entry is one contiguous row.  The M_k
-are built in batched numpy passes on such rows, with the products written
-out by component (_matmul_2x2).  A component of a (B, 2, 2) stack, such as
-x[:, :, 0], has 64 bytes between its values: one complex multiply over 16k
-of them took about 65-96 us against 12 us on a contiguous row (numpy 2.4.6,
-shared 2-vCPU x86-64 host), and numpy's @ on a stack of tiny matrices costs
-about 0.4-0.5 us per matrix.  Within a tile the build runs over blocks of
-whole chunks of at most _BLOCK steps (at least one chunk), so each block
-lands in the chunk layout below with one reshape; a longer block would hold
-several larger temporaries, which sets the peak memory of a short sweep.
-The adjoint sweep under H^dag takes its generator -A^dag block by block
-from the forward one, and a pair builds both sweeps' matrices from each
-tile's sample, so H is still sampled once per point.
+The step matrices are built one span at a time (_sweep_matrices): a span is
+whole chunks of the scan below, at most _SPAN steps.  For each span H is
+sampled in one call, hfun(times) on the span's nodes and midpoints, whose
+result must broadcast to (len(times), 2, 2): a stack, or one constant 2x2
+matrix.  A grid of at most one span calls hfun once; a longer one calls it
+once per span, and the node two spans share is sampled by both.  Each M_k
+depends only on H at its own node, midpoint and next node and on dt_k, so
+the spans change no bit of any M_k.  A = -i H is stored component-major,
+with the time index last (_generator): a[0, i, j, k] is A_ij at node k and
+a[1, i, j, k] at the midpoint of step k, so every matrix entry is one
+contiguous row.  A span's M_k are built in batched numpy passes on such
+rows, with the products written out by component (_matmul_2x2), and land
+in the chunk layout below with one reshape.  (A component of a (B, 2, 2)
+stack has 64 bytes between its values: one complex multiply over 16k of
+them took 65-96 us against 12 us on a contiguous row, and numpy's @ costs
+0.4-0.5 us per tiny matrix; numpy 2.4.6, shared 2-vCPU x86-64 host.)  The
+adjoint sweep takes its generator -A^dag from the forward one, and a pair
+builds both sweeps' matrices from each span's sample, so H is still
+sampled once per point.
+
+Beside the 64 bytes per step of each sweep's matrices, a span holds about
+420 bytes per step (550 for a pair): H and A while converting, then A and
+the build's temporaries.  That transient sets a sweep's peak memory, and
+_SPAN = 1,536 was chosen on it and on the speed (tracemalloc peaks of one
+bench/run.py run, numpy 2.4.6): spans of 1,024 steps cut `sta check`'s
+peak from 3.02 to 2.85 MB, but the atom's 15,915-step propagate took
+about 5% longer (median of 60 interleaved calls), and spans of 1,792 and
+2,048 steps raised the oscillator run's peak from 0.96 to 1.07 and 1.18 MB.
 
 The recurrence is then solved by a two-level scan (Blelloch, "Prefix sums
 and their applications", 1990) over chunks of w = ceil(sqrt(n / 16)) steps
@@ -80,10 +84,9 @@ __all__ = [
 # before anything is allocated (a sweep of 10**8 steps would hold over 25 GB).
 _MAX_STEPS = 10**8
 
-# Most steps per batched build of the RK4 step matrices, rounded down to
-# whole chunks.  Chosen by tracemalloc peak as well as speed: a 3,002-step
-# forward sweep peaked at 541 KB with it and at 634 KB with 1,024.
-_BLOCK = 768
+# Most steps per span, rounded down to whole chunks: H is sampled and the
+# RK4 step matrices are built one span at a time (see the module docstring).
+_SPAN = 1536
 
 
 @dataclass(frozen=True)
@@ -208,7 +211,7 @@ def _scale_add(x: np.ndarray, c, y) -> np.ndarray:
 
 
 def _step_block(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """RK4 step matrices from A at the nodes (a0, a1) and midpoints (am) of a block.
+    """RK4 step matrices from A at the nodes (a0, a1) and midpoints (am) of a span.
 
     All four are component-major (2, 2, B).  I + dt/6 (a0 + 2 (k2 + k3) + k4)
     with k2 = am + dt/2 am a0, k3 = am + dt/2 am k2 and k4 = a1 + dt a1 k3,
@@ -231,26 +234,23 @@ def _step_matrices(a: np.ndarray, steps: np.ndarray, width: int, adjoint: bool,
 
     Returns m with m[i, :, :, j] = M_{j width + i}; identities pad the last
     chunk.  a is the component-major generator of _generator over the
-    len(steps) steps, and adjoint=True builds the steps of y' = A^dag(t) y,
-    taking -A^dag block by block.  With out, the steps are written into
-    out from chunk index chunk on, and out is returned; otherwise m is
-    allocated for these steps alone.  Each block holds whole chunks, so it
-    lands in m with one reshape; only the last chunk may be partial.
+    len(steps) steps, and adjoint=True builds the steps of y' = A^dag(t) y
+    from -A^dag.  With out, the steps are written into out from chunk index
+    chunk on, and out is returned; otherwise m is allocated for these steps
+    alone.  The steps are whole chunks but for the last, so they land in m
+    with one reshape.
     """
     n = len(steps)
     m = np.empty((width, 2, 2, -(-n // width)), dtype=complex) if out is None else out
-    per_block = _whole_chunks(width, _BLOCK)
-    for s in range(0, n, per_block):
-        e = min(s + per_block, n)
-        nodes, mids = a[0, :, :, s:e + 1], a[1, :, :, s:e]
-        if adjoint:  # -A^dag: conjugate and swap the components
-            nodes, mids = (-x.transpose(1, 0, 2).conj() for x in (nodes, mids))
-        blk = _step_block(nodes[:, :, :-1], mids, nodes[:, :, 1:], steps[s:e])
-        j, (c, r) = chunk + s // width, divmod(e - s, width)
-        m[:, :, :, j:j + c] = blk[:, :, :c * width].reshape(2, 2, c, width).transpose(3, 0, 1, 2)
-        if r:
-            m[:r, :, :, j + c] = blk[:, :, c * width:].transpose(2, 0, 1)
-            m[r:, :, :, j + c] = np.eye(2)
+    nodes, mids = a[0], a[1, :, :, :-1]
+    if adjoint:  # -A^dag: conjugate and swap the components
+        nodes, mids = (-x.transpose(1, 0, 2).conj() for x in (nodes, mids))
+    blk = _step_block(nodes[:, :, :-1], mids, nodes[:, :, 1:], steps)
+    (c, r), j = divmod(n, width), chunk
+    m[:, :, :, j:j + c] = blk[:, :, :c * width].reshape(2, 2, c, width).transpose(3, 0, 1, 2)
+    if r:
+        m[:r, :, :, j + c] = blk[:, :, c * width:].transpose(2, 0, 1)
+        m[r:, :, :, j + c] = np.eye(2)
     return m
 
 
@@ -258,26 +258,26 @@ def _sweep_matrices(hfun, grid: np.ndarray, adjoints=(False,)) -> list[np.ndarra
     """The chunk-layout step matrices of _step_matrices over all of grid, one per sweep.
 
     adjoints holds one flag per sweep, as _step_matrices takes it.  The steps
-    are cut into tiles of whole chunks of at most _TILE steps; each tile's H
-    is sampled in one hfun call, and every sweep's matrices of that tile are
+    are cut into spans of whole chunks of at most _SPAN steps; each span's H
+    is sampled in one hfun call, and every sweep's matrices of that span are
     built from the sample straight into its array.  The arrays are allocated
-    after the first tile is sampled, so a grid of one tile holds its H stack
+    after the first span is sampled, so a grid of one span holds its H stack
     and its matrices at different times.
     """
     n = len(grid) - 1
     width = _chunk_width(n)
-    per_tile = _whole_chunks(width, quadrature._TILE)
+    per_span = _whole_chunks(width, _SPAN)
     ms = []
-    for s in range(0, n, per_tile):
-        tile = grid[s:min(s + per_tile, n) + 1]
-        a, steps = _generator(hfun, tile), np.diff(tile)
+    for s in range(0, n, per_span):
+        span = grid[s:min(s + per_span, n) + 1]
+        a, steps = _generator(hfun, span), np.diff(span)
         if not ms:
             ms = [np.empty((width, 2, 2, -(-n // width)), dtype=complex) for _ in adjoints]
         # blow-ups surface as NonFiniteState in _rk4, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for m, adjoint in zip(ms, adjoints):
                 _step_matrices(a, steps, width, adjoint, out=m, chunk=s // width)
-        del a, steps  # before the next tile's H is sampled
+        del a, steps  # before the next span's H is sampled
     return ms
 
 
@@ -338,8 +338,8 @@ def propagate(hfun, psi0, grid) -> StateTrajectory:
     """Propagate psi0 through i psi' = H(t) psi on a fixed grid.
 
     hfun takes an array of times and returns an array that broadcasts to
-    (len(times), 2, 2), H at each time.  It is called once per tile of at
-    most _TILE steps, so once for any grid of at most one tile.
+    (len(times), 2, 2), H at each time.  It is called once per span of at
+    most _SPAN steps, so once for any grid of at most one span.
     """
     grid = _check_grid(grid)
     psi0 = _initial_state(psi0, "forward")
@@ -353,8 +353,8 @@ def propagate_pair(hfun, psi0, psihat0, grid) -> StateTrajectory:
 
     <psi_hat|psi> is a constant of motion of the exact flow, whatever the
     non-Hermitian H; its numerical drift measures integrator error.  hfun
-    is called as in propagate, once per tile: both sweeps' step matrices
-    are built from each tile's sample.
+    is called as in propagate, once per span: both sweeps' step matrices
+    are built from each span's sample.
     """
     grid = _check_grid(grid)
     psi0 = _initial_state(psi0, "forward")

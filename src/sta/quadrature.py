@@ -1,14 +1,14 @@
 """Cumulative Simpson quadrature, its midpoint grids and the tile length _TILE.
 
 All three are shared by the atom and trap modules.  _TILE bounds the grid
-intervals one batched evaluation covers: propagate samples H(t) and builds
-the RK4 step matrices, mixing_angle_values evaluates the mixing-angle rate
-and branch_projection builds the basis vectors one tile of at most _TILE
-intervals at a time, so none of them holds a full-length sample of a long
-grid.  It stays at or above the trap's 3,002-step sweep, which is then one
-tile: on the oscillator run, tiles of 2,048 steps were about 20% slower
-(smaller arrays lower glibc's dynamic trim threshold, and the CSV writer
-that follows pays page faults), and tiles of 768 about 24% slower.
+intervals of two batched evaluations: mixing_angle_values evaluates the
+mixing-angle rate and branch_projection builds the basis vectors one tile
+of at most _TILE intervals at a time, so neither holds a full-length
+sample of a long grid.  propagate samples H(t) in shorter spans of its own
+(propagate._SPAN), which cut the oscillator's 3,002-step sweep in two.
+That run took about 112 minor page faults against 132-151 with one
+4,096-step tile (getrusage around 40 in-process bench/run.py runs): the
+glibc trim faults of shorter H samples in the CSV writer did not return.
 """
 
 from __future__ import annotations

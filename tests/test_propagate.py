@@ -13,26 +13,27 @@ Proves:
   - empirical convergence order ~4 and the 16x error drop per halving
   - population bounds, monotone decay, non-finite and bad-grid rejection;
     the returned grid is read-only and the caller's stays writeable
-  - the first non-finite step is named, inside and after the first block,
+  - the first non-finite step is named, inside and after the first span,
     and a non-finite initial state is named as such, before H is sampled
   - an overflowing chunk propagator neither breaks a finite sweep nor
     moves the step a blow-up is reported at
   - H(t) is sampled in one call whose result must broadcast to (N, 2, 2):
     a constant 2x2 matrix works, any other shape is a ValueError naming
     it, and package errors from the callable reach the caller
-  - the blocked step-matrix RK4 matches a per-step vector RK4 reference,
-    forward and adjoint, on sizes at chunk and block edges, and with
-    blocks of one chunk
+  - the step-matrix RK4 matches a per-step vector RK4 reference, forward
+    and adjoint, on sizes at chunk and span edges, and with spans of one
+    chunk
   - the component-major generator is bitwise -1j H; the step matrices built
     from it are bitwise the written-out RK4 expression, and the adjoint
     ones bitwise those of the conjugate-transposed generator
   - the component-wise 2x2 product of component-major stacks matches numpy's @
-  - sampling H and building the step matrices one tile at a time gives
-    bitwise the states of one tile over the whole grid, forward and paired,
-    at tile edges and with tiles of one chunk; a grid of at most one tile
-    calls hfun once, a pair samples each tile once for both sweeps, and a
-    blow-up in a later tile is named at the same step
-  - a 15,915-step sweep of the corrected atom drive stays under a 3 MB
+  - sampling H and building the step matrices one span at a time gives
+    bitwise the states of one span over the whole grid, forward and paired,
+    at span edges and with spans of one chunk; a grid of at most one span
+    calls hfun once, the trap's 3,002-step sweep and a pair call it once
+    per span on that span's nodes and midpoints, and a blow-up in a later
+    span is named at the same step
+  - a 15,915-step sweep of the corrected atom drive stays under a 1.8 MB
     transient peak: no full-length H stack or generator is held
 """
 
@@ -59,14 +60,20 @@ from sta import (
     propagate,
     propagate_pair,
 )
-from sta.propagate import (_BLOCK, _chunk_width, _generator, _matmul_2x2, _step_matrices,
-                           _whole_chunks)
+import sta.cli as cli_module
+import sta.trap as trap_module
+from sta.propagate import _chunk_width, _generator, _matmul_2x2, _step_matrices, _whole_chunks
 from sta.quadrature import _refine
 
 propagate_module = sys.modules["sta.propagate"]
 quadrature_module = sys.modules["sta.quadrature"]
 
 RNG = np.random.default_rng(23)
+
+
+def _per_span(n):
+    """Steps per span of an n-step sweep: whole chunks, at most _SPAN, at least one chunk."""
+    return _whole_chunks(_chunk_width(n), propagate_module._SPAN)
 
 
 def test_pure_decay_analytic():
@@ -185,7 +192,7 @@ def test_non_finite_state_names_step_past_first_block():
     growth = 1.0 + x + x**2 / 2 + x**3 / 6 + x**4 / 24
     expected = math.floor(math.log(sys.float_info.max) / math.log(growth)) + 1
     n = 3000
-    assert 1024 < expected < n  # overflows after the first block of steps
+    assert _per_span(n) < expected < n  # overflows after the first span of steps
     h = np.diag([0.0, 1j * x])
     with pytest.raises(NonFiniteState, match=rf"forward state after step {expected} of {n};"):
         propagate(lambda t: h, [0.0, 1.0], np.linspace(0.0, float(n), n + 1))
@@ -329,7 +336,7 @@ def _reference_rk4(hfun, psi0, grid):
 
 
 def test_step_matrix_rk4_matches_reference(atom):
-    # non-uniform grid of 2,500 steps: two block boundaries and a partial block
+    # non-uniform grid of 2,500 steps: a full span and a partial one
     u = np.linspace(0.0, 1.0, 2501)
     t0, t1 = atom.window
     grid = t0 + (t1 - t0) * (u + 0.2 * np.sin(2.0 * np.pi * u) / (2.0 * np.pi))
@@ -371,26 +378,31 @@ def _assert_pair_matches_reference(n):
 
 
 # chunks hold ceil(sqrt(n / 16)) steps, one up to n = 16 and a new width past
-# each 16 k^2 (1,024, 2,304 and 4,096 among them), and the build works in
-# blocks of whole chunks, 763 steps at n = 763, 760 at 1,520 and 768 at 2,304:
-# one, two and three blocks, then a 1-step block past them.  The sizes around
-# 9, 756 and 1,482, edges of the earlier ceil(sqrt(n)) chunks, stay as
+# each 16 k^2 (1,024, 2,304 and 4,096 among them), and H is sampled and the
+# step matrices built in spans of whole chunks, 1,530 steps at n = 1,530,
+# 1,526 at 3,052 and 1,530 at 4,590: one, two and three spans, then a 1-step
+# span past them.  The sizes around 9, 756, 763, 1,482 and 1,520, edges of
+# earlier chunk widths and of the earlier 768-step build blocks, stay as
 # partial-chunk cases.
+SPAN_EDGES = {1530: 1, 3052: 2, 4590: 3}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 10, 15, 16, 17, 755, 756, 757, 762, 763, 764,
                                1023, 1024, 1025, 1481, 1482, 1483, 1519, 1520, 1521,
-                               2303, 2304, 2305, 4095, 4096, 4097])
+                               1529, 1530, 1531, 2303, 2304, 2305, 3051, 3052, 3053,
+                               4095, 4096, 4097, 4589, 4590, 4591])
 def test_scan_matches_reference_at_chunk_and_block_edges(n):
     width = _chunk_width(n)
     assert n not in (16, 1024, 2304, 4096) or n == 16 * width**2
-    assert n not in (763, 1520, 2304) or n % _whole_chunks(width, _BLOCK) == 0
+    assert n not in SPAN_EDGES or n == SPAN_EDGES[n] * _per_span(n)
     _assert_pair_matches_reference(n)
 
 
 @pytest.mark.parametrize("n", [99, 100, 101])
 def test_scan_matches_reference_with_one_chunk_per_block(monkeypatch, n):
-    # a block smaller than a chunk still holds one whole chunk of 3 steps
-    monkeypatch.setattr(propagate_module, "_BLOCK", 2)
-    assert _chunk_width(n) == 3
+    # a span smaller than a chunk still holds one whole chunk of 3 steps
+    monkeypatch.setattr(propagate_module, "_SPAN", 2)
+    assert _chunk_width(n) == 3 == _per_span(n)
     _assert_pair_matches_reference(n)
 
 
@@ -497,11 +509,6 @@ def test_matmul_2x2_matches_numpy(scale):
         assert np.all(np.abs(_matmul_2x2(x, y).transpose(2, 0, 1) - xs @ ys) <= bound)
 
 
-def _per_tile(n):
-    """Steps per tile of an n-step sweep: whole chunks, at most _TILE, at least one chunk."""
-    return _whole_chunks(_chunk_width(n), quadrature_module._TILE)
-
-
 def _warped_atom_grid(atom, n):
     u = np.linspace(0.0, 1.0, n + 1)
     t0, t1 = atom.window
@@ -512,23 +519,23 @@ def _bits(states):
     return states.view(np.uint64)
 
 
-# n = k per_tile - 1, k per_tile and k per_tile + 1 at the default tile (4,094
-# steps at these n), at tiles of 100 steps, and at tiles of one 5-step chunk
-@pytest.mark.parametrize("tile,ns", [(None, (8187, 8188, 8189)), (100, (299, 300, 301)),
+# n = k per_span - 1, k per_span and k per_span + 1 at the default span (1,530
+# steps at these n), at spans of 100 steps, and at spans of one 5-step chunk
+@pytest.mark.parametrize("span,ns", [(None, (4589, 4590, 4591)), (100, (299, 300, 301)),
                                      (4, (349, 350, 351))], ids=["default", "tile-100", "tile-4"])
-def test_tiled_states_are_bitwise_one_tile(atom, monkeypatch, tile, ns):
-    if tile is not None:
-        monkeypatch.setattr(quadrature_module, "_TILE", tile)
+def test_tiled_states_are_bitwise_one_tile(atom, monkeypatch, span, ns):
+    if span is not None:
+        monkeypatch.setattr(propagate_module, "_SPAN", span)
     hfun = lambda t: cd_hamiltonian(atom, t)
     psi0, psihat0 = np.array([0.6, 0.8j]), np.array([1.0, -0.5 + 0.2j])
     for n in ns:
-        per_tile = _per_tile(n)
-        assert n > per_tile and n % per_tile in (0, 1, per_tile - 1)
+        per_span = _per_span(n)
+        assert n > per_span and n % per_span in (0, 1, per_span - 1)
         grid = _warped_atom_grid(atom, n)
         tiled = propagate(hfun, psi0, grid)
         tiled_pair = propagate_pair(hfun, psi0, psihat0, grid)
         with monkeypatch.context() as m:
-            m.setattr(quadrature_module, "_TILE", 10 * n)  # one tile over the whole grid
+            m.setattr(propagate_module, "_SPAN", 10 * n)  # one span over the whole grid
             whole = propagate(hfun, psi0, grid)
             whole_pair = propagate_pair(hfun, psi0, psihat0, grid)
         np.testing.assert_array_equal(_bits(tiled.states), _bits(whole.states))
@@ -548,9 +555,10 @@ def _recording(hfun):
     return record, calls
 
 
-@pytest.mark.parametrize("n", [3002, 4096])  # the trap's sweep; the longest one-tile grid
-def test_one_tile_grid_samples_once(atom, n):
-    assert _per_tile(n) >= n
+@pytest.mark.parametrize("n", [1024, 1530])  # an order grid; the longest one-span grid
+def test_one_span_grid_samples_once(atom, n):
+    assert _per_span(n) >= n
+    assert n != 1530 or _per_span(n + 1) < n + 1  # one more step makes two spans
     grid = _warped_atom_grid(atom, n)
     for run in (lambda h: propagate(h, [0.0, 1.0], grid),
                 lambda h: propagate_pair(h, [0.0, 1.0], [1.0, 0.0], grid)):
@@ -560,30 +568,48 @@ def test_one_tile_grid_samples_once(atom, n):
         np.testing.assert_array_equal(calls[0], _refine(grid))
 
 
+def _assert_samples_each_span_once(calls, grid):
+    n = len(grid) - 1
+    per_span = _per_span(n)
+    starts = range(0, n, per_span)
+    assert len(calls) == len(starts)
+    for times, s in zip(calls, starts):
+        np.testing.assert_array_equal(times, _refine(grid[s:s + per_span + 1]))
+    return len(calls)
+
+
 def test_pair_samples_each_tile_once(atom):
-    n = 8189  # tiles of 4,094, 4,094 and 1 steps
-    per_tile = _per_tile(n)
+    n = 3053  # spans of 1,526, 1,526 and 1 steps
     grid = _warped_atom_grid(atom, n)
     hfun, calls = _recording(lambda t: bare_hamiltonian(atom, t))
     propagate_pair(hfun, [0.0, 1.0], [1.0, 0.0], grid)
-    starts = range(0, n, per_tile)
-    assert len(calls) == len(starts) == 3
-    for times, s in zip(calls, starts):
-        np.testing.assert_array_equal(times, _refine(grid[s:s + per_tile + 1]))
+    assert _assert_samples_each_span_once(calls, grid) == 3
+
+
+def test_trap_sweep_samples_once_per_span(monkeypatch):
+    # the oscillator's default 3,002-step Hamilton sweep: spans of 1,526 and 1,476 steps
+    plan = cli_module._trap_plan(cli_module.TRAP_DEFAULTS)
+    grid, _, _ = cli_module._display_grid(cli_module.TRAP_DEFAULTS, plan)
+    fine = trap_module._substep_grid(plan, grid)
+    assert len(fine) - 1 == 3002
+    hfun, calls = _recording(trap_module.effective_hamiltonian(plan))
+    monkeypatch.setattr(trap_module, "effective_hamiltonian", lambda p: hfun)
+    trap_module.hamilton_trajectory(plan, grid)
+    assert _assert_samples_each_span_once(calls, fine) == 2
 
 
 @pytest.mark.parametrize("tile", [None, 100])
 def test_blow_up_in_later_tile_names_same_step(monkeypatch, tile):
     if tile is not None:
-        monkeypatch.setattr(quadrature_module, "_TILE", tile)
+        monkeypatch.setattr(propagate_module, "_SPAN", tile)
     n = 12000
     # A = -i H = diag(0, 40) from t = 9000.25 on: psi_2 grows by ~1.2e5 per
-    # step from step 9000, in the third tile or later, and overflows ~61 steps
+    # step from step 9000, in the sixth span or later, and overflows ~61 steps
     # on; under -i H^dag = diag(0, -40) the unit steps are unstable, and the
     # adjoint psi_hat_2 overflows a step later
     hfun = lambda t: np.diag([0.0, 40j]) * (np.asarray(t) >= 9000.25)[..., None, None]
     grid = np.linspace(0.0, float(n), n + 1)
-    assert 2 * _per_tile(n) < 9000
+    assert 5 * _per_span(n) <= 9000
 
     def message(run):
         with pytest.raises(NonFiniteState) as info:
@@ -593,7 +619,7 @@ def test_blow_up_in_later_tile_names_same_step(monkeypatch, tile):
     forward = lambda: propagate(hfun, [0.0, 1.0], grid)
     adjoint = lambda: propagate_pair(hfun, [1.0, 0.0], [0.0, 1.0], grid)
     tiled = message(forward), message(adjoint)
-    monkeypatch.setattr(quadrature_module, "_TILE", 10 * n)
+    monkeypatch.setattr(propagate_module, "_SPAN", 10 * n)
     assert tiled == (message(forward), message(adjoint))
     for text in tiled:
         step = int(re.search(r"state after step (\d+) of 12000;", text).group(1))
@@ -611,8 +637,10 @@ def test_long_sweep_holds_no_full_length_stack(atom):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # full-length stacks held about 5.3 MB: H and its sum terms, 2 MB each, and -iH
-    assert peak < 3e6
+    # full-length stacks held about 5.3 MB: H and its sum terms, 2 MB each, and
+    # -iH; 4,096-step tiles 2.14 MB, 1,536-step spans 1.69 MB beside the 1 MB
+    # of step matrices
+    assert peak < 1.8e6
 
 
 def test_overlap_requires_pair(atom, atom_grid):
