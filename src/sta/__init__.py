@@ -17,7 +17,6 @@ from .counterdiabatic import (
     MixingAngleTrajectory,
     XiPolicy,
     adiabatic_basis,
-    adiabatic_phase,
     adiabatic_phase_values,
     alpha_dot,
     bare_hamiltonian,
@@ -28,7 +27,6 @@ from .counterdiabatic import (
     cd_coupling,
     cd_hamiltonian,
     cd_hamiltonian_approx,
-    eigenvector_derivative,
     mixing_angle_anchor,
     mixing_angle_trajectory,
     mixing_angle_values,

@@ -33,9 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import counterdiabatic as cd
-from . import csvfmt
-from . import trap
-from .biortho import closure_defect, eigensystem_2x2, reconstruct
+from . import csvfmt, diagnostics, trap
 from .errors import ConfigError, StaError
 from .propagate import (_require_steps, branch_projection, convergence_order, propagate,
                         propagate_pair)
@@ -67,18 +65,6 @@ CHECK_DEFAULTS = {
     "tolerance_scale": 1.0,    # < 1 tightens every threshold
     "dt_ns": 0.001,
 }
-
-_CHECK_SEED = 7
-
-# Max branch leakage of an exact rap-cd run above which it warns on stderr,
-# and the check's leakage threshold at tolerance_scale 1.
-_LEAK_WARN = 1e-5
-
-# Largest departure of the oscillator's Hamilton oracle from the closed form,
-# relative to the closed form's largest value, before it warns on stderr
-# (the agreement bound of acceptance criterion 08).
-_ORACLE_WARN = 1e-6
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -298,9 +284,9 @@ def run_rap_cd(cfg: RunConfig) -> int:
     p1, p2 = traj.p1, traj.p2
     write_csv(cfg.out_path, ["t_ns", "P1", "P2", "norm2", "c_minus_abs"],
               [traj.grid, p1, p2, p1 + p2, leak])
-    if not approx and leak.max() > _LEAK_WARN:
-        print(f"sta: warning: max branch leakage {leak.max():.3e} exceeds {_LEAK_WARN:.0e}; "
-              "the sweep passes too close to the exceptional point for this dt", file=sys.stderr)
+    warning = None if approx else diagnostics.leakage_warning(float(leak.max()))
+    if warning:
+        print(f"sta: warning: {warning}", file=sys.stderr)
     return 0
 
 
@@ -399,9 +385,9 @@ def run_oscillator(cfg: RunConfig) -> int:
 
     Emits the closed-form trajectory, its energy bookkeeping and the RK4
     integration of Hamilton's equations as independent columns.  Warns
-    when the two routes disagree in q or v beyond _ORACLE_WARN, or else
-    when the energies written at t = 0 and t = tf break the energy claim
-    (trap.energy_claim_error).
+    when the two routes disagree in q or v beyond diagnostics.ORACLE, or
+    else when the energies written at t = 0 and t = tf break the energy
+    claim (diagnostics.oscillator_warning).
     """
     plan = _trap_plan(cfg.params)
     grid, start, end = _display_grid(cfg.params, plan)
@@ -419,101 +405,37 @@ def run_oscillator(cfg: RunConfig) -> int:
         [grid, closed.q, v, energy, e_over_w,
          w2, np.asarray(plan.rho(grid)), oracle.q, v_oracle],
     )
-    for name, x, x_oracle in (("q", closed.q, oracle.q), ("v", v, v_oracle)):
-        with np.errstate(over="ignore"):  # a difference past the double range is inf
-            dev = np.max(np.abs(x - x_oracle))
-        scale = np.max(np.abs(x))
-        # multiplied, not divided, so the rest orbit q0 = v0 = 0 is not 0/0
-        if not dev <= _ORACLE_WARN * scale:
-            warning = (f"max |{name} - {name}_oracle| = {dev:.3e} exceeds {_ORACLE_WARN:.0e} "
-                       f"x max |{name}| = {scale:.3e}; the integrated oracle does not confirm "
-                       "the closed form")
-            break
-    else:
-        reason = trap.energy_claim_error(plan, float(energy[start]), float(energy[end]))
-        warning = reason and f"{reason}; the run does not confirm the energy claim"
+    warning = diagnostics.oscillator_warning(plan, closed.q, v, oracle.q, v_oracle,
+                                             float(energy[start]), float(energy[end]))
     if warning:
         print(f"sta: warning: {warning}", file=sys.stderr)
     return 0
 
 
-def _check_matrices() -> np.ndarray:
-    """The 1,000 random complex-symmetric 2x2 matrices of the biorthogonality check.
-
-    Drawn in one call: [:, 0] is the real part and [:, 1] the imaginary
-    part, which gives the same numbers as drawing each matrix's two parts
-    in turn.
-    """
-    parts = np.random.default_rng(_CHECK_SEED).normal(size=(1000, 2, 2, 2))
-    m = parts[:, 0] + 1j * parts[:, 1]
-    m[:, 1, 0] = m[:, 0, 1]
-    return m
-
-
-def _biortho_defect() -> float:
-    """Worst Gram, closure and reconstruction defect over the check matrices.
-
-    One batched eigensystem over the whole stack; kept in its own function
-    so its arrays are freed before the propagations that follow.
-    """
-    m = _check_matrices()
-    basis = eigensystem_2x2(m, tol=1e-6)
-    gram = np.einsum("...ik,...jk->...ij", basis.left.conj(), basis.right)
-    return float(max(np.max(np.abs(gram - np.eye(2))), np.max(closure_defect(basis)),
-                     np.max(np.abs(reconstruct(basis) - m))))
-
-
 def _check_lines(params: dict) -> tuple[list[str], bool]:
-    """Run the invariant suite; every line reports the measured residual.
+    """Run the invariant suite; diagnostics measures each figure and reports it.
 
-    Both atom lines come from one _transitionless_sweep under the corrected
-    drive, run as a pair from (r0, r0*): its forward states give the
-    leakage, its conserved overlap <psi_hat|psi> the drift.
+    Both atom figures come from one _transitionless_sweep under the
+    corrected drive, run as a pair from (r0, r0*): its forward states give
+    the leakage, its conserved overlap <psi_hat|psi> the drift.  The
+    biorthogonality defect runs first, so its arrays are freed before the sweep.
     """
-    scale = params["tolerance_scale"]
-    dt = params["dt_ns"]
-    lines = []
-    ok = True
-
-    def report(name: str, measured: float, threshold: float, passed: bool):
-        nonlocal ok
-        ok = ok and passed
-        lines.append(f"{'PASS' if passed else 'FAIL'} {name}: measured={measured:.3e} "
-                     f"threshold={threshold:.3e}")
-
-    worst = _biortho_defect()
-    report("biorthogonality-closure-reconstruction", worst, 1e-10 * scale, worst < 1e-10 * scale)
-
-    schedule, grid = _atom_setup({**ATOM_DEFAULTS, "dt_ns": dt})
+    measured = {"biorthogonality-closure-reconstruction": diagnostics.biortho_defect()}
+    schedule, grid = _atom_setup({**ATOM_DEFAULTS, "dt_ns": params["dt_ns"]})
     pair, leak = _transitionless_sweep(schedule, grid, lambda r0: propagate_pair(
         lambda t: cd.cd_hamiltonian(schedule, t), r0, r0.conj(), grid))
-    leak = float(np.max(leak))
-    report("transitionless-branch-leakage", leak, _LEAK_WARN * scale, leak < _LEAK_WARN * scale)
-
-    overlap = pair.biorth_overlap
-    drift = float(np.max(np.abs(overlap - overlap[0])))
-    report("biorthogonal-overlap-drift", drift, 1e-8 * scale, drift < 1e-8 * scale)
-
+    measured["transitionless-branch-leakage"] = float(np.max(leak))
+    measured["biorthogonal-overlap-drift"] = diagnostics.overlap_drift(pair.biorth_overlap)
     plan = _trap_plan(TRAP_DEFAULTS)
     ts = np.linspace(0.0, plan.tf, 10001)
-    rho = np.asarray(plan.rho(ts))
-    res = float(np.max(np.abs(
-        np.asarray(plan.rho_ddot(ts)) + np.asarray(plan.omega_sq(ts)) * rho
-        - plan.omega0**2 / rho**3)))
-    bound = 1e-9 * plan.omega0**2 * scale
-    report("ermakov-residual", res, bound, res < bound)
-
+    measured["ermakov-residual"] = diagnostics.ermakov_residual(
+        plan.rho(ts), plan.rho_ddot(ts), plan.omega_sq(ts), plan.omega0)
     inv = trap.invariant_at(plan, np.linspace(0.0, plan.tf, 101))
-    det = float(np.max(np.abs(inv.b**2 - inv.a * inv.c + 1.0)))
-    report("invariant-determinant", det, 1e-12 * scale, det < 1e-12 * scale)
-
+    measured["invariant-determinant"] = diagnostics.determinant_defect(inv.a, inv.b, inv.c)
     order = convergence_order(lambda t: cd.bare_hamiltonian(schedule, t), [0.0, 1.0],
                               schedule.window, n0=512)
-    dev = abs(order - 4.0)
-    report("rk4-convergence-order", dev, 0.3 * scale, dev <= 0.3 * scale)
-
-    lines.append("all checks passed" if ok else "some checks FAILED")
-    return lines, ok
+    measured["rk4-convergence-order"] = abs(order - 4.0)
+    return diagnostics.check_lines(measured, params["tolerance_scale"], plan.omega0)
 
 
 def run_check(cfg: RunConfig) -> int:

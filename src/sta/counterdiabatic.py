@@ -56,17 +56,13 @@ __all__ = [
     "cd_hamiltonian",
     "cd_hamiltonian_approx",
     "branch_energies",
-    "adiabatic_phase",
     "adiabatic_phase_values",
     "zero_policy",
     "canonical_policy",
     "phase_shaped_hamiltonian",
-    "eigenvector_derivative",
     "cd_correction_numeric",
     "adiabatic_basis",
 ]
-
-_PHASE_NODES = 2001  # grid points of the quadrature in adiabatic_phase
 
 
 def bare_hamiltonian(s: PulseSchedule, t) -> np.ndarray:
@@ -291,21 +287,6 @@ def adiabatic_phase_values(s: PulseSchedule, grid: np.ndarray):
     return tuple(_cumulative_simpson(e[0::2], e[1::2], neg_h) for e in (ep, em))
 
 
-def adiabatic_phase(s: PulseSchedule, branch: int, t: float) -> complex:
-    """Adiabatic phase beta accumulated by one branch from the window start to t.
-
-    branch is +1 or -1.  The left-basis phase is its conjugate, beta_hat = beta*.
-    """
-    if branch not in (+1, -1):
-        raise ValueError("branch must be +1 or -1")
-    t0 = s.window[0]
-    if t == t0:
-        return 0j
-    grid = np.linspace(t0, t, _PHASE_NODES)
-    bp, bm = adiabatic_phase_values(s, grid)
-    return complex(bp[-1] if branch == +1 else bm[-1])
-
-
 @dataclass(frozen=True)
 class XiPolicy:
     """Phase policy: the rates xi_dot_pm(t) of each branch's transport phase.
@@ -367,15 +348,6 @@ def phase_shaped_hamiltonian(s: PulseSchedule, policy: XiPolicy, t, alpha) -> np
         off - c,
         -ch2 * xp - sh2 * xm,
     )
-
-
-def eigenvector_derivative(hfun, t: float, h: float = 1e-4) -> np.ndarray:
-    """Central-difference time derivative of the gauge-aligned eigenvectors.
-
-    Returns deriv with deriv[n] = d/dt r_n(t), accurate to O(h^2); the
-    branch matching and gauge rule are those of biortho._fd_spectrum.
-    """
-    return _fd_spectrum(hfun, t, h)[1]
 
 
 def cd_correction_numeric(hfun, t: float, h: float = 1e-4) -> np.ndarray:

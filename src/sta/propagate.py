@@ -229,19 +229,16 @@ def _step_block(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, dt: np.ndarray) 
 
 
 def _step_matrices(a: np.ndarray, steps: np.ndarray, width: int, adjoint: bool,
-                   out: np.ndarray | None = None, chunk: int = 0) -> np.ndarray:
-    """RK4 step matrices laid out by chunks of width steps.
+                   m: np.ndarray, chunk: int) -> None:
+    """RK4 step matrices written into m, laid out by chunks of width steps.
 
-    Returns m with m[i, :, :, j] = M_{j width + i}; identities pad the last
-    chunk.  a is the component-major generator of _generator over the
-    len(steps) steps, and adjoint=True builds the steps of y' = A^dag(t) y
-    from -A^dag.  With out, the steps are written into out from chunk index
-    chunk on, and out is returned; otherwise m is allocated for these steps
-    alone.  The steps are whole chunks but for the last, so they land in m
-    with one reshape.
+    m[i, :, :, chunk + j] becomes M_{j width + i} of these steps; identities
+    pad their last chunk.  a is the component-major generator of _generator
+    over the len(steps) steps, and adjoint=True builds the steps of y' =
+    A^dag(t) y from -A^dag.  The steps are whole chunks but for the last,
+    so they land in m with one reshape.
     """
     n = len(steps)
-    m = np.empty((width, 2, 2, -(-n // width)), dtype=complex) if out is None else out
     nodes, mids = a[0], a[1, :, :, :-1]
     if adjoint:  # -A^dag: conjugate and swap the components
         nodes, mids = (-x.transpose(1, 0, 2).conj() for x in (nodes, mids))
@@ -251,7 +248,6 @@ def _step_matrices(a: np.ndarray, steps: np.ndarray, width: int, adjoint: bool,
     if r:
         m[:r, :, :, j + c] = blk[:, :, c * width:].transpose(2, 0, 1)
         m[r:, :, :, j + c] = np.eye(2)
-    return m
 
 
 def _sweep_matrices(hfun, grid: np.ndarray, adjoints=(False,)) -> list[np.ndarray]:
@@ -276,7 +272,7 @@ def _sweep_matrices(hfun, grid: np.ndarray, adjoints=(False,)) -> list[np.ndarra
         # blow-ups surface as NonFiniteState in _rk4, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for m, adjoint in zip(ms, adjoints):
-                _step_matrices(a, steps, width, adjoint, out=m, chunk=s // width)
+                _step_matrices(a, steps, width, adjoint, m, s // width)
         del a, steps  # before the next span's H is sampled
     return ms
 

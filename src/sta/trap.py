@@ -38,13 +38,13 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .biortho import _mat2
+from .diagnostics import energy_claim_error
 from .propagate import _check_grid, _require_steps, propagate
 from .quadrature import _cumulative_simpson
 
 _OMEGA_DT = 0.025  # largest omega dt of one RK4 substep in hamilton_trajectory
 _PHASE_NODES = 2001  # odd node count of the Simpson table behind phase_integral
 _SCAN_SAMPLES = 10001  # points of the omega^2 scan of every ErmakovPlan
-_ENERGY_RTOL = 1e-9  # relative bound of the energy claim (energy_claim_error)
 
 __all__ = [
     "ExpansionSpec",
@@ -385,28 +385,6 @@ class EnergyAudit:
     e_initial: float
     e_final: float
     ratio: float
-
-
-def energy_claim_error(plan: ErmakovPlan, e0: float, ef: float) -> str | None:
-    """Why E(0) = e0 and E(tf) = ef break the energy claim, or None if they keep it.
-
-    The claim: E(0) > 0, E(tf)/E(0) = omega_f/omega_0 and E(0) = m omega_0^2
-    R^2 / 2, each within _ENERGY_RTOL.  Python floats divide to inf past the
-    double range, where numpy would raise under the CLI's float policy.  The
-    rest orbit (R = 0) has no energy to compare.
-    """
-    if plan.amplitude == 0.0:
-        return None
-    ratio = plan.omegaf / plan.omega0
-    if not (e0 > 0.0 and abs(ef / e0 - ratio) <= _ENERGY_RTOL * ratio):
-        return (f"closed-form E(tf)/E(0) misses omega_f/omega_0 = {ratio:.6e} by more than "
-                f"{_ENERGY_RTOL:.0e} relative (E(0) = {e0:.3e} J, E(tf) = {ef:.3e} J)")
-    # products, not powers: a Python float power past the double range raises
-    expected = 0.5 * plan.mass * (plan.omega0 * plan.omega0) * (plan.amplitude * plan.amplitude)
-    if not abs(e0 - expected) <= _ENERGY_RTOL * expected:
-        return (f"closed-form E(0) = {e0:.3e} J misses m omega_0^2 R^2 / 2 = {expected:.3e} J "
-                f"by more than {_ENERGY_RTOL:.0e} relative")
-    return None
 
 
 def energy_audit(plan: ErmakovPlan) -> EnergyAudit:

@@ -21,6 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 import sta.cli as climod
 import sta.counterdiabatic as cdmod
+import sta.diagnostics as diagmod
 from sta import csvfmt
 from sta.cli import main, write_csv
 
@@ -296,14 +297,14 @@ def test_check_matrices_match_per_iteration_draws():
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         m[1, 0] = m[0, 1]
         expected.append(m)
-    drawn = climod._check_matrices()
+    drawn = diagmod._check_matrices()
     assert drawn.shape == (1000, 2, 2)
     assert np.array_equal(drawn, np.array(expected))
 
 
 def test_check_degenerate_draw_is_runtime_error(monkeypatch, capsys):
     degenerate = np.tile(np.eye(2, dtype=complex), (5, 1, 1))
-    monkeypatch.setattr(climod, "_check_matrices", lambda: degenerate)
+    monkeypatch.setattr(diagmod, "_check_matrices", lambda: degenerate)
     code = main(["check"])
     err = capsys.readouterr().err
     assert code == 3

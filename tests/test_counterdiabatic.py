@@ -38,7 +38,6 @@ from sta import (
     XiPolicy,
     ZeroGap,
     adiabatic_basis,
-    adiabatic_phase,
     adiabatic_phase_values,
     alpha_dot,
     bare_hamiltonian,
@@ -53,7 +52,6 @@ from sta import (
     complex_rabi,
     constant_schedule,
     eigensystem_2x2,
-    eigenvector_derivative,
     generic_adiabaticity_ratio,
     mixing_angle_anchor,
     mixing_angle_trajectory,
@@ -62,6 +60,7 @@ from sta import (
     zero_policy,
 )
 import sta.biortho as biortho
+from sta.biortho import _fd_spectrum
 import sta.counterdiabatic as cdmod
 import sta.quadrature as quadrature
 from sta.pulses import PulseSchedule, _const
@@ -231,24 +230,23 @@ def test_adiabatic_phase_static():
     s = constant_schedule(0.3, 0.7, 0.1, window=(0.0, 2.0))
     a0 = mixing_angle_anchor(s, 0.0)
     ep, em = branch_energies(s, 0.0, a0)
-    for branch, e in ((+1, ep), (-1, em)):
-        beta = adiabatic_phase(s, branch, 1.7)
-        assert isinstance(beta, complex)
-        np.testing.assert_allclose(beta, -e * 1.7, rtol=1e-10)
-    assert adiabatic_phase(s, +1, 0.0) == 0j
+    grid = np.linspace(0.0, 1.7, 2001)
+    for beta, e in zip(adiabatic_phase_values(s, grid), (ep, em)):
+        assert beta.dtype == complex and beta[0] == 0j
+        np.testing.assert_allclose(beta[-1], -e * 1.7, rtol=1e-10)
 
 
 def test_adiabatic_phase_decay_law():
     g = 0.3
     s = constant_schedule(0.0, 0.0, g, window=(0.0, 10.0))
     for t in (2.0, 10.0):
-        beta = adiabatic_phase(s, +1, t)
+        beta = adiabatic_phase_values(s, np.linspace(0.0, t, 2001))[0][-1]
         np.testing.assert_allclose(abs(np.exp(1j * beta)) ** 2, np.exp(-g * t), rtol=1e-12)
 
 
 def test_adiabatic_phase_net_decay(atom):
     # net loss accumulated along the followed branch over the full sweep
-    beta = adiabatic_phase(atom, +1, atom.window[1])
+    beta = adiabatic_phase_values(atom, np.linspace(*atom.window, 2001))[0][-1]
     survival = abs(np.exp(1j * beta)) ** 2
     assert survival < 1.0
     np.testing.assert_allclose(survival, np.exp(-0.1), atol=1e-9)
@@ -286,7 +284,7 @@ def test_policy_obstruction(atom, atom_grid):
 def test_eigvec_derivative_static():
     s = constant_schedule(0.3, 0.7, 0.1)
     h = bare_hamiltonian(s, 0.0)
-    deriv = eigenvector_derivative(lambda t: h, 0.5)
+    deriv = _fd_spectrum(lambda t: h, 0.5, 1e-4)[1]
     assert np.max(np.abs(deriv)) == 0.0
 
 
@@ -354,7 +352,7 @@ def test_fd_helpers_follow_crossed_branches():
 def test_fd_degeneracy_names_shifted_matrix():
     # [[0, 1], [t, 0]] is defective at t = 0, here the t - h sample
     with pytest.raises(DegenerateSpectrum, match="matrix 2:"):
-        eigenvector_derivative(lambda t: np.array([[0.0, 1.0], [t, 0.0]]), 1e-4, h=1e-4)
+        _fd_spectrum(lambda t: np.array([[0.0, 1.0], [t, 0.0]]), 1e-4, 1e-4)
 
 
 def test_fd_helpers_decompose_once(monkeypatch, atom):
@@ -370,7 +368,8 @@ def test_fd_helpers_decompose_once(monkeypatch, atom):
         if hasattr(mod, "eigensystem_2x2"):
             monkeypatch.setattr(mod, "eigensystem_2x2", counted)
     hfun = lambda t: bare_hamiltonian(atom, t)
-    for helper in (eigenvector_derivative, cd_correction_numeric, generic_adiabaticity_ratio):
+    for helper in (lambda f, t: _fd_spectrum(f, t, 1e-4), cd_correction_numeric,
+                   generic_adiabaticity_ratio):
         calls.clear()
         helper(hfun, 1.5)
         assert calls == [(3, 2, 2)], helper.__name__

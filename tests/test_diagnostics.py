@@ -1,0 +1,40 @@
+"""The claims module's pass rule at its bounds.
+
+A figure equal to its bound fails: the rap-cd leakage warning and the
+check's leakage line agree there.  The convergence order's deviation
+alone passes at its bound.
+"""
+
+import numpy as np
+
+from sta import diagnostics
+from sta.diagnostics import CHECKS, LEAKAGE
+
+
+def test_leakage_warns_at_its_bound():
+    assert diagnostics.leakage_warning(LEAKAGE) == (
+        "max branch leakage 1.000e-05 exceeds 1e-05; the sweep passes too close to the "
+        "exceptional point for this dt")
+    assert diagnostics.leakage_warning(np.nextafter(LEAKAGE, 0)) is None
+
+
+def _lines(name, measured):
+    figures = {key: 0.0 for key in CHECKS}
+    figures[name] = measured
+    lines, ok = diagnostics.check_lines(figures, 1.0, 1.0)
+    return lines[list(CHECKS).index(name)], ok
+
+
+def test_check_line_fails_at_the_leakage_bound():
+    line, ok = _lines("transitionless-branch-leakage", LEAKAGE)
+    assert line.startswith("FAIL transitionless-branch-leakage") and not ok
+    line, ok = _lines("transitionless-branch-leakage", np.nextafter(LEAKAGE, 0))
+    assert line.startswith("PASS transitionless-branch-leakage") and ok
+
+
+def test_order_line_passes_at_its_bound():
+    bound = CHECKS["rk4-convergence-order"]
+    line, ok = _lines("rk4-convergence-order", bound)
+    assert line == f"PASS rk4-convergence-order: measured={bound:.3e} threshold={bound:.3e}"
+    assert ok
+    assert not _lines("rk4-convergence-order", np.nextafter(bound, 1))[1]

@@ -426,6 +426,14 @@ def _written_out_step_matrices(a, steps):
     return np.concatenate(blocks)
 
 
+def step_matrices(a, steps, adjoint):
+    """_step_matrices of a (2 n + 1, 2, 2) generator stack, written into a new array."""
+    width = _chunk_width(len(steps))
+    m = np.empty((width, 2, 2, -(-len(steps) // width)), dtype=complex)
+    _step_matrices(component_major(a), steps, width, adjoint, m, 0)
+    return m
+
+
 def component_major(a):
     """The (2, 2, 2, n + 1) layout of _generator from a (2 n + 1, 2, 2) stack."""
     out = np.zeros((2, 2, 2, (len(a) + 1) // 2), dtype=a.dtype)
@@ -454,7 +462,6 @@ def test_step_matrices_bitwise(n):
     h[::3, 0, 1] = 0.0  # zeros of both signs, whose signs the adjoint may flip
     h[1::3, 1, 0] = -0.0
     steps = RNG.uniform(1e-3, 2e-3, n)
-    width = _chunk_width(n)
 
     def by_step(m):  # m[i, :, :, j] holds step j * width + i
         # a copy: at width 1 the reshape is a view with a strided last axis
@@ -464,8 +471,8 @@ def test_step_matrices_bitwise(n):
         return m[:n].view(np.uint64)
 
     a = -1j * h
-    forward = by_step(_step_matrices(component_major(a), steps, width, adjoint=False))
-    adjoint = by_step(_step_matrices(component_major(a), steps, width, adjoint=True))
+    forward = by_step(step_matrices(a, steps, adjoint=False))
+    adjoint = by_step(step_matrices(a, steps, adjoint=True))
     # the adjoint generator -a^dag differs from -1j h^dag only in the signs of zeros
     adjoint_generator = -1j * h.conj().transpose(0, 2, 1)
     np.testing.assert_array_equal(bits(forward), bits(_written_out_step_matrices(a, steps)))
@@ -483,11 +490,9 @@ def test_step_matrices_add_identity_to_zero_off_diagonals():
     h[:, 0, 1] = complex(-0.0, -0.0)
     h[:, 1, 0] = complex(0.0, -0.0)
     steps = RNG.uniform(1e-3, 2e-3, n)
-    width = _chunk_width(n)
     a = -1j * h
     for adjoint, generator in ((False, a), (True, -1j * h.conj().transpose(0, 2, 1))):
-        m = _step_matrices(component_major(a), steps, width, adjoint)
-        m = m.transpose(3, 0, 1, 2).reshape(-1, 2, 2)[:n]
+        m = step_matrices(a, steps, adjoint).transpose(3, 0, 1, 2).reshape(-1, 2, 2)[:n]
         expected = _written_out_step_matrices(generator, steps)
         np.testing.assert_array_equal(m.view(np.uint64), expected.view(np.uint64))
         off = m[:, [0, 1], [1, 0]]
