@@ -206,12 +206,13 @@ def _transitionless_sweep(schedule, grid: np.ndarray, sweep):
     H_0 + H_1 carries chi_+ from t0, so sweep(r0), the caller's propagation
     under the caller's drive, needs only the anchor angle.  The mixing-angle
     trajectory is built after it, so no basis is held during the sweep and
-    a BranchJump comes after it.  Returns the trajectory and |c_-| on the grid.
+    a BranchJump comes after it.  Returns the trajectory and |c_-| on the
+    grid, projected from the minus row alone.
     """
     start = cd.MixingAngleTrajectory(grid[:1], [cd.mixing_angle_anchor(schedule, grid[0])])
-    traj = sweep(start.right_at(0)[0])
+    traj = sweep(start.right_at(0, 0))
     basis = cd.mixing_angle_trajectory(schedule, grid)
-    return traj, np.abs(branch_projection(traj, basis)[:, 1])
+    return traj, branch_projection(traj, basis, 1)
 
 
 @contextlib.contextmanager
@@ -262,6 +263,7 @@ def run_rap(cfg: RunConfig) -> int:
     ratio = np.full(len(grid), np.inf)
     ratio[gapped] = adiabaticity_ratio(schedule, grid[gapped])
     p1, p2 = traj.p1, traj.p2
+    del traj  # the states, before the CSV's columns and block
     write_csv(cfg.out_path, ["t_ns", "P1", "P2", "norm2", "adiab_ratio"],
               [grid, p1, p2, p1 + p2, ratio])
     if not gapped.all():
@@ -282,8 +284,9 @@ def run_rap_cd(cfg: RunConfig) -> int:
     traj, leak = _transitionless_sweep(
         schedule, grid, lambda r0: propagate(lambda t: drive(schedule, t), r0, grid))
     p1, p2 = traj.p1, traj.p2
+    del traj  # the states, before the CSV's columns and block
     write_csv(cfg.out_path, ["t_ns", "P1", "P2", "norm2", "c_minus_abs"],
-              [traj.grid, p1, p2, p1 + p2, leak])
+              [grid, p1, p2, p1 + p2, leak])
     warning = None if approx else diagnostics.leakage_warning(float(leak.max()))
     if warning:
         print(f"sta: warning: {warning}", file=sys.stderr)

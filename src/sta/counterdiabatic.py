@@ -164,9 +164,10 @@ class MixingAngleTrajectory:
             x.setflags(write=False)
             object.__setattr__(self, name, x)
 
-    def right_at(self, index) -> np.ndarray:
+    def right_at(self, index, branch=None) -> np.ndarray:
         """right[index]: (2, 2) at one grid point, (k, 2, 2) for a slice of them.
 
+        With branch n, only row n: right[index, n], of shape (2,) or (k, 2).
         sin and cos of the half-angle x + iy are built from real functions,
         sin = sin x cosh y + i cos x sinh y and cos = cos x cosh y - i sin x
         sinh y.  On a tile of 4,096 points this took about 0.16 ms against
@@ -174,6 +175,8 @@ class MixingAngleTrajectory:
         x86-64 host), and on the atom's angles the two differ by at most
         2.5e-16.
         """
+        if branch not in (None, 0, 1):
+            raise ValueError(f"branch must be 0, 1 or None, got {branch!r}")
         half = self.alpha[index] / 2.0
         sin_x, cos_x = np.sin(half.real), np.cos(half.real)
         cosh_y, sinh_y = np.cosh(half.imag), np.sinh(half.imag)
@@ -183,7 +186,9 @@ class MixingAngleTrajectory:
         np.multiply(cos_x, sinh_y, out=sh.imag)
         np.multiply(cos_x, cosh_y, out=ch.real)
         np.multiply(sin_x, -sinh_y, out=ch.imag)
-        return _mat2(sh, ch, ch, -sh)
+        if branch is None:
+            return _mat2(sh, ch, ch, -sh)
+        return np.stack((sh, ch) if branch == 0 else (ch, -sh), axis=-1)
 
     @property
     def right(self) -> np.ndarray:
@@ -218,7 +223,7 @@ def mixing_angle_values(s: PulseSchedule, times: np.ndarray) -> np.ndarray:
     principal angle would jump.  alpha_dot is evaluated one tile of at most
     _TILE intervals at a time, and each tile's running sum continues the
     last one's, so the angle is the same to the bit as from one evaluation
-    over all of times.
+    over all of times.  Each tile's sample is freed before the next is taken.
     """
     times = np.asarray(times, dtype=float)
     n = len(times) - 1
@@ -229,6 +234,7 @@ def mixing_angle_values(s: PulseSchedule, times: np.ndarray) -> np.ndarray:
         f = np.asarray(alpha_dot(s, _refine(tile)))
         alpha[a:b + 1] = _cumulative_simpson(f[0::2], f[1::2], np.diff(tile),
                                              start=alpha[a] if a else None)
+        del f  # before the next tile is sampled
     alpha += mixing_angle_anchor(s, times[0])
     return alpha
 

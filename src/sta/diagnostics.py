@@ -87,7 +87,8 @@ def leakage_warning(leak: float) -> str | None:
     """Why an exact corrected sweep whose max leakage is leak breaks the claim, or None."""
     if _passes("transitionless-branch-leakage", leak, LEAKAGE):
         return None
-    return (f"max branch leakage {leak:.3e} exceeds {LEAKAGE:.0e}; the sweep passes too "
+    verb = "reaches" if leak == LEAKAGE else "exceeds"
+    return (f"max branch leakage {leak:.3e} {verb} {LEAKAGE:.0e}; the sweep passes too "
             "close to the exceptional point for this dt")
 
 

@@ -26,19 +26,24 @@ rows, with the products written out by component (_matmul_2x2), and land
 in the chunk layout below with one reshape.  (A component of a (B, 2, 2)
 stack has 64 bytes between its values: one complex multiply over 16k of
 them took 65-96 us against 12 us on a contiguous row, and numpy's @ costs
-0.4-0.5 us per tiny matrix; numpy 2.4.6, shared 2-vCPU x86-64 host.)  The
-adjoint sweep takes its generator -A^dag from the forward one, and a pair
-builds both sweeps' matrices from each span's sample, so H is still
-sampled once per point.
+0.4-0.5 us per tiny matrix; numpy 2.4.6, shared 2-vCPU x86-64 host.)  A
+pair builds both sweeps' matrices from each span's sample, so H is still
+sampled once per point: the forward matrices from A, then the adjoint
+ones from the same array turned into -A^dag in place (_adjoint_generator:
+a.real *= -1 leaves -conj(A), and a view swaps the component indices).
 
 Beside the 64 bytes per step of each sweep's matrices, a span holds about
-420 bytes per step (550 for a pair): H and A while converting, then A and
-the build's temporaries.  That transient sets a sweep's peak memory, and
-_SPAN = 1,536 was chosen on it and on the speed (tracemalloc peaks of one
-bench/run.py run, numpy 2.4.6): spans of 1,024 steps cut `sta check`'s
-peak from 3.02 to 2.85 MB, but the atom's 15,915-step propagate took
-about 5% longer (median of 60 interleaved calls), and spans of 1,792 and
-2,048 steps raised the oscillator run's peak from 0.96 to 1.07 and 1.18 MB.
+420 bytes per step, for a pair as for one sweep: H and A while
+converting, then A and the build's temporaries.  (A pair held 550 bytes
+per step when it built the adjoint's generator as a negated-conjugate
+copy of A.)  That transient sets a sweep's peak memory: 1.66 MB for the
+atom's 15,915-step propagate and 2.68 MB for its pair (tracemalloc,
+numpy 2.4.6).  _SPAN = 1,536 was chosen on it and on the speed
+(tracemalloc peaks of one bench/run.py run): spans of 1,024 steps cut
+`sta check`'s peak from 3.02 to 2.85 MB, but the atom's 15,915-step
+propagate took about 5% longer (median of 60 interleaved calls), and
+spans of 1,792 and 2,048 steps raised the oscillator run's peak from 0.96
+to 1.07 and 1.18 MB.
 
 The recurrence is then solved by a two-level scan (Blelloch, "Prefix sums
 and their applications", 1990) over chunks of w = ceil(sqrt(n / 16)) steps
@@ -57,7 +62,9 @@ about 1.0 ms at w = 32 against 1.4 ms at ceil(sqrt(n)) = 127.  A
 chunk propagator can overflow where the states stay finite (a zero or tiny
 component meets an entry that grows past the largest double); such a
 chunk is stepped one M_k at a time, so a sweep fails exactly when, and at
-the step where, the step-by-step recurrence does.
+the step where, the step-by-step recurrence does.  _rk4 allocates the
+states after phase 2, once the chunk propagators and the chunk-start
+lists are freed, so they are never held beside each other.
 """
 
 from __future__ import annotations
@@ -228,20 +235,18 @@ def _step_block(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, dt: np.ndarray) 
     return _scale_add(k2, dt / 6.0, np.eye(2)[:, :, None])
 
 
-def _step_matrices(a: np.ndarray, steps: np.ndarray, width: int, adjoint: bool,
-                   m: np.ndarray, chunk: int) -> None:
+def _step_matrices(a: np.ndarray, steps: np.ndarray, width: int, m: np.ndarray,
+                   chunk: int) -> None:
     """RK4 step matrices written into m, laid out by chunks of width steps.
 
     m[i, :, :, chunk + j] becomes M_{j width + i} of these steps; identities
     pad their last chunk.  a is the component-major generator of _generator
-    over the len(steps) steps, and adjoint=True builds the steps of y' =
-    A^dag(t) y from -A^dag.  The steps are whole chunks but for the last,
-    so they land in m with one reshape.
+    over the len(steps) steps, or _adjoint_generator's view of it.  The
+    steps are whole chunks but for the last, so they land in m with one
+    reshape.
     """
     n = len(steps)
     nodes, mids = a[0], a[1, :, :, :-1]
-    if adjoint:  # -A^dag: conjugate and swap the components
-        nodes, mids = (-x.transpose(1, 0, 2).conj() for x in (nodes, mids))
     blk = _step_block(nodes[:, :, :-1], mids, nodes[:, :, 1:], steps)
     (c, r), j = divmod(n, width), chunk
     m[:, :, :, j:j + c] = blk[:, :, :c * width].reshape(2, 2, c, width).transpose(3, 0, 1, 2)
@@ -250,15 +255,28 @@ def _step_matrices(a: np.ndarray, steps: np.ndarray, width: int, adjoint: bool,
         m[r:, :, :, j + c] = np.eye(2)
 
 
-def _sweep_matrices(hfun, grid: np.ndarray, adjoints=(False,)) -> list[np.ndarray]:
-    """The chunk-layout step matrices of _step_matrices over all of grid, one per sweep.
+def _adjoint_generator(a: np.ndarray) -> np.ndarray:
+    """-A^dag from the component-major generator a of A, made in a's own memory.
 
-    adjoints holds one flag per sweep, as _step_matrices takes it.  The steps
-    are cut into spans of whole chunks of at most _SPAN steps; each span's H
-    is sampled in one hfun call, and every sweep's matrices of that span are
-    built from the sample straight into its array.  The arrays are allocated
-    after the first span is sampled, so a grid of one span holds its H stack
-    and its matrices at different times.
+    a.real is multiplied by -1 in place, which leaves -conj(A); the view
+    returned swaps the component indices.  a no longer holds A afterwards.
+    (Multiplied, not negated: np.negative through out= into a strided float
+    view gives wrong values under numpy 2.4.6.)
+    """
+    a.real *= -1.0
+    return a.transpose(0, 2, 1, 3)
+
+
+def _sweep_matrices(hfun, grid: np.ndarray, pair: bool = False) -> list[np.ndarray]:
+    """The chunk-layout step matrices of _step_matrices over all of grid.
+
+    One array for the sweep of A, and with pair=True a second for that of
+    -A^dag, in that order.  The steps are cut into spans of whole chunks of
+    at most _SPAN steps; each span's H is sampled in one hfun call, the
+    forward matrices of that span are built from the sample, and a pair's
+    adjoint ones from the same generator, turned into -A^dag in place.  The
+    arrays are allocated after the first span is sampled, so a grid of one
+    span holds its H stack and its matrices at different times.
     """
     n = len(grid) - 1
     width = _chunk_width(n)
@@ -268,11 +286,13 @@ def _sweep_matrices(hfun, grid: np.ndarray, adjoints=(False,)) -> list[np.ndarra
         span = grid[s:min(s + per_span, n) + 1]
         a, steps = _generator(hfun, span), np.diff(span)
         if not ms:
-            ms = [np.empty((width, 2, 2, -(-n // width)), dtype=complex) for _ in adjoints]
+            ms = [np.empty((width, 2, 2, -(-n // width)), dtype=complex)
+                  for _ in range(1 + pair)]
         # blow-ups surface as NonFiniteState in _rk4, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for m, adjoint in zip(ms, adjoints):
-                _step_matrices(a, steps, width, adjoint, m, s // width)
+            _step_matrices(a, steps, width, ms[0], s // width)
+            if pair:
+                _step_matrices(_adjoint_generator(a), steps, width, ms[1], s // width)
         del a, steps  # before the next span's H is sampled
     return ms
 
@@ -286,8 +306,6 @@ def _rk4(m: np.ndarray, y0: np.ndarray, n: int, adjoint: bool = False) -> np.nda
     first step whose state is not finite.
     """
     width, chunks = m.shape[0], m.shape[-1]
-    out = np.empty((chunks * width + 1, 2), dtype=complex)
-    out[0] = y0
     # blow-ups surface as NonFiniteState below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         # chunks run along the last, contiguous axis of m, so each product
@@ -311,11 +329,15 @@ def _rk4(m: np.ndarray, y0: np.ndarray, n: int, adjoint: bool = False) -> np.nda
             y, z = y1, z1
             ys.append(y)
             zs.append(z)
-        # 3. states inside the chunks, one step of every chunk at a time
-        filled = len(ys)
+        # 3. states inside the chunks, one step of every chunk at a time; the
+        # states are allocated once the propagators and the lists are freed
+        prev = np.array([ys, zs])
+        del prop, ys, zs
+        filled = prev.shape[1]
+        out = np.empty((chunks * width + 1, 2), dtype=complex)
+        out[0] = y0
         out[1 + filled * width:] = np.nan  # rows past a blow-up never pass as finite
         states = out[1:].reshape(chunks, width, 2).transpose(1, 2, 0)[:, :, :filled]
-        prev = np.array([ys, zs])
         for q, state in zip(m[:, :, :, :filled], states):
             np.multiply(q[:, 0], prev[0], out=state)
             state += q[:, 1] * prev[1]
@@ -355,29 +377,35 @@ def propagate_pair(hfun, psi0, psihat0, grid) -> StateTrajectory:
     grid = _check_grid(grid)
     psi0 = _initial_state(psi0, "forward")
     psihat0 = _initial_state(psihat0, "adjoint")
-    ms = _sweep_matrices(hfun, grid, adjoints=(False, True))
+    ms = _sweep_matrices(hfun, grid, pair=True)
     n = len(grid) - 1
     states = _rk4(ms.pop(0), psi0, n)  # popped, so each array is freed after its sweep
     adjoint = _rk4(ms.pop(), psihat0, n, adjoint=True)
     return StateTrajectory(grid=grid, states=states, adjoint_states=adjoint)
 
 
-def branch_projection(traj: StateTrajectory, basis) -> np.ndarray:
-    """Branch amplitudes c_n(t) = <l_n(t)|psi(t)> along a trajectory.
+def branch_projection(traj: StateTrajectory, basis, branch=None) -> np.ndarray:
+    """Branch amplitudes c_n(t) = <l_n(t)|psi(t)> along a trajectory, (N, 2).
 
-    basis has a grid and right_at(index), the right vectors at those grid
-    points, as counterdiabatic.MixingAngleTrajectory does.  Because the
-    basis closes, sum_n c_n(t) r_n(t) rebuilds psi(t) exactly.  The bra of
-    l_n is the conjugate of left, which is right itself, so the states are
-    contracted with right, built one tile of _TILE points at a time.
+    basis has a grid and right_at(index, branch=None), the right vectors at
+    those grid points, or only row branch of them, as
+    counterdiabatic.MixingAngleTrajectory does.  Because the basis closes,
+    sum_n c_n(t) r_n(t) rebuilds psi(t) exactly.  The bra of l_n is the
+    conjugate of left, which is right itself, so the states are contracted
+    with right, built one tile of _TILE points at a time.  Given branch n,
+    returns only |c_n(t)|, a float (N,) array, from row n of each tile.
     """
     if not np.array_equal(traj.grid, basis.grid):
         raise ValueError("trajectory and basis live on different grids")
     n = len(traj.grid)
-    c = np.empty((n, 2), dtype=complex)
+    c = np.empty((n, 2) if branch is None else n, dtype=complex if branch is None else float)
     for a in range(0, n, quadrature._TILE):
         rows = slice(a, a + quadrature._TILE)
-        np.einsum("tnj,tj->tn", basis.right_at(rows), traj.states[rows], out=c[rows])
+        if branch is None:
+            np.einsum("tnj,tj->tn", basis.right_at(rows), traj.states[rows], out=c[rows])
+        else:
+            np.abs(np.einsum("tj,tj->t", basis.right_at(rows, branch), traj.states[rows]),
+                   out=c[rows])
     return c
 
 

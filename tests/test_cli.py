@@ -1043,10 +1043,55 @@ def test_transitionless_sweep_peak_memory():
     # 4.56 MB with a full-length mixing-angle rate sample and a stored
     # (N, 2, 2) basis and its conjugate, 2.84 MB with stored sin/cos
     # columns, 2.58 MB with the angle built before the sweep, 2.27 MB with
-    # 4,096-step tiles; 1,536-step spans leave the step matrices, one span's
-    # H and the states (2.06 MB), and the angle, 16 B per point, is built
-    # after them
-    assert peak < 2.15e6
+    # 4,096-step tiles, 2.06 MB with 1,536-step spans and the leakage taken
+    # from the (N, 2) amplitudes; 1.79 MB with |c_-| from the minus row alone,
+    # the states allocated after the scan's chunk pass and the angle built
+    # after the sweep, so the peak is the sweep's own
+    assert peak < 1.82e6
+
+
+def _assert_leakage_is_minus_amplitude(schedule, grid, sweep):
+    """_transitionless_sweep's leakage is bitwise |c_-| of the full (N, 2) projection."""
+    traj, leak = climod._transitionless_sweep(schedule, grid, sweep)
+    full = climod.branch_projection(traj, cdmod.mixing_angle_trajectory(schedule, grid))
+    assert full.shape == (len(grid), 2) and full.dtype == complex
+    assert leak.shape == (len(grid),) and leak.dtype == np.float64
+    np.testing.assert_array_equal(leak.view(np.uint64), np.abs(full[:, 1]).view(np.uint64))
+
+
+def _corrected_sweep(schedule, grid):
+    return lambda r0: climod.propagate(lambda t: cdmod.cd_hamiltonian(schedule, t), r0, grid)
+
+
+def test_leakage_is_minus_amplitude_on_default_grid():
+    schedule, grid = climod._atom_setup(climod.ATOM_DEFAULTS)
+    assert len(grid) == 15916  # four projection tiles, the last one partial
+    _assert_leakage_is_minus_amplitude(schedule, grid, _corrected_sweep(schedule, grid))
+
+
+# grids of a tile less one point, one tile, one tile and a point, and two tiles
+# and a point, at the default tile of 4,096 points and at a tile of 64
+@pytest.mark.parametrize("tile", [None, 64])
+@pytest.mark.parametrize("extra", [(1, -1), (1, 0), (1, 1), (2, 1)],
+                         ids=["tile-1", "tile", "tile+1", "2tile+1"])
+def test_leakage_is_minus_amplitude_at_tile_edges(monkeypatch, tile, extra):
+    if tile is not None:
+        monkeypatch.setattr(sys.modules["sta.quadrature"], "_TILE", tile)
+    tiles, shift = extra
+    points = tiles * sys.modules["sta.quadrature"]._TILE + shift
+    schedule, _ = climod._atom_setup(climod.ATOM_DEFAULTS)
+    grid = np.linspace(-WINDOW, WINDOW, points)
+    _assert_leakage_is_minus_amplitude(schedule, grid, _corrected_sweep(schedule, grid))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10_000))
+def test_leakage_is_minus_amplitude_on_any_grid_size(points):
+    # 2 ns from the window's start, where the mixing angle turns slowly
+    # enough that even two points keep the branch labels
+    schedule, _ = climod._atom_setup(climod.ATOM_DEFAULTS)
+    grid = np.linspace(-WINDOW, 2.0 - WINDOW, points)
+    _assert_leakage_is_minus_amplitude(schedule, grid, _corrected_sweep(schedule, grid))
 
 
 @pytest.mark.parametrize("scenario,sweep,other", [
@@ -1077,6 +1122,29 @@ def test_check_holds_no_basis_during_pair(monkeypatch, tmp_path, scenario, sweep
     # the grid alone is 127 KB; a mixing-angle basis (255 KB) built before
     # the sweep, or a forward sweep's states before the pair, would add to it
     assert live[0] < 0.25e6
+
+
+@pytest.mark.parametrize("scenario", ["rap", "rap-cd"])
+def test_atom_csv_holds_no_states(monkeypatch, tmp_path, scenario):
+    live = []
+    original = climod.write_csv
+
+    def recorded(*args):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return original(*args)
+
+    monkeypatch.setattr(climod, "write_csv", recorded)
+    cfg = climod.load_run_config(scenario, None, tmp_path / "out", None, None)
+    np.random.default_rng()  # numpy may import numpy.random, 0.5 MB, on first use
+    tracemalloc.start()
+    try:
+        code = climod._SCENARIOS[scenario][0](cfg)
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(live) == 1
+    # the grid and the four computed columns are 127 KB each, plus the bare
+    # run's gap mask; the (N, 2) states held beside them would add 509 KB
+    assert live[0] < 0.8e6
 
 
 @pytest.mark.parametrize("scenario", ["rap", "rap-cd", "rap-cd-approx", "cd-terms"])

@@ -22,7 +22,8 @@ Proves:
     nested-np.stack assembly it replaced, and the in-place corrected drives
     are bitwise H_0 + H_1, also where Gamma = 0 leaves a -0.0 in H_0
   - the tiled mixing angle is bitwise the one-evaluation angle; the basis
-    stores only sin(alpha/2) and cos(alpha/2) and builds its stacks on read
+    stores only sin(alpha/2) and cos(alpha/2) and builds its stacks on read,
+    or one branch's row of them, bitwise the same values
   - transported branch states solve the corrected Schrodinger equation
 """
 
@@ -461,6 +462,11 @@ def test_basis_stores_half_angle_columns(atom, atom_grid):
     assert_bitwise(basis.left, right.conj())
     assert_bitwise(basis.right_at(0), right[0])
     assert_bitwise(basis.right_at(slice(5, 9)), right[5:9])
+    for n in (0, 1):  # one row of the same values
+        assert_bitwise(basis.right_at(0, n), right[0, n])
+        assert_bitwise(basis.right_at(slice(5, 9), n), right[5:9, n])
+    with pytest.raises(ValueError, match="branch must be 0, 1 or None, got 2"):
+        basis.right_at(0, 2)
     for stack in (basis.right, basis.left):
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 0.0

@@ -1,7 +1,8 @@
 """The claims module's pass rule at its bounds.
 
 A figure equal to its bound fails: the rap-cd leakage warning and the
-check's leakage line agree there.  The convergence order's deviation
+check's leakage line agree there.  The warning says "reaches" at the
+bound and "exceeds" above it.  The convergence order's deviation
 alone passes at its bound.
 """
 
@@ -12,7 +13,11 @@ from sta.diagnostics import CHECKS, LEAKAGE
 
 
 def test_leakage_warns_at_its_bound():
+    # "reaches" at the bound itself; "exceeds" above it, as every warning said before
     assert diagnostics.leakage_warning(LEAKAGE) == (
+        "max branch leakage 1.000e-05 reaches 1e-05; the sweep passes too close to the "
+        "exceptional point for this dt")
+    assert diagnostics.leakage_warning(np.nextafter(LEAKAGE, 1)) == (
         "max branch leakage 1.000e-05 exceeds 1e-05; the sweep passes too close to the "
         "exceptional point for this dt")
     assert diagnostics.leakage_warning(np.nextafter(LEAKAGE, 0)) is None

@@ -8,7 +8,8 @@ Proves:
   - conserved biorthogonal overlap along the swept-atom scenario
   - branch projection: exactness, reconstruction, grid mismatch rejection;
     contracting with right one tile at a time is bitwise the contraction
-    with the conjugated left stack
+    with the conjugated left stack, and one branch's |c_n| from row n
+    alone is bitwise the modulus of that column
   - transitionless driving keeps branch leakage tiny; the bare drive leaks
   - empirical convergence order ~4 and the 16x error drop per halving
   - population bounds, monotone decay, non-finite and bad-grid rejection;
@@ -25,7 +26,8 @@ Proves:
     chunk
   - the component-major generator is bitwise -1j H; the step matrices built
     from it are bitwise the written-out RK4 expression, and the adjoint
-    ones bitwise those of the conjugate-transposed generator
+    ones, built from the same array turned into -A^dag in place, bitwise
+    those of the conjugate-transposed generator
   - the component-wise 2x2 product of component-major stacks matches numpy's @
   - sampling H and building the step matrices one span at a time gives
     bitwise the states of one span over the whole grid, forward and paired,
@@ -33,8 +35,10 @@ Proves:
     calls hfun once, the trap's 3,002-step sweep and a pair call it once
     per span on that span's nodes and midpoints, and a blow-up in a later
     span is named at the same step
-  - a 15,915-step sweep of the corrected atom drive stays under a 1.8 MB
-    transient peak: no full-length H stack or generator is held
+  - a 15,915-step sweep of the corrected atom drive stays under a 1.68 MB
+    transient peak, and a pair under 2.72 MB: no full-length H stack or
+    generator is held, a pair turns each span's generator into -A^dag in
+    place, and the states are allocated after the scan's chunk pass
 """
 
 import math
@@ -62,7 +66,8 @@ from sta import (
 )
 import sta.cli as cli_module
 import sta.trap as trap_module
-from sta.propagate import _chunk_width, _generator, _matmul_2x2, _step_matrices, _whole_chunks
+from sta.propagate import (_adjoint_generator, _chunk_width, _generator, _matmul_2x2,
+                           _step_matrices, _whole_chunks)
 from sta.quadrature import _refine
 
 propagate_module = sys.modules["sta.propagate"]
@@ -426,12 +431,18 @@ def _written_out_step_matrices(a, steps):
     return np.concatenate(blocks)
 
 
-def step_matrices(a, steps, adjoint):
-    """_step_matrices of a (2 n + 1, 2, 2) generator stack, written into a new array."""
+def pair_step_matrices(a, steps):
+    """Forward and adjoint _step_matrices of a (2 n + 1, 2, 2) generator stack.
+
+    Built as a pair sweep builds them: the forward ones from the component-major
+    generator, then the adjoint ones from the same array turned into -A^dag in place.
+    """
     width = _chunk_width(len(steps))
-    m = np.empty((width, 2, 2, -(-len(steps) // width)), dtype=complex)
-    _step_matrices(component_major(a), steps, width, adjoint, m, 0)
-    return m
+    g = component_major(a)
+    ms = [np.empty((width, 2, 2, -(-len(steps) // width)), dtype=complex) for _ in range(2)]
+    _step_matrices(g, steps, width, ms[0], 0)
+    _step_matrices(_adjoint_generator(g), steps, width, ms[1], 0)
+    return ms
 
 
 def component_major(a):
@@ -471,8 +482,7 @@ def test_step_matrices_bitwise(n):
         return m[:n].view(np.uint64)
 
     a = -1j * h
-    forward = by_step(step_matrices(a, steps, adjoint=False))
-    adjoint = by_step(step_matrices(a, steps, adjoint=True))
+    forward, adjoint = map(by_step, pair_step_matrices(a, steps))
     # the adjoint generator -a^dag differs from -1j h^dag only in the signs of zeros
     adjoint_generator = -1j * h.conj().transpose(0, 2, 1)
     np.testing.assert_array_equal(bits(forward), bits(_written_out_step_matrices(a, steps)))
@@ -491,8 +501,9 @@ def test_step_matrices_add_identity_to_zero_off_diagonals():
     h[:, 1, 0] = complex(0.0, -0.0)
     steps = RNG.uniform(1e-3, 2e-3, n)
     a = -1j * h
-    for adjoint, generator in ((False, a), (True, -1j * h.conj().transpose(0, 2, 1))):
-        m = step_matrices(a, steps, adjoint).transpose(3, 0, 1, 2).reshape(-1, 2, 2)[:n]
+    pair = pair_step_matrices(a, steps)
+    for m, generator in zip(pair, (a, -1j * h.conj().transpose(0, 2, 1))):
+        m = m.transpose(3, 0, 1, 2).reshape(-1, 2, 2)[:n]
         expected = _written_out_step_matrices(generator, steps)
         np.testing.assert_array_equal(m.view(np.uint64), expected.view(np.uint64))
         off = m[:, [0, 1], [1, 0]]
@@ -644,8 +655,25 @@ def test_long_sweep_holds_no_full_length_stack(atom):
         tracemalloc.stop()
     # full-length stacks held about 5.3 MB: H and its sum terms, 2 MB each, and
     # -iH; 4,096-step tiles 2.14 MB, 1,536-step spans 1.69 MB beside the 1 MB
-    # of step matrices
-    assert peak < 1.8e6
+    # of step matrices, 1.66 MB with the states allocated after the scan's
+    # chunk pass: the peak is one span's transient beside the step matrices
+    assert peak < 1.68e6
+
+
+def test_long_pair_sweep_holds_one_generator_per_span(atom):
+    grid = atom.grid(1e-3)
+    hfun = lambda t: cd_hamiltonian(atom, t)
+    propagate_pair(hfun, [0.0, 1.0], [0.0, 1.0], grid)  # first-call allocations outside
+    tracemalloc.start()
+    try:
+        propagate_pair(hfun, [0.0, 1.0], [0.0, 1.0], grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2.88 MB with two negated-conjugate copies of each span's generator for
+    # the adjoint sweep; 2.68 MB with the span's own generator turned into
+    # -A^dag in place after the forward matrices are built
+    assert peak < 2.72e6
 
 
 def test_overlap_requires_pair(atom, atom_grid):
@@ -665,3 +693,9 @@ def test_branch_projection_is_bitwise_left_conj_contraction(atom, monkeypatch, t
     traj = StateTrajectory(grid=grid.copy(), states=parts[0] + 1j * parts[1])
     ref = np.einsum("tnj,tj->tn", basis.left.conj(), traj.states)
     np.testing.assert_array_equal(_bits(branch_projection(traj, basis)), _bits(ref))
+    # one branch: |c_n| alone, from row n of each tile
+    for n in (0, 1):
+        np.testing.assert_array_equal(_bits(branch_projection(traj, basis, n)),
+                                      _bits(np.abs(ref[:, n])))
+    with pytest.raises(ValueError, match="branch must be 0, 1 or None"):
+        branch_projection(traj, basis, 2)
