@@ -23,10 +23,10 @@ Since alpha is complex, C has a real part: the correction is non-Hermitian.
 Dropping Re C gives the closest Hermitian (hence implementable) drive.
 
 Along a grid, the mixing angle is integrated from alpha_dot sampled one
-tile of at most quadrature._TILE intervals at a time.  The angle, 16 bytes
-per point, is all the branch basis holds: MixingAngleTrajectory builds the
-(N, 2, 2) vector stacks right and left, or the rows of some grid points,
-from sin(alpha/2) and cos(alpha/2) when read.  The corrected drives add
+span of quadrature._spans at a time.  The angle, 16 bytes per point, is
+all the branch basis holds: MixingAngleTrajectory builds the (N, 2, 2)
+vector stacks right and left, or the rows of some grid points, from
+sin(alpha/2) and cos(alpha/2) when read.  The corrected drives add
 +-C into the stack of H_0 in place.
 """
 
@@ -37,11 +37,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import quadrature
 from .biortho import _fd_spectrum, _mat2
 from .errors import BranchJump, ZeroGap
 from .pulses import PulseSchedule, _const
-from .quadrature import _cumulative_simpson, _refine
+from .quadrature import _cumulative_simpson, _refine, _spans
 
 __all__ = [
     "MixingAngleTrajectory",
@@ -170,7 +169,7 @@ class MixingAngleTrajectory:
         With branch n, only row n: right[index, n], of shape (2,) or (k, 2).
         sin and cos of the half-angle x + iy are built from real functions,
         sin = sin x cosh y + i cos x sinh y and cos = cos x cosh y - i sin x
-        sinh y.  On a tile of 4,096 points this took about 0.16 ms against
+        sinh y.  On 4,096 points this took about 0.16 ms against
         0.36 ms with numpy's complex sin and cos (numpy 2.4.6, shared 2-vCPU
         x86-64 host), and on the atom's angles the two differ by at most
         2.5e-16.
@@ -220,21 +219,19 @@ def mixing_angle_values(s: PulseSchedule, times: np.ndarray) -> np.ndarray:
     The anchor is the principal arctan at times[0]; later samples integrate
     alpha_dot with per-interval Simpson steps (midpoint evaluations), which
     tracks the branch through the resonance crossing where the pointwise
-    principal angle would jump.  alpha_dot is evaluated one tile of at most
-    _TILE intervals at a time, and each tile's running sum continues the
-    last one's, so the angle is the same to the bit as from one evaluation
-    over all of times.  Each tile's sample is freed before the next is taken.
+    principal angle would jump.  alpha_dot is evaluated one span of
+    _spans at a time, and each span's running sum continues the last one's,
+    so the angle is the same to the bit as from one evaluation over all of
+    times.  Each span's sample is freed before the next is taken.
     """
     times = np.asarray(times, dtype=float)
-    n = len(times) - 1
-    alpha = np.empty(len(times), dtype=complex)
-    for a in range(0, max(n, 1), quadrature._TILE):
-        b = min(a + quadrature._TILE, n)
-        tile = times[a:b + 1]
-        f = np.asarray(alpha_dot(s, _refine(tile)))
-        alpha[a:b + 1] = _cumulative_simpson(f[0::2], f[1::2], np.diff(tile),
+    alpha = np.zeros(len(times), dtype=complex)
+    for a, b in _spans(len(times) - 1):
+        span = times[a:b + 1]
+        f = np.asarray(alpha_dot(s, _refine(span)))
+        alpha[a:b + 1] = _cumulative_simpson(f[0::2], f[1::2], np.diff(span),
                                              start=alpha[a] if a else None)
-        del f  # before the next tile is sampled
+        del f  # before the next span is sampled
     alpha += mixing_angle_anchor(s, times[0])
     return alpha
 

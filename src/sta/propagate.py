@@ -11,12 +11,13 @@ The ODE y' = A(t) y is linear, so one RK4 step is one 2x2 matrix,
 M_k = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A0, K2 = Am (I + dt/2 K1),
 K3 = Am (I + dt/2 K2) and K4 = A1 (I + dt K3), and y_{k+1} = M_k y_k.
 
-The step matrices are built one span at a time (_sweep_matrices): a span is
-whole chunks of the scan below, at most _SPAN steps.  For each span H is
-sampled in one call, hfun(times) on the span's nodes and midpoints, whose
-result must broadcast to (len(times), 2, 2): a stack, or one constant 2x2
-matrix.  A grid of at most one span calls hfun once; a longer one calls it
-once per span, and the node two spans share is sampled by both.  Each M_k
+The step matrices are built one span at a time (_sweep_matrices), in the
+spans of quadrature._spans with the scan's chunk width below as their unit,
+so a span is whole chunks.  For each span H is sampled in one call,
+hfun(times) on the span's nodes and midpoints, whose result must broadcast
+to (len(times), 2, 2): a stack, or one constant 2x2 matrix.  A grid of at
+most one span calls hfun once; a longer one calls it once per span, and
+the node two spans share is sampled by both.  Each M_k
 depends only on H at its own node, midpoint and next node and on dt_k, so
 the spans change no bit of any M_k.  A = -i H is stored component-major,
 with the time index last (_generator): a[0, i, j, k] is A_ij at node k and
@@ -34,16 +35,9 @@ a.real *= -1 leaves -conj(A), and a view swaps the component indices).
 
 Beside the 64 bytes per step of each sweep's matrices, a span holds about
 420 bytes per step, for a pair as for one sweep: H and A while
-converting, then A and the build's temporaries.  (A pair held 550 bytes
-per step when it built the adjoint's generator as a negated-conjugate
-copy of A.)  That transient sets a sweep's peak memory: 1.66 MB for the
-atom's 15,915-step propagate and 2.68 MB for its pair (tracemalloc,
-numpy 2.4.6).  _SPAN = 1,536 was chosen on it and on the speed
-(tracemalloc peaks of one bench/run.py run): spans of 1,024 steps cut
-`sta check`'s peak from 3.02 to 2.85 MB, but the atom's 15,915-step
-propagate took about 5% longer (median of 60 interleaved calls), and
-spans of 1,792 and 2,048 steps raised the oscillator run's peak from 0.96
-to 1.07 and 1.18 MB.
+converting, then A and the build's temporaries.  That transient sets a
+sweep's peak memory: 1.66 MB for the atom's 15,915-step propagate and
+2.68 MB for its pair (tracemalloc, numpy 2.4.6).
 
 The recurrence is then solved by a two-level scan (Blelloch, "Prefix sums
 and their applications", 1990) over chunks of w = ceil(sqrt(n / 16)) steps
@@ -75,9 +69,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
 from .errors import ConfigError, NonFiniteState
-from .quadrature import _refine
+from .quadrature import _refine, _spans
 
 __all__ = [
     "StateTrajectory",
@@ -90,11 +83,6 @@ __all__ = [
 # Most steps a run's grid may hold; a config asking for more is rejected
 # before anything is allocated (a sweep of 10**8 steps would hold over 25 GB).
 _MAX_STEPS = 10**8
-
-# Most steps per span, rounded down to whole chunks: H is sampled and the
-# RK4 step matrices are built one span at a time (see the module docstring).
-_SPAN = 1536
-
 
 @dataclass(frozen=True)
 class StateTrajectory:
@@ -196,11 +184,6 @@ def _chunk_width(n: int) -> int:
     return math.isqrt((n - 1) // 16) + 1
 
 
-def _whole_chunks(width: int, limit: int) -> int:
-    """Steps in the most whole chunks of width steps that fit in limit, at least one chunk."""
-    return width * max(1, limit // width)
-
-
 def _matmul_2x2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y for component-major (2, 2, B) stacks, one output column per op, summed in place."""
     out = np.empty(x.shape, dtype=np.result_type(x, y))
@@ -271,8 +254,8 @@ def _sweep_matrices(hfun, grid: np.ndarray, pair: bool = False) -> list[np.ndarr
     """The chunk-layout step matrices of _step_matrices over all of grid.
 
     One array for the sweep of A, and with pair=True a second for that of
-    -A^dag, in that order.  The steps are cut into spans of whole chunks of
-    at most _SPAN steps; each span's H is sampled in one hfun call, the
+    -A^dag, in that order.  The steps are cut into the spans of _spans, in
+    whole chunks; each span's H is sampled in one hfun call, the
     forward matrices of that span are built from the sample, and a pair's
     adjoint ones from the same generator, turned into -A^dag in place.  The
     arrays are allocated after the first span is sampled, so a grid of one
@@ -280,10 +263,9 @@ def _sweep_matrices(hfun, grid: np.ndarray, pair: bool = False) -> list[np.ndarr
     """
     n = len(grid) - 1
     width = _chunk_width(n)
-    per_span = _whole_chunks(width, _SPAN)
     ms = []
-    for s in range(0, n, per_span):
-        span = grid[s:min(s + per_span, n) + 1]
+    for s, e in _spans(n, width):
+        span = grid[s:e + 1]
         a, steps = _generator(hfun, span), np.diff(span)
         if not ms:
             ms = [np.empty((width, 2, 2, -(-n // width)), dtype=complex)
@@ -343,7 +325,9 @@ def _rk4(m: np.ndarray, y0: np.ndarray, n: int, adjoint: bool = False) -> np.nda
             state += q[:, 1] * prev[1]
             prev = state
     out = out[:n + 1]
-    if not np.isfinite(out.view(float)).all():
+    # a non-finite state stays so to its chunk's end (0 inf = nan), so the
+    # chunks' last rows show one; every state is scanned only to name its step
+    if filled < chunks or not np.isfinite(prev).all():
         step = int(np.isfinite(out).all(axis=1).argmin())
         where = "adjoint" if adjoint else "forward"
         raise NonFiniteState(
@@ -356,8 +340,8 @@ def propagate(hfun, psi0, grid) -> StateTrajectory:
     """Propagate psi0 through i psi' = H(t) psi on a fixed grid.
 
     hfun takes an array of times and returns an array that broadcasts to
-    (len(times), 2, 2), H at each time.  It is called once per span of at
-    most _SPAN steps, so once for any grid of at most one span.
+    (len(times), 2, 2), H at each time.  It is called once per span of
+    quadrature._spans, so once for any grid of at most one span.
     """
     grid = _check_grid(grid)
     psi0 = _initial_state(psi0, "forward")
@@ -392,15 +376,15 @@ def branch_projection(traj: StateTrajectory, basis, branch=None) -> np.ndarray:
     counterdiabatic.MixingAngleTrajectory does.  Because the basis closes,
     sum_n c_n(t) r_n(t) rebuilds psi(t) exactly.  The bra of l_n is the
     conjugate of left, which is right itself, so the states are contracted
-    with right, built one tile of _TILE points at a time.  Given branch n,
-    returns only |c_n(t)|, a float (N,) array, from row n of each tile.
+    with right, built one span of _spans' rows at a time.  Given branch n,
+    returns only |c_n(t)|, a float (N,) array, from row n of each span.
     """
     if not np.array_equal(traj.grid, basis.grid):
         raise ValueError("trajectory and basis live on different grids")
     n = len(traj.grid)
     c = np.empty((n, 2) if branch is None else n, dtype=complex if branch is None else float)
-    for a in range(0, n, quadrature._TILE):
-        rows = slice(a, a + quadrature._TILE)
+    for a, b in _spans(n):
+        rows = slice(a, b)
         if branch is None:
             np.einsum("tnj,tj->tn", basis.right_at(rows), traj.states[rows], out=c[rows])
         else:

@@ -1,21 +1,35 @@
-"""Cumulative Simpson quadrature, its midpoint grids and the tile length _TILE.
+"""Cumulative Simpson quadrature, its midpoint grids and the span rule _spans.
 
-All three are shared by the atom and trap modules.  _TILE bounds the grid
-intervals of two batched evaluations: mixing_angle_values evaluates the
-mixing-angle rate and branch_projection builds the basis vectors one tile
-of at most _TILE intervals at a time, so neither holds a full-length
-sample of a long grid.  propagate samples H(t) in shorter spans of its own
-(propagate._SPAN), which cut the oscillator's 3,002-step sweep in two.
-That run took about 112 minor page faults against 132-151 with one
-4,096-step tile (getrusage around 40 in-process bench/run.py runs): the
-glibc trim faults of shorter H samples in the CSV writer did not return.
+All three are shared by the atom and trap modules.  Every batched pass over
+a grid walks it in the spans of _spans, at most _SPAN intervals each: the
+RK4 step matrices (in whole scan chunks), the mixing angle and the branch
+projection.  So none of them holds a full-length sample of a long grid.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
-_TILE = 4096
+# Most intervals per span.  The sweep's transient, about 420 bytes per span
+# step, sets the atom runs' peaks; the angle and the projection gave the same
+# peaks at 1,536 and 4,096.  Spans of 1,024 cut `sta check`'s peak from 3.02
+# to 2.85 MB but slowed the atom's propagate by about 5% (median of 60
+# interleaved calls); 1,792 and 2,048 raised the oscillator's from 0.96 to
+# 1.07 and 1.18 MB (tracemalloc, one bench/run.py run, numpy 2.4.6).
+_SPAN = 1536
+
+
+def _spans(n: int, unit: int = 1) -> Iterator[tuple[int, int]]:
+    """Bounds (a, b) of consecutive spans that cover the n intervals of a grid.
+
+    Each span holds the most whole units of unit intervals that fit in
+    _SPAN, and at least one unit; the last one ends at n.  n = 0 gives none.
+    """
+    step = unit * max(1, _SPAN // unit)
+    for a in range(0, n, step):
+        yield a, min(a + step, n)
 
 
 def _refine(grid: np.ndarray) -> np.ndarray:
@@ -34,8 +48,8 @@ def _cumulative_simpson(f_nodes: np.ndarray, f_mids: np.ndarray, h, start=None) 
     (h_k/6) (f_k + 4 f_mid_k + f_k+1); the n partial sums start at 0.  On
     uniformly spaced nodes this is the composite Simpson rule on the grid
     with the midpoints inserted.  start continues the sums of a previous
-    tile that ended at f_nodes[0]: the sums start at start, which is added
-    to the first panel, so tile by tile the additions are those of one
+    span that ended at f_nodes[0]: the sums start at start, which is added
+    to the first panel, so span by span the additions are those of one
     running sum over the whole grid.
     """
     inc = (h / 6.0) * (f_nodes[:-1] + 4.0 * f_mids + f_nodes[1:])

@@ -338,7 +338,7 @@ def closed_form_trajectory(plan: ErmakovPlan, grid) -> PhaseSpaceTrajectory:
     return PhaseSpaceTrajectory(grid=grid.copy(), q=q, p=p)
 
 
-def _substep_grid(plan: ErmakovPlan, grid: np.ndarray) -> np.ndarray:
+def _substep_grid(plan: ErmakovPlan, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """grid with each interval cut into k equal substeps of omega dt <= _OMEGA_DT.
 
     omega is bounded by omega_0 before the ramp, omega_f after it, and on
@@ -346,7 +346,9 @@ def _substep_grid(plan: ErmakovPlan, grid: np.ndarray) -> np.ndarray:
     either end, whichever is larger.  k = 1 where the grid already resolves
     omega, and the points of grid stay exact points of the result.  The
     counts are summed as floats and held to the step ceiling (ConfigError)
-    before any integer array is built, so they cannot wrap.
+    before any integer array is built, so they cannot wrap.  Returns the
+    fine grid, grid itself where no interval is cut, and ends, the
+    fine-grid index of each point of grid.
     """
     lo, hi = grid[:-1], grid[1:]
     w0_sq, wf_sq = plan.omega0**2, plan.omegaf**2
@@ -355,7 +357,9 @@ def _substep_grid(plan: ErmakovPlan, grid: np.ndarray) -> np.ndarray:
     k = np.maximum(1, np.ceil(np.sqrt(w_sq) * (hi - lo) / _OMEGA_DT))
     _require_steps(float(np.sum(k)), f"the trap's grid at omega dt <= {_OMEGA_DT}")
     ends = np.concatenate([[0], np.cumsum(k.astype(int))])  # fine-grid index of each grid point
-    return np.interp(np.arange(ends[-1] + 1), ends, grid)
+    if ends[-1] == len(grid) - 1:  # no copy, so ends costs the sweep no memory
+        return grid, ends
+    return np.interp(np.arange(ends[-1] + 1), ends, grid), ends
 
 
 def hamilton_trajectory(plan: ErmakovPlan, grid) -> PhaseSpaceTrajectory:
@@ -370,9 +374,8 @@ def hamilton_trajectory(plan: ErmakovPlan, grid) -> PhaseSpaceTrajectory:
     grid = _check_grid(grid)
     start = closed_form_trajectory(plan, grid[:1])
     x0 = np.array([start.q[0], start.p[0]], dtype=complex)
-    fine = _substep_grid(plan, grid)
-    states = propagate(effective_hamiltonian(plan), x0, fine).states
-    at_grid = np.take(states, np.searchsorted(fine, grid), axis=0)
+    fine, ends = _substep_grid(plan, grid)
+    at_grid = propagate(effective_hamiltonian(plan), x0, fine).states[ends]
     return PhaseSpaceTrajectory(
         grid=grid.copy(), q=at_grid[:, 0].real.copy(), p=at_grid[:, 1].real.copy()
     )

@@ -26,6 +26,7 @@ from sta import csvfmt
 from sta.cli import main, write_csv
 
 propagate_module = sys.modules["sta.propagate"]
+quadrature_module = sys.modules["sta.quadrature"]
 
 TWO_PI = 2.0 * np.pi
 WINDOW = 5.0 / np.sqrt(TWO_PI**2 * 0.01)  # default half-window, ns
@@ -1065,23 +1066,38 @@ def _corrected_sweep(schedule, grid):
 
 def test_leakage_is_minus_amplitude_on_default_grid():
     schedule, grid = climod._atom_setup(climod.ATOM_DEFAULTS)
-    assert len(grid) == 15916  # four projection tiles, the last one partial
+    assert len(grid) == 15916  # eleven projection spans, the last one partial
     _assert_leakage_is_minus_amplitude(schedule, grid, _corrected_sweep(schedule, grid))
 
 
-# grids of a tile less one point, one tile, one tile and a point, and two tiles
-# and a point, at the default tile of 4,096 points and at a tile of 64
-@pytest.mark.parametrize("tile", [None, 64])
+# grids of a span less one point, one span, one span and a point, and two
+# spans and a point, at the default span of 1,536 points and at a span of 64;
+# the sweep, the mixing angle and the projection all cut the grid into spans
+@pytest.mark.parametrize("span", [None, 64])
 @pytest.mark.parametrize("extra", [(1, -1), (1, 0), (1, 1), (2, 1)],
                          ids=["tile-1", "tile", "tile+1", "2tile+1"])
-def test_leakage_is_minus_amplitude_at_tile_edges(monkeypatch, tile, extra):
-    if tile is not None:
-        monkeypatch.setattr(sys.modules["sta.quadrature"], "_TILE", tile)
-    tiles, shift = extra
-    points = tiles * sys.modules["sta.quadrature"]._TILE + shift
+def test_leakage_is_minus_amplitude_at_tile_edges(monkeypatch, span, extra):
+    if span is not None:
+        monkeypatch.setattr(quadrature_module, "_SPAN", span)
+    spans, shift = extra
+    points = spans * quadrature_module._SPAN + shift
     schedule, _ = climod._atom_setup(climod.ATOM_DEFAULTS)
     grid = np.linspace(-WINDOW, WINDOW, points)
     _assert_leakage_is_minus_amplitude(schedule, grid, _corrected_sweep(schedule, grid))
+
+
+def test_rap_cd_csv_is_the_same_under_two_chunk_spans(monkeypatch, tmp_path):
+    # --dt 0.05 gives 318 steps in chunks of 5: spans of 10 steps, intervals
+    # and rows against one span over the whole grid, for all three passes
+    def csv(span):
+        monkeypatch.setattr(quadrature_module, "_SPAN", span)
+        code, path = run(tmp_path, "rap-cd", "--dt", "0.05", out=f"span-{span}.csv")
+        assert code == 0
+        return path.read_bytes()
+
+    schedule, grid = climod._atom_setup({**climod.ATOM_DEFAULTS, "dt_ns": 0.05})
+    assert len(grid) - 1 == 318 and propagate_module._chunk_width(318) == 5
+    assert csv(10) == csv(10 * len(grid))
 
 
 @settings(max_examples=40, deadline=None)

@@ -21,7 +21,8 @@ Proves:
   - every builder-backed Hamiltonian is bitwise (zero signs included) the
     nested-np.stack assembly it replaced, and the in-place corrected drives
     are bitwise H_0 + H_1, also where Gamma = 0 leaves a -0.0 in H_0
-  - the tiled mixing angle is bitwise the one-evaluation angle; the basis
+  - the mixing angle, summed span by span, is bitwise the one-evaluation
+    angle at span edges, on small spans and on one time; the basis
     stores only sin(alpha/2) and cos(alpha/2) and builds its stacks on read,
     or one branch's row of them, bitwise the same values
   - transported branch states solve the corrected Schrodinger equation
@@ -426,15 +427,17 @@ def _untiled_mixing_angle(s, times):
                                                                   np.diff(times))
 
 
-# around one and two tiles of 4,096 intervals, and the default 15,915-step sweep
-@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193, 15915])
+# around one and two spans of intervals, grids ending inside a span, and the
+# default 15,915-step sweep
+@pytest.mark.parametrize("n", [quadrature._SPAN - 1, quadrature._SPAN, quadrature._SPAN + 1,
+                               2 * quadrature._SPAN + 1, 4095, 4096, 4097, 8193, 15915])
 def test_tiled_mixing_angle_is_bitwise_untiled(atom, n):
     times = np.linspace(*atom.window, n + 1)
     assert_bitwise(mixing_angle_values(atom, times), _untiled_mixing_angle(atom, times))
 
 
 def test_tiled_mixing_angle_small_tiles_and_one_time(atom, monkeypatch):
-    monkeypatch.setattr(quadrature, "_TILE", 7)
+    monkeypatch.setattr(quadrature, "_SPAN", 7)
     t0, t1 = atom.window
     for times in (np.array([0.3]), np.array([t0, t1]), np.linspace(t0, t1, 50),
                   np.linspace(t0, t1, 7 * 9 + 2)):

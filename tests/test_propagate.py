@@ -7,9 +7,9 @@ Proves:
     generators, single and paired runs
   - conserved biorthogonal overlap along the swept-atom scenario
   - branch projection: exactness, reconstruction, grid mismatch rejection;
-    contracting with right one tile at a time is bitwise the contraction
-    with the conjugated left stack, and one branch's |c_n| from row n
-    alone is bitwise the modulus of that column
+    contracting with right one span at a time is bitwise the contraction
+    with the conjugated left stack at span edges, and one branch's |c_n|
+    from row n alone is bitwise the modulus of that column
   - transitionless driving keeps branch leakage tiny; the bare drive leaks
   - empirical convergence order ~4 and the 16x error drop per halving
   - population bounds, monotone decay, non-finite and bad-grid rejection;
@@ -17,7 +17,9 @@ Proves:
   - the first non-finite step is named, inside and after the first span,
     and a non-finite initial state is named as such, before H is sampled
   - an overflowing chunk propagator neither breaks a finite sweep nor
-    moves the step a blow-up is reported at
+    moves the step a blow-up is reported at, and a state that overflows
+    inside a chunk whose propagator and later chunk starts stay finite is
+    named at its step
   - H(t) is sampled in one call whose result must broadcast to (N, 2, 2):
     a constant 2x2 matrix works, any other shape is a ValueError naming
     it, and package errors from the callable reach the caller
@@ -51,6 +53,7 @@ import pytest
 import scipy.linalg
 
 from sta import (
+    MixingAngleTrajectory,
     NonFiniteState,
     StateTrajectory,
     ZeroGap,
@@ -67,7 +70,7 @@ from sta import (
 import sta.cli as cli_module
 import sta.trap as trap_module
 from sta.propagate import (_adjoint_generator, _chunk_width, _generator, _matmul_2x2,
-                           _step_matrices, _whole_chunks)
+                           _step_matrices)
 from sta.quadrature import _refine
 
 propagate_module = sys.modules["sta.propagate"]
@@ -78,7 +81,8 @@ RNG = np.random.default_rng(23)
 
 def _per_span(n):
     """Steps per span of an n-step sweep: whole chunks, at most _SPAN, at least one chunk."""
-    return _whole_chunks(_chunk_width(n), propagate_module._SPAN)
+    width = _chunk_width(n)
+    return width * max(1, quadrature_module._SPAN // width)
 
 
 def test_pure_decay_analytic():
@@ -249,6 +253,27 @@ def test_overflowing_chunk_propagator_keeps_finite_sweep():
     assert np.all(traj.states[:, 1] == 0.0)
 
 
+def test_state_overflowing_inside_a_chunk_names_its_step():
+    # A = diag(0, c): c = 1 over steps 16-19 of the second 16-step chunk, then
+    # c = -1 over steps 20-27, so psi_2 = 1e307 passes the largest double and
+    # falls back; the chunk's propagator, every chunk start and the last
+    # state stay finite, and only the rows inside the chunk show the overflow
+    def hfun(t):
+        c = np.where((t >= 16.0) & (t < 20.0), 1.0, np.where((t >= 20.0) & (t < 28.0), -1.0, 0.0))
+        return np.diag([0.0, 1j]) * c[..., None, None]
+
+    grid = np.linspace(0.0, 4000.0, 4001)
+    [m] = propagate_module._sweep_matrices(hfun, grid)
+    growth = m[:, 1, 1, 1].real
+    assert m.shape[0] == 16 and np.all(m[:, 1, 1, 1].imag == 0.0)
+    assert 1e307 * np.prod(growth) < 1e306  # the second chunk's propagator
+    with np.errstate(over="ignore"):
+        step = 16 + int(np.argmax(np.isinf(1e307 * np.cumprod(growth)))) + 1
+    assert 16 < step < 32
+    with pytest.raises(NonFiniteState, match=rf"forward state after step {step} of 4000;"):
+        propagate(hfun, [0.0, 1e307], grid)
+
+
 def test_overflowing_chunk_propagator_names_sequential_step():
     # 1e-300 * growth^k passes the largest double at k = 31, inside the second
     # chunk, after the first chunk's propagator has overflowed
@@ -406,7 +431,7 @@ def test_scan_matches_reference_at_chunk_and_block_edges(n):
 @pytest.mark.parametrize("n", [99, 100, 101])
 def test_scan_matches_reference_with_one_chunk_per_block(monkeypatch, n):
     # a span smaller than a chunk still holds one whole chunk of 3 steps
-    monkeypatch.setattr(propagate_module, "_SPAN", 2)
+    monkeypatch.setattr(quadrature_module, "_SPAN", 2)
     assert _chunk_width(n) == 3 == _per_span(n)
     _assert_pair_matches_reference(n)
 
@@ -541,7 +566,7 @@ def _bits(states):
                                      (4, (349, 350, 351))], ids=["default", "tile-100", "tile-4"])
 def test_tiled_states_are_bitwise_one_tile(atom, monkeypatch, span, ns):
     if span is not None:
-        monkeypatch.setattr(propagate_module, "_SPAN", span)
+        monkeypatch.setattr(quadrature_module, "_SPAN", span)
     hfun = lambda t: cd_hamiltonian(atom, t)
     psi0, psihat0 = np.array([0.6, 0.8j]), np.array([1.0, -0.5 + 0.2j])
     for n in ns:
@@ -551,7 +576,7 @@ def test_tiled_states_are_bitwise_one_tile(atom, monkeypatch, span, ns):
         tiled = propagate(hfun, psi0, grid)
         tiled_pair = propagate_pair(hfun, psi0, psihat0, grid)
         with monkeypatch.context() as m:
-            m.setattr(propagate_module, "_SPAN", 10 * n)  # one span over the whole grid
+            m.setattr(quadrature_module, "_SPAN", 10 * n)  # one span over the whole grid
             whole = propagate(hfun, psi0, grid)
             whole_pair = propagate_pair(hfun, psi0, psihat0, grid)
         np.testing.assert_array_equal(_bits(tiled.states), _bits(whole.states))
@@ -606,7 +631,8 @@ def test_trap_sweep_samples_once_per_span(monkeypatch):
     # the oscillator's default 3,002-step Hamilton sweep: spans of 1,526 and 1,476 steps
     plan = cli_module._trap_plan(cli_module.TRAP_DEFAULTS)
     grid, _, _ = cli_module._display_grid(cli_module.TRAP_DEFAULTS, plan)
-    fine = trap_module._substep_grid(plan, grid)
+    fine, ends = trap_module._substep_grid(plan, grid)
+    np.testing.assert_array_equal(fine[ends], grid)
     assert len(fine) - 1 == 3002
     hfun, calls = _recording(trap_module.effective_hamiltonian(plan))
     monkeypatch.setattr(trap_module, "effective_hamiltonian", lambda p: hfun)
@@ -617,7 +643,7 @@ def test_trap_sweep_samples_once_per_span(monkeypatch):
 @pytest.mark.parametrize("tile", [None, 100])
 def test_blow_up_in_later_tile_names_same_step(monkeypatch, tile):
     if tile is not None:
-        monkeypatch.setattr(propagate_module, "_SPAN", tile)
+        monkeypatch.setattr(quadrature_module, "_SPAN", tile)
     n = 12000
     # A = -i H = diag(0, 40) from t = 9000.25 on: psi_2 grows by ~1.2e5 per
     # step from step 9000, in the sixth span or later, and overflows ~61 steps
@@ -635,7 +661,7 @@ def test_blow_up_in_later_tile_names_same_step(monkeypatch, tile):
     forward = lambda: propagate(hfun, [0.0, 1.0], grid)
     adjoint = lambda: propagate_pair(hfun, [1.0, 0.0], [0.0, 1.0], grid)
     tiled = message(forward), message(adjoint)
-    monkeypatch.setattr(propagate_module, "_SPAN", 10 * n)
+    monkeypatch.setattr(quadrature_module, "_SPAN", 10 * n)
     assert tiled == (message(forward), message(adjoint))
     for text in tiled:
         step = int(re.search(r"state after step (\d+) of 12000;", text).group(1))
@@ -682,20 +708,26 @@ def test_overlap_requires_pair(atom, atom_grid):
         traj.biorth_overlap
 
 
-@pytest.mark.parametrize("tile", [None, 5])
-def test_branch_projection_is_bitwise_left_conj_contraction(atom, monkeypatch, tile):
-    # four tiles of 4,096 points at the default tile; 3,183 tiles of 5
-    if tile is not None:
-        monkeypatch.setattr(quadrature_module, "_TILE", tile)
-    grid = atom.grid(1e-3)
-    basis = adiabatic_basis(atom, mixing_angle_trajectory(atom, grid))
-    parts = np.random.default_rng(5).normal(size=(2, len(grid), 2))
-    traj = StateTrajectory(grid=grid.copy(), states=parts[0] + 1j * parts[1])
-    ref = np.einsum("tnj,tj->tn", basis.left.conj(), traj.states)
-    np.testing.assert_array_equal(_bits(branch_projection(traj, basis)), _bits(ref))
-    # one branch: |c_n| alone, from row n of each tile
-    for n in (0, 1):
-        np.testing.assert_array_equal(_bits(branch_projection(traj, basis, n)),
-                                      _bits(np.abs(ref[:, n])))
+@pytest.mark.parametrize("span", [None, 5])
+def test_branch_projection_is_bitwise_left_conj_contraction(atom, monkeypatch, span):
+    # the first span less one point, one span, one span and a point and two
+    # spans and a point of the atom's 15,916-point grid, and all of it: 11
+    # spans of 1,536 points at the default span, 3,184 of 5 at a span of 5
+    if span is not None:
+        monkeypatch.setattr(quadrature_module, "_SPAN", span)
+    size = quadrature_module._SPAN
+    full = mixing_angle_trajectory(atom, atom.grid(1e-3))
+    rng = np.random.default_rng(5)
+    for points in (size - 1, size, size + 1, 2 * size + 1, len(full.grid)):
+        grid = full.grid[:points]
+        basis = adiabatic_basis(atom, MixingAngleTrajectory(grid, full.alpha[:points]))
+        parts = rng.normal(size=(2, points, 2))
+        traj = StateTrajectory(grid=grid, states=parts[0] + 1j * parts[1])
+        ref = np.einsum("tnj,tj->tn", basis.left.conj(), traj.states)
+        np.testing.assert_array_equal(_bits(branch_projection(traj, basis)), _bits(ref))
+        # one branch: |c_n| alone, from row n of each span
+        for n in (0, 1):
+            np.testing.assert_array_equal(_bits(branch_projection(traj, basis, n)),
+                                          _bits(np.abs(ref[:, n])))
     with pytest.raises(ValueError, match="branch must be 0, 1 or None"):
         branch_projection(traj, basis, 2)

@@ -17,7 +17,8 @@ Proves:
     rho evaluated on O(len(grid) + 2001) points
   - closed-form trajectory: initial conditions, constant-trap circle,
     agreement with the independent Hamilton-equations run, reversibility;
-    the Hamilton run substeps coarse grids and leaves resolved ones alone
+    the Hamilton run substeps coarse grids and leaves resolved ones alone,
+    reading its states at the fine-grid index of each grid point
   - energy audit: quoted initial energy, exact hundredfold drop, identity
     expansion, rest solution warning, transit is genuinely non-adiabatic
   - validation: bad spec values, inversion flag
@@ -41,6 +42,7 @@ from sta import (
     plan_expansion,
     propagate,
 )
+import sta.trap as trap_module
 from sta.quadrature import _refine
 
 TWO_PI = 2.0 * np.pi
@@ -389,6 +391,27 @@ def test_hamilton_coarse_grid_is_substepped():
     traj = hamilton_trajectory(plan, grid)
     np.testing.assert_allclose(traj.q, spec.q0 * np.cos(spec.omega0 * grid),
                                atol=1e-5 * spec.q0)
+
+
+def test_substep_grid_holds_the_grid_points_at_ends(expansion_plan):
+    # 4 intervals at omega dt = pi/2 cut into 63 substeps each; a resolved grid
+    # is its own fine grid, with ends 0, 1, 2, ...
+    spec = ExpansionSpec(omega0=TWO_PI * 250.0, omegaf=TWO_PI * 250.0, tf=0.004,
+                         mass=1.44e-25, q0=1e-6)
+    plan = plan_expansion(spec)
+    grid = np.linspace(0.0, spec.tf, 5)
+    fine, ends = trap_module._substep_grid(plan, grid)
+    assert np.array_equal(ends, 63 * np.arange(5)) and len(fine) == 253
+    assert np.array_equal(fine[ends], grid) and np.all(np.diff(fine) > 0.0)
+    oracle = hamilton_trajectory(plan, grid)
+    start = closed_form_trajectory(plan, grid[:1])
+    states = propagate(effective_hamiltonian(plan),
+                       np.array([start.q[0], start.p[0]], dtype=complex), fine).states
+    assert np.array_equal(oracle.q, states[ends, 0].real)
+    assert np.array_equal(oracle.p, states[ends, 1].real)
+    resolved = np.linspace(0.0, 0.01, 2001)
+    fine, ends = trap_module._substep_grid(expansion_plan, resolved)
+    assert fine is resolved and np.array_equal(ends, np.arange(2001))
 
 
 def test_hamilton_resolved_grid_is_not_substepped(expansion_spec, expansion_plan):
