@@ -50,6 +50,7 @@ from .propagate import (
 )
 from .pulses import (
     ChirpedGaussianParams,
+    PulseRates,
     PulseSchedule,
     adiabaticity_ratio,
     chirped_gaussian,

@@ -39,7 +39,7 @@ import numpy as np
 
 from .biortho import _fd_spectrum, _mat2
 from .errors import BranchJump, ZeroGap
-from .pulses import PulseSchedule, _const
+from .pulses import PulseSchedule
 from .quadrature import _cumulative_simpson, _refine, _spans
 
 __all__ = [
@@ -66,10 +66,10 @@ __all__ = [
 
 def bare_hamiltonian(s: PulseSchedule, t) -> np.ndarray:
     """Rotating-wave Hamiltonian of the driven atom with upper-level decay."""
-    d, o, g = s.delta(t), s.rabi(t), s.gamma(t)
+    d, _, o, _, g, _ = s.rates(t)
     # each entry is written in place by the ufuncs of -d + 0j, o and d - 1j g,
     # so no complex temporaries are held beside the stack
-    h = np.empty(np.broadcast_shapes(*map(np.shape, (d, o, g))) + (2, 2), dtype=complex)
+    h = np.empty(np.shape(d) + (2, 2), dtype=complex)
     np.add(-d, 0j, out=h[..., 0, 0])
     h[..., 0, 1] = h[..., 1, 0] = o
     np.multiply(1j, g, out=h[..., 1, 1])
@@ -89,9 +89,9 @@ def alpha_dot(s: PulseSchedule, t):
     ZeroGap
         If the denominator magnitude falls below 1e-300 (exceptional point).
     """
-    d = s.delta(t) - 0.5j * s.gamma(t)
-    o = s.rabi(t)
-    num = s.rabi_dot(t) * d - o * (s.delta_dot(t) - 0.5j * s.gamma_dot(t))
+    delta, delta_dot, o, rabi_dot, gamma, gamma_dot = s.rates(t)
+    d = delta - 0.5j * gamma
+    num = rabi_dot * d - o * (delta_dot - 0.5j * gamma_dot)
     den = d * d + o * o
     if np.any(np.abs(den) < 1e-300):
         raise ZeroGap("mixing-angle rate diverges: (Delta - i Gamma/2)^2 + Omega_R^2 ~ 0")
@@ -204,8 +204,8 @@ class MixingAngleTrajectory:
 
 def mixing_angle_anchor(s: PulseSchedule, t) -> complex:
     """Principal-branch mixing angle at one time, the continuation anchor."""
-    d = complex(s.delta(t)) - 0.5j * complex(s.gamma(t))
-    o = complex(s.rabi(t))
+    delta, _, o, _, gamma, _ = map(complex, s.rates(t))
+    d = delta - 0.5j * gamma
     if d == 0.0:
         if o == 0.0:
             raise ZeroGap("mixing angle undefined: Omega_R = 0 and Delta - i Gamma/2 = 0")
@@ -261,8 +261,9 @@ def branch_energies(s: PulseSchedule, t, alpha):
     cos(alpha) is better conditioned, so its branch follows alpha rather
     than the principal square root.  Then E_pm = -i Gamma/4 +- sigma/2.
     """
-    d = np.asarray(s.delta(t) - 0.5j * s.gamma(t))
-    o = np.asarray(s.rabi(t), dtype=complex)
+    delta, _, rabi, _, gamma, _ = s.rates(t)
+    d = np.asarray(delta - 0.5j * gamma)
+    o = np.asarray(rabi, dtype=complex)
     alpha = np.asarray(alpha)
     sin_a, cos_a = np.sin(alpha), np.cos(alpha)
     use_sin = np.abs(sin_a) >= np.abs(cos_a)
@@ -271,7 +272,7 @@ def branch_energies(s: PulseSchedule, t, alpha):
         o / np.where(use_sin, sin_a, 1.0),
         d / np.where(use_sin, 1.0, cos_a),
     )
-    e0 = -0.25j * np.asarray(s.gamma(t))
+    e0 = -0.25j * np.asarray(gamma)
     return e0 + 0.5 * sigma, e0 - 0.5 * sigma
 
 
@@ -305,8 +306,7 @@ class XiPolicy:
 
 def zero_policy() -> XiPolicy:
     """Policy with xi_pm identically zero."""
-    z = _const(0.0)
-    return XiPolicy(xi_dot_plus=z, xi_dot_minus=z)
+    return XiPolicy(xi_dot_plus=np.zeros_like, xi_dot_minus=np.zeros_like)
 
 
 def canonical_policy(s: PulseSchedule, traj: MixingAngleTrajectory) -> XiPolicy:

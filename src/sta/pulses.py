@@ -1,8 +1,10 @@
 """Drive schedules for the decaying two-level atom.
 
-A schedule bundles detuning Delta(t), Rabi frequency Omega_R(t) and decay
-rate Gamma(t) together with their time derivatives, all in angular units
-(rad/ns, time in ns).  The chirped Gaussian pulse
+A schedule is one callable, rates(t), that samples detuning Delta(t), Rabi
+frequency Omega_R(t) and decay rate Gamma(t) together with their time
+derivatives, all in angular units (rad/ns, time in ns), as one PulseRates.
+Every drive formula reads one such sample per call.  The chirped Gaussian
+pulse
 
     Delta(t) = -2 b t,        Omega_R(t) = Omega_0 exp(-a t^2)
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .biortho import _fd_spectrum
 from .errors import ZeroGap
 
 __all__ = [
+    "PulseRates",
     "PulseSchedule",
     "ChirpedGaussianParams",
     "chirped_gaussian",
@@ -31,21 +34,28 @@ __all__ = [
 ]
 
 
+class PulseRates(NamedTuple):
+    """One sample of the drive: (Delta, Omega_R, Gamma) and their time derivatives."""
+
+    delta: np.ndarray | float
+    delta_dot: np.ndarray | float
+    rabi: np.ndarray | float
+    rabi_dot: np.ndarray | float
+    gamma: np.ndarray | float
+    gamma_dot: np.ndarray | float
+
+
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Time-dependent drive parameters and their derivatives.
+    """Time-dependent drive parameters and their derivatives on a window.
 
-    All callables accept scalar or ndarray time and broadcast.  Within the
-    window rabi(t) >= 0 and gamma(t) >= 0 are assumed; the shipped
-    constructors guarantee it.
+    rates(t) takes scalar or ndarray time and returns a PulseRates.  delta
+    has the shape of t; any other rate may be a plain float where it is
+    constant, and must broadcast against t.  Within the window rabi >= 0
+    and gamma >= 0 are assumed; the shipped constructors guarantee it.
     """
 
-    delta: Callable
-    delta_dot: Callable
-    rabi: Callable
-    rabi_dot: Callable
-    gamma: Callable
-    gamma_dot: Callable
+    rates: Callable[..., PulseRates]
     window: tuple[float, float]
 
     def __post_init__(self):
@@ -78,6 +88,8 @@ class ChirpedGaussianParams:
     gamma: float
 
     def __post_init__(self):
+        _require_finite(rabi_peak=self.rabi_peak, width_a=self.width_a,
+                        chirp_b=self.chirp_b, gamma=self.gamma)
         if self.width_a <= 0:
             raise ValueError("width_a must be positive")
         if self.rabi_peak < 0:
@@ -86,8 +98,10 @@ class ChirpedGaussianParams:
             raise ValueError("gamma must be non-negative")
 
 
-def _const(c: float) -> Callable:
-    return lambda t: np.full(np.shape(t), c) if np.ndim(t) else c
+def _require_finite(**values):
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
 
 
 def chirped_gaussian(params: ChirpedGaussianParams, window_factor: float = 5.0) -> PulseSchedule:
@@ -103,37 +117,25 @@ def chirped_gaussian(params: ChirpedGaussianParams, window_factor: float = 5.0) 
     if not math.isfinite(w):
         raise ValueError(f"window_factor / sqrt(a) = {w} is not finite")
 
-    def rabi(t):
-        return o0 * np.exp(-a * np.asarray(t) ** 2)
-
-    def rabi_dot(t):
+    def rates(t):
         t = np.asarray(t)
-        return -2.0 * a * t * o0 * np.exp(-a * t**2)
+        e = np.exp(-a * t**2)
+        return PulseRates(-2.0 * b * t, -2.0 * b, o0 * e, -2.0 * a * t * o0 * e, g, 0.0)
 
-    return PulseSchedule(
-        delta=lambda t: -2.0 * b * np.asarray(t),
-        delta_dot=_const(-2.0 * b),
-        rabi=rabi,
-        rabi_dot=rabi_dot,
-        gamma=_const(g),
-        gamma_dot=_const(0.0),
-        window=(-w, w),
-    )
+    return PulseSchedule(rates=rates, window=(-w, w))
 
 
 def constant_schedule(delta: float, rabi: float, gamma: float, window=(0.0, 1.0)) -> PulseSchedule:
     """Time-independent schedule, mostly for tests and static checks."""
+    _require_finite(delta=delta, rabi=rabi, gamma=gamma)
     if rabi < 0 or gamma < 0:
         raise ValueError("rabi and gamma must be non-negative")
-    return PulseSchedule(
-        delta=_const(delta),
-        delta_dot=_const(0.0),
-        rabi=_const(rabi),
-        rabi_dot=_const(0.0),
-        gamma=_const(gamma),
-        gamma_dot=_const(0.0),
-        window=tuple(window),
-    )
+
+    def rates(t):
+        d = np.full(np.shape(t), delta) if np.ndim(t) else delta
+        return PulseRates(d, 0.0, rabi, 0.0, gamma, 0.0)
+
+    return PulseSchedule(rates=rates, window=tuple(window))
 
 
 def complex_rabi(s: PulseSchedule, t):
@@ -141,7 +143,7 @@ def complex_rabi(s: PulseSchedule, t):
 
     E_+ - E_- = Omega / 2, so |Omega| measures the spectral splitting.
     """
-    g, d, o = s.gamma(t), s.delta(t), s.rabi(t)
+    d, _, o, _, g, _ = s.rates(t)
     return np.sqrt(-((g + 2j * d) ** 2) + 4.0 * o**2)
 
 

@@ -21,6 +21,8 @@ Proves:
   - every builder-backed Hamiltonian is bitwise (zero signs included) the
     nested-np.stack assembly it replaced, and the in-place corrected drives
     are bitwise H_0 + H_1, also where Gamma = 0 leaves a -0.0 in H_0
+  - H_0, alpha_dot and the corrected drive read with the constant rates as
+    plain floats are bitwise the same as with every rate a full array
   - the mixing angle, summed span by span, is bitwise the one-evaluation
     angle at span edges, on small spans and on one time; the basis
     stores only sin(alpha/2) and cos(alpha/2) and builds its stacks on read,
@@ -65,7 +67,7 @@ import sta.biortho as biortho
 from sta.biortho import _fd_spectrum
 import sta.counterdiabatic as cdmod
 import sta.quadrature as quadrature
-from sta.pulses import PulseSchedule, _const
+from sta.pulses import PulseRates, PulseSchedule
 from sta.quadrature import _cumulative_simpson, _refine
 
 TWO_PI = 2.0 * np.pi
@@ -95,14 +97,16 @@ def test_alpha_dot_static_zero():
 def test_alpha_dot_hermitian_reduction():
     # Gamma = 0 and Delta constant: alpha_dot = Omega_R' Delta / (Delta^2 + Omega_R^2)
     o0, a, d0 = 0.9, 0.04, 0.7
-    s = PulseSchedule(
-        delta=_const(d0), delta_dot=_const(0.0),
-        rabi=lambda t: o0 * np.exp(-a * np.asarray(t) ** 2),
-        rabi_dot=lambda t: -2.0 * a * np.asarray(t) * o0 * np.exp(-a * np.asarray(t) ** 2),
-        gamma=_const(0.0), gamma_dot=_const(0.0), window=(-20.0, 20.0),
-    )
+
+    def rates(t):
+        e = np.exp(-a * np.asarray(t) ** 2)
+        return PulseRates(np.full(np.shape(t), d0) if np.ndim(t) else d0, 0.0,
+                          o0 * e, -2.0 * a * np.asarray(t) * o0 * e, 0.0, 0.0)
+
+    s = PulseSchedule(rates=rates, window=(-20.0, 20.0))
     for t in (-3.0, 0.5, 4.0):
-        expected = s.rabi_dot(t) * d0 / (d0**2 + s.rabi(t) ** 2)
+        r = s.rates(t)
+        expected = r.rabi_dot * d0 / (d0**2 + r.rabi**2)
         got = alpha_dot(s, t)
         np.testing.assert_allclose(got, expected, rtol=1e-14)
         assert got.imag == 0.0
@@ -148,8 +152,8 @@ def test_cd_correction_structure(atom, atom_grid):
 
 def test_cd_hamiltonian_off_diagonals(atom, atom_grid):
     h = cd_hamiltonian(atom, atom_grid)
-    np.testing.assert_allclose(h[:, 0, 1] + h[:, 1, 0], atom.rabi(atom_grid), rtol=1e-13,
-                               atol=1e-16)
+    np.testing.assert_allclose(h[:, 0, 1] + h[:, 1, 0], atom.rates(atom_grid).rabi,
+                               rtol=1e-13, atol=1e-16)
     c = np.asarray(cd_coupling(atom, atom_grid))
     np.testing.assert_allclose(h[:, 0, 1] - h[:, 1, 0], 2.0 * c, rtol=1e-13)
     m12 = cd_hamiltonian(atom, 0.0)[0, 1]
@@ -182,8 +186,9 @@ def test_mixing_angle_continuation(atom, atom_grid):
     assert abs(traj.alpha[-1] - np.pi) < 1e-9  # ~pi far after: inversion
     assert np.max(np.abs(np.diff(traj.alpha))) < np.pi / 2
     # tan identity along the way: Omega cos(alpha) = (Delta - i Gamma/2) sin(alpha)
-    d = atom.delta(traj.grid) - 0.5j * atom.gamma(traj.grid)
-    res = atom.rabi(traj.grid) * np.cos(traj.alpha) - d * np.sin(traj.alpha)
+    r = atom.rates(traj.grid)
+    d = r.delta - 0.5j * r.gamma
+    res = r.rabi * np.cos(traj.alpha) - d * np.sin(traj.alpha)
     assert np.max(np.abs(res)) < 1e-7
 
 
@@ -196,9 +201,8 @@ def test_mixing_angle_rest_case():
 def test_mixing_angle_coarse_grid_raises():
     # steep resonance crossing sampled by a single interval
     s = PulseSchedule(
-        delta=lambda t: -1.0 * np.asarray(t), delta_dot=_const(-1.0),
-        rabi=_const(0.01), rabi_dot=_const(0.0),
-        gamma=_const(0.0), gamma_dot=_const(0.0), window=(-10.0, 10.0),
+        rates=lambda t: PulseRates(-1.0 * np.asarray(t), -1.0, 0.01, 0.0, 0.0, 0.0),
+        window=(-10.0, 10.0),
     )
     with pytest.raises(ValueError):
         mixing_angle_trajectory(s, np.array([-10.0, 10.0]))
@@ -384,7 +388,7 @@ def _stack(m11, m12, m21, m22):
 
 
 def _bare_ref(s, t):
-    d, o, g = s.delta(t), s.rabi(t), s.gamma(t)
+    d, _, o, _, g, _ = s.rates(t)
     zero = np.zeros(np.shape(t))
     return 0.5 * _stack(-d + 0j, o + zero * 1j, o + zero * 1j, d - 1j * g)
 
@@ -489,3 +493,30 @@ def test_in_place_drives_match_sums_bitwise(chirp_b, gamma):
         ci = 1j * np.imag(cd_coupling(s, t))
         assert_bitwise(cd_hamiltonian(s, t), bare + cd_correction(s, t))
         assert_bitwise(cd_hamiltonian_approx(s, t), bare + biortho._mat2(0.0, ci, -ci, 0.0))
+
+
+def _full_arrays(s):
+    """s with every rate a full array of t's shape, as sampled one callable per rate."""
+
+    def rates(t):
+        r = s.rates(t)
+        return PulseRates(*(np.full(np.shape(t), x) for x in r)) if np.ndim(t) else r
+
+    return PulseSchedule(rates=rates, window=s.window)
+
+
+@pytest.mark.parametrize("s", [
+    chirped_gaussian(ChirpedGaussianParams(TWO_PI * 0.1, TWO_PI**2 * 0.01,
+                                           TWO_PI**2 * 0.00025, TWO_PI * 0.002)),
+    chirped_gaussian(ChirpedGaussianParams(0.6, 0.4, -0.01, 0.0)),
+    constant_schedule(0.4, 0.9, 0.05),
+    constant_schedule(-0.0, 0.3, 0.0),
+], ids=["atom", "chirp-down-gamma-0", "constant", "constant-delta-minus-0"])
+def test_float_constant_rates_are_bitwise_full_arrays(s):
+    full = _full_arrays(s)
+    # a refined grid of 3,073 intervals over the window, and both zeros
+    t = np.concatenate([_refine(np.linspace(*s.window, 3074)), [0.0, -0.0]])
+    assert type(s.rates(t).gamma) is float
+    assert_bitwise(bare_hamiltonian(s, t), bare_hamiltonian(full, t))
+    assert_bitwise(alpha_dot(s, t), alpha_dot(full, t))
+    assert_bitwise(cd_hamiltonian(s, t), cd_hamiltonian(full, t))

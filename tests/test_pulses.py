@@ -2,7 +2,10 @@
 
 Proves:
   - chirped Gaussian center values, window placement, tail suppression
+  - the fused rates sample is bitwise the six separate rate formulas, and
+    each drive formula keeps t's shape with the constants as plain floats
   - analytic derivatives match central finite differences
+  - non-finite pulse parameters are rejected, naming the field
   - grid construction honors dt and the window
   - adiabaticity ratio: static zero, center value, failure in the wings,
     invariance under time-unit rescaling, ZeroGap at coalescence
@@ -15,45 +18,96 @@ import pytest
 
 from sta import (
     ChirpedGaussianParams,
+    PulseRates,
     PulseSchedule,
     ZeroGap,
     adiabaticity_ratio,
+    alpha_dot,
     bare_hamiltonian,
     chirped_gaussian,
     complex_rabi,
     constant_schedule,
     eigensystem_2x2,
     generic_adiabaticity_ratio,
+    mixing_angle_values,
 )
 
 TWO_PI = 2.0 * np.pi
 
 
 def test_center_values(atom, atom_params):
-    assert atom.delta(0.0) == 0.0
-    assert atom.rabi(0.0) == atom_params.rabi_peak
-    assert atom.rabi_dot(0.0) == 0.0
-    assert atom.gamma_dot(3.0) == 0.0
-    np.testing.assert_allclose(atom.rabi(0.0), 0.6283, atol=1e-4)
-    np.testing.assert_allclose(atom.gamma(1.0), 0.012566, atol=1e-6)
+    center = atom.rates(0.0)
+    assert center.delta == 0.0
+    assert center.rabi == atom_params.rabi_peak
+    assert center.rabi_dot == 0.0
+    assert atom.rates(3.0).gamma_dot == 0.0
+    np.testing.assert_allclose(center.rabi, 0.6283, atol=1e-4)
+    np.testing.assert_allclose(atom.rates(1.0).gamma, 0.012566, atol=1e-6)
 
 
 def test_window_placement(atom, atom_params):
     w = 5.0 / np.sqrt(atom_params.width_a)
     assert atom.window == (-w, w)
     np.testing.assert_allclose(w, 7.957747154594767, rtol=1e-15)
-    np.testing.assert_allclose(atom.rabi(w) / atom_params.rabi_peak, np.exp(-25.0), rtol=1e-12)
+    np.testing.assert_allclose(atom.rates(w).rabi / atom_params.rabi_peak, np.exp(-25.0),
+                               rtol=1e-12)
+
+
+def _bits(x):
+    x = np.asarray(x, dtype=float)
+    return x.shape, x.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("where", ["grid", 0.0, -0.0, 1.3])
+def test_fused_rates_are_bitwise_the_separate_formulas(atom, atom_params, where):
+    # the six rate formulas of the separate-callable schedule, written out
+    o0, a, b, g = (atom_params.rabi_peak, atom_params.width_a, atom_params.chirp_b,
+                   atom_params.gamma)
+    t = atom.grid(1e-3) if where == "grid" else where
+    full = (lambda c: np.full(np.shape(t), c)) if np.ndim(t) else (lambda c: c)
+    ref = PulseRates(
+        delta=-2.0 * b * np.asarray(t),
+        delta_dot=full(-2.0 * b),
+        rabi=o0 * np.exp(-a * np.asarray(t) ** 2),
+        rabi_dot=-2.0 * a * np.asarray(t) * o0 * np.exp(-a * np.asarray(t) ** 2),
+        gamma=full(g),
+        gamma_dot=full(0.0),
+    )
+    got = atom.rates(t)
+    assert isinstance(got, PulseRates)
+    for name in PulseRates._fields:
+        x, y = np.broadcast_arrays(getattr(got, name), getattr(ref, name))
+        assert _bits(x) == _bits(y), name
+    # Delta, Omega_R and Omega_R' vary and have t's shape; the others are floats
+    assert all(np.shape(r) == np.shape(t) for r in (got.delta, got.rabi, got.rabi_dot))
+    assert all(type(r) is float for r in (got.delta_dot, got.gamma, got.gamma_dot))
+
+
+@pytest.mark.parametrize("t", [np.linspace(0.0, 1.0, 7), np.zeros((2, 3)), 0.25])
+def test_constant_schedule_formulas_keep_t_shape(t):
+    s = constant_schedule(delta=0.4, rabi=0.9, gamma=0.05)
+    assert np.shape(s.rates(t).delta) == np.shape(t)
+    if np.ndim(t):
+        assert bare_hamiltonian(s, t).shape == np.shape(t) + (2, 2)
+        assert np.shape(alpha_dot(s, t)) == np.shape(t)
+        assert np.shape(complex_rabi(s, t)) == np.shape(t)
+    else:
+        assert bare_hamiltonian(s, t).shape == (2, 2)
+        assert np.ndim(alpha_dot(s, t)) == 0
+        assert np.ndim(complex_rabi(s, t)) == 0
+    for times in (np.linspace(0.0, 1.0, 7), np.array([0.25])):
+        assert mixing_angle_values(s, times).shape == times.shape
 
 
 def test_derivative_consistency(atom):
     t0, t1 = atom.window
     h = 1e-4 * (t1 - t0)
     ts = np.linspace(t0 + h, t1 - h, 1000)
-    for f, fdot in ((atom.delta, atom.delta_dot), (atom.rabi, atom.rabi_dot),
-                    (atom.gamma, atom.gamma_dot)):
-        fd = (f(ts + h) - f(ts - h)) / (2.0 * h)
-        scale = max(1e-30, np.max(np.abs(fdot(ts))))
-        assert np.max(np.abs(fd - fdot(ts))) < 1e-6 * max(1.0, scale)
+    lo, mid, hi = atom.rates(ts - h), atom.rates(ts), atom.rates(ts + h)
+    for f, fdot in (("delta", "delta_dot"), ("rabi", "rabi_dot"), ("gamma", "gamma_dot")):
+        fd = (getattr(hi, f) - getattr(lo, f)) / (2.0 * h)
+        scale = max(1e-30, np.max(np.abs(getattr(mid, fdot))))
+        assert np.max(np.abs(fd - getattr(mid, fdot))) < 1e-6 * max(1.0, scale)
 
 
 def test_grid(atom):
@@ -83,6 +137,26 @@ def test_params_validation():
         constant_schedule(0.0, -1.0, 0.0)
     with pytest.raises(ValueError):
         constant_schedule(0.0, 1.0, 0.0, window=(1.0, 1.0))
+
+
+def chirped(**kw):
+    return chirped_gaussian(ChirpedGaussianParams(
+        **{"rabi_peak": 1.0, "width_a": 1.0, "chirp_b": 0.1, "gamma": 0.01, **kw}))
+
+
+def constant(**kw):
+    return constant_schedule(**{"delta": 0.0, "rabi": 1.0, "gamma": 0.0, **kw})
+
+
+# x < 0 is False for NaN, so the sign checks alone let these through
+@pytest.mark.parametrize("build, field", [
+    (chirped, "rabi_peak"), (chirped, "width_a"), (chirped, "chirp_b"), (chirped, "gamma"),
+    (constant, "delta"), (constant, "rabi"), (constant, "gamma"),
+], ids=lambda x: getattr(x, "__name__", x))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_are_rejected(build, field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+        build(**{field: bad})
 
 
 def test_complex_rabi_is_spectral_gap(atom):
@@ -152,16 +226,11 @@ def test_landau_zener_reduction():
     # Omega_R |Delta_dot| / (2 (Delta^2 + Omega_R^2)^(3/2))
     o, slope = 0.8, 0.05
     s = PulseSchedule(
-        delta=lambda t: slope * np.asarray(t),
-        delta_dot=lambda t: np.full(np.shape(t), slope) if np.ndim(t) else slope,
-        rabi=lambda t: np.full(np.shape(t), o) if np.ndim(t) else o,
-        rabi_dot=lambda t: np.zeros(np.shape(t)) if np.ndim(t) else 0.0,
-        gamma=lambda t: np.zeros(np.shape(t)) if np.ndim(t) else 0.0,
-        gamma_dot=lambda t: np.zeros(np.shape(t)) if np.ndim(t) else 0.0,
+        rates=lambda t: PulseRates(slope * np.asarray(t), slope, o, 0.0, 0.0, 0.0),
         window=(-40.0, 40.0),
     )
     for t in (-10.0, 0.0, 3.0, 25.0):
-        d = s.delta(t)
+        d = s.rates(t).delta
         lz = o * abs(slope) / (2.0 * (d**2 + o**2) ** 1.5)
         np.testing.assert_allclose(adiabaticity_ratio(s, t), lz, rtol=1e-12)
         np.testing.assert_allclose(

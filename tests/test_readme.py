@@ -3,8 +3,9 @@
 Proves:
   - every ```python block of README.md runs, in order and in one
     namespace (later blocks reuse names such as TWO_PI), without error
-  - the values its comments quote hold: leakage at roundoff, rho_final 10
-    and the energy ratio omega_f/omega_0
+  - the values its comments quote hold: leakage at roundoff, the
+    Landau-Zener closed form of the custom drive's adiabaticity ratio,
+    rho_final 10 and the energy ratio omega_f/omega_0
 """
 
 import re
@@ -22,6 +23,10 @@ def test_readme_python_blocks_run():
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["leak"] < 1e-12
+    v, coupling, times = namespace["v"], namespace["coupling"], namespace["times"]
+    np.testing.assert_allclose(namespace["ratio"],
+                               coupling * v / (2.0 * ((v * times) ** 2 + coupling**2) ** 1.5),
+                               rtol=1e-12)
     np.testing.assert_allclose(namespace["plan"].rho_final, 10.0, rtol=1e-12)
     np.testing.assert_allclose(namespace["energy_audit"](namespace["plan"]).ratio, 0.01,
                                rtol=1e-9)
