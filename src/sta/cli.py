@@ -37,7 +37,8 @@ from . import csvfmt, diagnostics, trap
 from .errors import ConfigError, StaError
 from .propagate import (_require_steps, branch_projection, convergence_order, propagate,
                         propagate_pair)
-from .pulses import ChirpedGaussianParams, adiabaticity_ratio, chirped_gaussian, complex_rabi
+from .pulses import (ChirpedGaussianParams, _adiabaticity_monitor, adiabaticity_ratio,
+                     chirped_gaussian)
 
 TWO_PI = 2.0 * np.pi
 
@@ -259,15 +260,13 @@ def run_rap(cfg: RunConfig) -> int:
     """Bare sweep: populations, norm and the adiabaticity monitor, inf where the gap closes."""
     schedule, grid = _atom_setup(cfg.params)
     traj = propagate(lambda t: cd.bare_hamiltonian(schedule, t), [0.0, 1.0], grid)
-    gapped = complex_rabi(schedule, grid) != 0
-    ratio = np.full(len(grid), np.inf)
-    ratio[gapped] = adiabaticity_ratio(schedule, grid[gapped])
+    ratio, closed = _adiabaticity_monitor(schedule, grid)
     p1, p2 = traj.p1, traj.p2
     del traj  # the states, before the CSV's columns and block
     write_csv(cfg.out_path, ["t_ns", "P1", "P2", "norm2", "adiab_ratio"],
               [grid, p1, p2, p1 + p2, ratio])
-    if not gapped.all():
-        print(f"sta: warning: the spectral gap closes at {np.sum(~gapped)} grid point(s); "
+    if closed:
+        print(f"sta: warning: the spectral gap closes at {closed} grid point(s); "
               "adiab_ratio is written as inf there", file=sys.stderr)
     return 0
 

@@ -26,7 +26,8 @@ Along a grid, the mixing angle is integrated from alpha_dot sampled one
 span of quadrature._spans at a time.  The angle, 16 bytes per point, is
 all the branch basis holds: MixingAngleTrajectory builds the (N, 2, 2)
 vector stacks right and left, or the rows of some grid points, from
-sin(alpha/2) and cos(alpha/2) when read.  The corrected drives add
+sin(alpha/2) and cos(alpha/2) when read.  The corrected drives read one
+sample of the schedule's rates per call, take C and H_0 from it, and add
 +-C into the stack of H_0 in place.
 """
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from .biortho import _fd_spectrum, _mat2
 from .errors import BranchJump, ZeroGap
-from .pulses import PulseSchedule
+from .pulses import PulseRates, PulseSchedule
 from .quadrature import _cumulative_simpson, _refine, _spans
 
 __all__ = [
@@ -66,7 +67,12 @@ __all__ = [
 
 def bare_hamiltonian(s: PulseSchedule, t) -> np.ndarray:
     """Rotating-wave Hamiltonian of the driven atom with upper-level decay."""
-    d, _, o, _, g, _ = s.rates(t)
+    return _bare_hamiltonian(s.rates(t))
+
+
+def _bare_hamiltonian(r: PulseRates) -> np.ndarray:
+    """H_0 from one sample r of the schedule's rates."""
+    d, _, o, _, g, _ = r
     # each entry is written in place by the ufuncs of -d + 0j, o and d - 1j g,
     # so no complex temporaries are held beside the stack
     h = np.empty(np.shape(d) + (2, 2), dtype=complex)
@@ -89,13 +95,24 @@ def alpha_dot(s: PulseSchedule, t):
     ZeroGap
         If the denominator magnitude falls below 1e-300 (exceptional point).
     """
-    delta, delta_dot, o, rabi_dot, gamma, gamma_dot = s.rates(t)
+    return _alpha_dot(s.rates(t))
+
+
+def _alpha_dot(r: PulseRates, where=True):
+    """alpha_dot from one sample r of the schedule's rates.
+
+    With a boolean array where, only at the points where it is True, and 0
+    elsewhere: ZeroGap is raised for those points only, and no quotient is
+    taken at the others.
+    """
+    delta, delta_dot, o, rabi_dot, gamma, gamma_dot = r
     d = delta - 0.5j * gamma
     num = rabi_dot * d - o * (delta_dot - 0.5j * gamma_dot)
     den = d * d + o * o
-    if np.any(np.abs(den) < 1e-300):
+    if np.any((np.abs(den) < 1e-300) & where):
         raise ZeroGap("mixing-angle rate diverges: (Delta - i Gamma/2)^2 + Omega_R^2 ~ 0")
-    return num / den
+    out = np.zeros(np.broadcast(num, den).shape, dtype=complex)
+    return np.divide(num, den, out=out, where=where)[()]
 
 
 def cd_coupling(s: PulseSchedule, t):
@@ -109,13 +126,13 @@ def cd_correction(s: PulseSchedule, t) -> np.ndarray:
     return _mat2(0.0, c, -c, 0.0)
 
 
-def _add_coupling(s: PulseSchedule, t, c) -> np.ndarray:
-    """H_0 + [[0, c], [-c, 0]], with c added into the off-diagonals of H_0 in place.
+def _add_coupling(r: PulseRates, c) -> np.ndarray:
+    """H_0 + [[0, c], [-c, 0]] from one sample r of the rates, c added into H_0 in place.
 
-    The callers compute c before H_0 is sampled here, so the temporaries of
+    The callers compute c before H_0 is built here, so the temporaries of
     alpha_dot and the H_0 stack are not held at once.
     """
-    h = bare_hamiltonian(s, t)
+    h = _bare_hamiltonian(r)
     h[..., 0, 1] += c
     h[..., 1, 0] -= c
     # H_0[1, 1] has real part -0.0 where Gamma = 0 and Delta = -0.0; adding
@@ -126,7 +143,8 @@ def _add_coupling(s: PulseSchedule, t, c) -> np.ndarray:
 
 def cd_hamiltonian(s: PulseSchedule, t) -> np.ndarray:
     """Exactly corrected drive H = H_0 + H_1 (non-Hermitian off-diagonals)."""
-    return _add_coupling(s, t, cd_coupling(s, t))
+    r = s.rates(t)
+    return _add_coupling(r, 0.5j * _alpha_dot(r))
 
 
 def cd_hamiltonian_approx(s: PulseSchedule, t) -> np.ndarray:
@@ -136,7 +154,8 @@ def cd_hamiltonian_approx(s: PulseSchedule, t) -> np.ndarray:
     amplitude-modulated laser can implement; the price is that branch
     transport is no longer exact.
     """
-    return _add_coupling(s, t, 1j * np.imag(cd_coupling(s, t)))
+    r = s.rates(t)
+    return _add_coupling(r, 1j * np.imag(0.5j * _alpha_dot(r)))
 
 
 @dataclass(frozen=True)

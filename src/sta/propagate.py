@@ -23,21 +23,28 @@ the spans change no bit of any M_k.  A = -i H is stored component-major,
 with the time index last (_generator): a[0, i, j, k] is A_ij at node k and
 a[1, i, j, k] at the midpoint of step k, so every matrix entry is one
 contiguous row.  A span's M_k are built in batched numpy passes on such
-rows, with the products written out by component (_matmul_2x2), and land
-in the chunk layout below with one reshape.  (A component of a (B, 2, 2)
-stack has 64 bytes between its values: one complex multiply over 16k of
-them took 65-96 us against 12 us on a contiguous row, and numpy's @ costs
-0.4-0.5 us per tiny matrix; numpy 2.4.6, shared 2-vCPU x86-64 host.)  A
-pair builds both sweeps' matrices from each span's sample, so H is still
-sampled once per point: the forward matrices from A, then the adjoint
-ones from the same array turned into -A^dag in place (_adjoint_generator:
-a.real *= -1 leaves -conj(A), and a view swaps the component indices).
+rows, one component entry at a time (_generator, _matmul_2x2, _step_block),
+and land in the chunk layout below with one reshape.  (A component of a
+(B, 2, 2) stack has 64 bytes between its values: one complex multiply over
+16k of them took 65-96 us against 12 us on a contiguous row, and numpy's
+@ costs 0.4-0.5 us per tiny matrix; numpy 2.4.6, shared 2-vCPU x86-64
+host.)  Every ufunc of the build reads and writes contiguous complex (B,)
+rows through out=, with the dt factors cast to complex once per span, so
+numpy allocates no iteration or cast buffers: on (2, 2, B) stacks, strided
+views and complex-by-float operands its buffers had taken as much memory
+as the arrays asked for.  A pair builds both sweeps' matrices from each
+span's sample, so H is still sampled once per point: the forward matrices
+from A, then the adjoint ones from the same array turned into -A^dag in
+place (_adjoint_generator: a.real *= -1 leaves -conj(A), and a view swaps
+the component indices).
 
 Beside the 64 bytes per step of each sweep's matrices, a span holds about
-420 bytes per step, for a pair as for one sweep: H and A while
-converting, then A and the build's temporaries.  That transient sets a
-sweep's peak memory: 1.66 MB for the atom's 15,915-step propagate and
-2.68 MB for its pair (tracemalloc, numpy 2.4.6).
+330 bytes per step, for a pair as for one sweep: H and A while
+converting, then A and the build's own rows (about 420 bytes when the
+build ran on whole stacks, 1.66 MB for the atom's 15,915-step propagate
+and 2.68 MB for its pair).  The peak is now the scan's: _rk4 holds the
+1.02 MB of step matrices beside the 0.51 MB of states, 1.57 MB for the
+atom's propagate and 2.59 MB for its pair (tracemalloc, numpy 2.4.6).
 
 The recurrence is then solved by a two-level scan (Blelloch, "Prefix sums
 and their applications", 1990) over chunks of w = ceil(sqrt(n / 16)) steps
@@ -83,6 +90,9 @@ __all__ = [
 # Most steps a run's grid may hold; a config asking for more is rejected
 # before anything is allocated (a sweep of 10**8 steps would hold over 25 GB).
 _MAX_STEPS = 10**8
+
+# the (i, j) entries of a 2x2 matrix, in the order the step build walks them
+_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 @dataclass(frozen=True)
 class StateTrajectory:
@@ -173,8 +183,9 @@ def _generator(hfun, grid: np.ndarray) -> np.ndarray:
     a = np.empty((2, 2, 2, len(grid)), dtype=complex)
     # a non-finite H surfaces as NonFiniteState in the sweep, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(-1j, h[0::2].transpose(1, 2, 0), out=a[0])
-        np.multiply(-1j, h[1::2].transpose(1, 2, 0), out=a[1, :, :, :-1])
+        for i, j in _ENTRIES:
+            np.multiply(-1j, h[0::2, i, j], out=a[0, i, j])
+            np.multiply(-1j, h[1::2, i, j], out=a[1, i, j, :-1])
     a[1, :, :, -1] = 0.0
     return a
 
@@ -185,18 +196,27 @@ def _chunk_width(n: int) -> int:
 
 
 def _matmul_2x2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for component-major (2, 2, B) stacks, one output column per op, summed in place."""
-    out = np.empty(x.shape, dtype=np.result_type(x, y))
-    for j in range(2):
-        np.multiply(x[:, 0], y[0, j], out=out[:, j])
-        out[:, j] += x[:, 1] * y[1, j]
+    """x @ y for component-major (2, 2, B) complex stacks, one output entry at a time."""
+    out = np.empty(x.shape, dtype=complex)
+    row = np.empty(x.shape[-1], dtype=complex)
+    for i, j in _ENTRIES:
+        _entry_product(x, y, i, j, out[i, j], row)
     return out
 
 
-def _scale_add(x: np.ndarray, c, y) -> np.ndarray:
-    """c x + y, computed in x in place."""
-    x *= c
-    x += y
+def _entry_product(x: np.ndarray, y: np.ndarray, i: int, j: int, out: np.ndarray,
+                   row: np.ndarray) -> None:
+    """Entry (i, j) of x @ y, x[i, 0] y[0, j] + x[i, 1] y[1, j], into out; row is scratch."""
+    np.multiply(x[i, 0], y[0, j], out=out)
+    np.multiply(x[i, 1], y[1, j], out=row)
+    out += row
+
+
+def _scale_add(x: np.ndarray, c, y: np.ndarray) -> np.ndarray:
+    """c x + y, computed in x in place one entry at a time."""
+    for i, j in _ENTRIES:
+        x[i, j] *= c
+        x[i, j] += y[i, j]
     return x
 
 
@@ -206,16 +226,30 @@ def _step_block(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, dt: np.ndarray) 
     All four are component-major (2, 2, B).  I + dt/6 (a0 + 2 (k2 + k3) + k4)
     with k2 = am + dt/2 am a0, k3 = am + dt/2 am k2 and k4 = a1 + dt a1 k3,
     summed in place: the same floating-point operations as the written-out
-    expression, with fewer temporaries.
+    expression, with fewer temporaries.  Every ufunc acts on contiguous
+    complex (B,) rows, so numpy needs no cast or iteration buffers: the dt
+    factors are cast to complex once, as a complex-by-float multiply casts
+    them, and k4 is built one entry at a time and added straight into the sum.
     """
-    k2 = _scale_add(_matmul_2x2(am, a0), 0.5 * dt, am)
-    k3 = _scale_add(_matmul_2x2(am, k2), 0.5 * dt, am)
-    k4 = _scale_add(_matmul_2x2(a1, k3), dt, a1)
-    k2 += k3
+    half = (0.5 * dt).astype(complex)
+    k2 = _scale_add(_matmul_2x2(am, a0), half, am)
+    k3 = _scale_add(_matmul_2x2(am, k2), half, am)
+    del half
+    full, sixth = dt.astype(complex), (dt / 6.0).astype(complex)
+    for i, j in _ENTRIES:
+        k2[i, j] += k3[i, j]
     k2 = _scale_add(k2, 2.0, a0)
-    k2 += k4
-    # identity on every entry, so off-diagonal zeros get +0.0 as in I + ...
-    return _scale_add(k2, dt / 6.0, np.eye(2)[:, :, None])
+    k4, row = np.empty((2, len(dt)), dtype=complex)
+    for i, j in _ENTRIES:
+        _entry_product(a1, k3, i, j, k4, row)
+        k4 *= full
+        k4 += a1[i, j]
+        m = k2[i, j]
+        m += k4
+        m *= sixth
+        # +0.0 off the diagonal too, as I + ... turns a -0.0 there into +0.0
+        m += 1.0 if i == j else 0.0
+    return k2
 
 
 def _step_matrices(a: np.ndarray, steps: np.ndarray, width: int, m: np.ndarray,

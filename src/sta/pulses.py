@@ -143,7 +143,12 @@ def complex_rabi(s: PulseSchedule, t):
 
     E_+ - E_- = Omega / 2, so |Omega| measures the spectral splitting.
     """
-    d, _, o, _, g, _ = s.rates(t)
+    return _complex_rabi(s.rates(t))
+
+
+def _complex_rabi(r: PulseRates):
+    """Omega from one sample r of the schedule's rates."""
+    d, _, o, _, g, _ = r
     return np.sqrt(-((g + 2j * d) ** 2) + 4.0 * o**2)
 
 
@@ -161,14 +166,34 @@ def adiabaticity_ratio(s: PulseSchedule, t):
     ZeroGap
         If |Omega| vanishes at some requested time (eigenvalue coalescence).
     """
-    from .counterdiabatic import alpha_dot
-
-    gap = np.abs(complex_rabi(s, t))
-    if np.any(gap <= 0.0):
+    r = s.rates(t)
+    omega = _complex_rabi(r)
+    if np.any(omega == 0):
         raise ZeroGap("spectral gap vanished; adiabaticity ratio undefined")
-    rate = np.abs(alpha_dot(s, t))
+    return _ratio(r, omega)
+
+
+def _adiabaticity_monitor(s: PulseSchedule, t) -> tuple[np.ndarray, int]:
+    """adiabaticity_ratio from one sample of the rates, inf where the gap closes.
+
+    Returns the ratio and the number of times where the gap closes; the
+    mixing angle's ZeroGap is still raised at the other times.
+    """
+    r = s.rates(t)
+    omega = _complex_rabi(r)
+    return _ratio(r, omega), int(np.count_nonzero(omega == 0))
+
+
+def _ratio(r: PulseRates, omega):
+    """|alpha_dot| / |Omega| from one sample r of the rates and its Omega, inf where Omega is 0."""
+    from .counterdiabatic import _alpha_dot
+
+    gapped = omega != 0
+    rate = np.abs(_alpha_dot(r, gapped))
+    ratio = np.full(np.shape(omega), np.inf)
     with np.errstate(over="ignore"):
-        return rate / gap
+        np.divide(rate, np.abs(omega), out=ratio, where=gapped)
+    return ratio[()]
 
 
 def generic_adiabaticity_ratio(hfun, t: float, h: float = 1e-4) -> float:

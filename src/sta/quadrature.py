@@ -12,10 +12,12 @@ from collections.abc import Iterator
 
 import numpy as np
 
-# Most intervals per span.  The sweep's transient, about 420 bytes per span
-# step, sets the atom runs' peaks; the angle and the projection gave the same
-# peaks at 1,536 and 4,096.  Spans of 1,024 cut `sta check`'s peak from 3.02
-# to 2.85 MB but slowed the atom's propagate by about 5% (median of 60
+# Most intervals per span.  The sweep's transient, about 330 bytes per span
+# step, stays under the atom sweep's scan (the step matrices beside the
+# states), which sets its peak; the angle and the projection gave the same
+# peaks at 1,536 and 4,096.  When the transient was about 420 bytes per step
+# and set the atom runs' peaks, spans of 1,024 cut `sta check`'s peak from
+# 3.02 to 2.85 MB but slowed the atom's propagate by about 5% (median of 60
 # interleaved calls); 1,792 and 2,048 raised the oscillator's from 0.96 to
 # 1.07 and 1.18 MB (tracemalloc, one bench/run.py run, numpy 2.4.6).
 _SPAN = 1536

@@ -20,7 +20,8 @@ Proves:
     principal root, and decompose once per evaluation
   - every builder-backed Hamiltonian is bitwise (zero signs included) the
     nested-np.stack assembly it replaced, and the in-place corrected drives
-    are bitwise H_0 + H_1, also where Gamma = 0 leaves a -0.0 in H_0
+    are bitwise H_0 + H_1, also where Gamma = 0 leaves a -0.0 in H_0; each
+    corrected drive samples the schedule once per call
   - H_0, alpha_dot and the corrected drive read with the constant rates as
     plain floats are bitwise the same as with every rate a full array
   - the mixing angle, summed span by span, is bitwise the one-evaluation
@@ -493,6 +494,27 @@ def test_in_place_drives_match_sums_bitwise(chirp_b, gamma):
         ci = 1j * np.imag(cd_coupling(s, t))
         assert_bitwise(cd_hamiltonian(s, t), bare + cd_correction(s, t))
         assert_bitwise(cd_hamiltonian_approx(s, t), bare + biortho._mat2(0.0, ci, -ci, 0.0))
+
+
+def _counting(s):
+    """s with a count of its rates calls."""
+    calls = []
+
+    def rates(t):
+        calls.append(t)
+        return s.rates(t)
+
+    return PulseSchedule(rates=rates, window=s.window), calls
+
+
+@pytest.mark.parametrize("drive", [cd_hamiltonian, cd_hamiltonian_approx])
+def test_corrected_drive_samples_the_schedule_once(atom, drive):
+    counted, calls = _counting(atom)
+    t = _refine(np.linspace(*atom.window, 1537))
+    for times in (t, 0.3):
+        calls.clear()
+        assert_bitwise(np.asarray(drive(counted, times)), np.asarray(drive(atom, times)))
+        assert len(calls) == 1
 
 
 def _full_arrays(s):

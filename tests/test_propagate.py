@@ -29,7 +29,10 @@ Proves:
   - the component-major generator is bitwise -1j H; the step matrices built
     from it are bitwise the written-out RK4 expression, and the adjoint
     ones, built from the same array turned into -A^dag in place, bitwise
-    those of the conjugate-transposed generator
+    those of the conjugate-transposed generator, with signed zeros,
+    infinities and NaNs among the entries too; every ufunc of the step
+    build that reads the generator or a dt factor acts on contiguous (B,)
+    rows of one dtype
   - the component-wise 2x2 product of component-major stacks matches numpy's @
   - sampling H and building the step matrices one span at a time gives
     bitwise the states of one span over the whole grid, forward and paired,
@@ -37,10 +40,13 @@ Proves:
     calls hfun once, the trap's 3,002-step sweep and a pair call it once
     per span on that span's nodes and midpoints, and a blow-up in a later
     span is named at the same step
-  - a 15,915-step sweep of the corrected atom drive stays under a 1.68 MB
-    transient peak, and a pair under 2.72 MB: no full-length H stack or
-    generator is held, a pair turns each span's generator into -A^dag in
-    place, and the states are allocated after the scan's chunk pass
+  - a 15,915-step sweep of the corrected atom drive stays under a 1.60 MB
+    peak, and a pair under 2.62 MB: no full-length H stack or generator is
+    held, a pair turns each span's generator into -A^dag in place, and the
+    states are allocated after the scan's chunk pass; building its step
+    matrices holds under 0.55 MB beside them, and a span's step build no
+    more than its own twelve rows, so numpy allocates no cast or iteration
+    buffers
 """
 
 import math
@@ -483,13 +489,23 @@ def test_generator_is_component_major_bitwise():
     h = RNG.normal(size=(2 * n + 1, 2, 2)) + 1j * RNG.normal(size=(2 * n + 1, 2, 2))
     h[::3, 0, 1] = 0.0
     h[1::3, 1, 0] = -0.0
+    _put_non_finite(h)
     a = _generator(lambda t: h, np.linspace(0.0, 1.0, n + 1))
     assert a.shape == (2, 2, 2, n + 1)
-    expected = component_major(-1j * h)
+    with np.errstate(invalid="ignore"):
+        expected = component_major(-1j * h)
     # nodes, and the midpoints of the n steps (a[1, :, :, n] is unused)
     np.testing.assert_array_equal(a[0].view(np.uint64), expected[0].view(np.uint64))
     np.testing.assert_array_equal(a[1, :, :, :n].view(np.uint64),
                                   expected[1, :, :, :n].view(np.uint64))
+
+
+def _put_non_finite(stack):
+    """Signed zeros, infinities and NaNs in a few entries of a (2 n + 1, 2, 2) stack."""
+    for k, (i, j), z in ((5, (0, 1), complex(math.inf, 0.0)), (9, (1, 1), complex(-0.0, -math.inf)),
+                         (24, (1, 0), complex(-math.inf, 2.0)), (31, (0, 0), complex(math.nan, 0.5)),
+                         (46, (1, 1), complex(-0.0, math.nan)), (60, (0, 1), complex(-0.0, -0.0))):
+        stack[k, i, j] = z
 
 
 @pytest.mark.parametrize("n", [1, 10, 2500])
@@ -516,9 +532,77 @@ def test_step_matrices_bitwise(n):
     assert np.all(forward[n:] == np.eye(2)) and np.all(adjoint[n:] == np.eye(2))
 
 
+def _minus_conj_transpose(a):
+    """-a^dag of a (2 n + 1, 2, 2) stack made as _adjoint_generator makes it: real parts times -1."""
+    out = a.copy()
+    out.real *= -1.0
+    return out.transpose(0, 2, 1)
+
+
+def test_step_matrices_bitwise_with_non_finite_entries():
+    # An infinity or a NaN in A reaches every product of its steps, and
+    # inf times a dt factor cast to complex, dt + 0i, is a NaN, as in the
+    # written-out expression: those steps blow up as its steps do, to the
+    # bit, NaN payloads and signs too.  The adjoint's reference generator
+    # is -A^dag made as _adjoint_generator makes it, the real parts
+    # multiplied by -1, which keeps the signs of NaNs where negation flips them.
+    n = 40
+    a = -1j * (RNG.normal(size=(2 * n + 1, 2, 2)) + 1j * RNG.normal(size=(2 * n + 1, 2, 2)))
+    a[::4, 0, 1] = complex(-0.0, 1.5)
+    a[2::4, 1, 0] = complex(0.5, -0.0)
+    _put_non_finite(a)
+    steps = RNG.uniform(1e-3, 2e-3, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        forward, adjoint = (m.transpose(3, 0, 1, 2).reshape(-1, 2, 2)[:n]
+                            for m in pair_step_matrices(a, steps))
+        expected = _written_out_step_matrices(a, steps)
+        expected_adjoint = _written_out_step_matrices(_minus_conj_transpose(a), steps)
+    finite = np.isfinite(forward).all(axis=(1, 2))
+    assert np.isnan(forward).any() and 0 < finite.sum() < n
+    np.testing.assert_array_equal(forward.view(np.uint64), expected.view(np.uint64))
+    np.testing.assert_array_equal(adjoint.view(np.uint64), expected_adjoint.view(np.uint64))
+
+
+def test_step_block_ufuncs_act_on_contiguous_rows_of_one_dtype():
+    # every ufunc that reads the generator or a dt factor acts on contiguous
+    # (B,) rows of one dtype, so numpy allocates no cast or iteration buffer:
+    # a float dt factor multiplied into complex rows, or a product over a
+    # (2, 2, B) stack or a strided view, would be recorded here
+    calls = []
+
+    class Recorded(np.ndarray):
+        """An array whose ufunc calls record the dtype, shape and contiguity of each array operand."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+            calls.append([(x.dtype, x.shape, x.flags.c_contiguous)
+                          for x in inputs + out if isinstance(x, np.ndarray)])
+            plain = tuple(x.view(np.ndarray) if isinstance(x, Recorded) else x
+                          for x in inputs + out)
+            result = getattr(ufunc, method)(*plain[:len(inputs)], out=plain[len(inputs):] or None,
+                                            **kwargs)
+            if out:
+                return out[0]
+            return result.view(Recorded)
+
+    b = 100
+    g = component_major(RNG.normal(size=(2 * b + 1, 2, 2)) + 1j * RNG.normal(size=(2 * b + 1, 2, 2)))
+    steps = RNG.uniform(1e-3, 2e-3, b)
+    block = lambda g, steps: propagate_module._step_block(g[0, :, :, :-1], g[1, :, :, :-1],
+                                                          g[0, :, :, 1:], steps)
+    expected = block(g, steps)
+    got = block(g.view(Recorded), steps.view(Recorded))
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert len(calls) > 40
+    for operands in calls:
+        assert len({dtype for dtype, _, _ in operands}) == 1, operands
+        assert all(shape == (b,) and contiguous for _, shape, contiguous in operands), operands
+
+
 def test_step_matrices_add_identity_to_zero_off_diagonals():
     # a diagonal generator leaves signed zeros off the diagonal of every
-    # product; I + ... turns each into +0.0, as the written-out expression does
+    # product; I + ... turns each into +0.0, as the written-out expression
+    # does.  With a positive real diagonal and -0.0 + 0i off it, the sum
+    # before I has real part -0.0 off the diagonal, so adding +0.0 there counts.
     n = 40
     h = np.zeros((2 * n + 1, 2, 2), dtype=complex)
     h[:, 0, 0], h[:, 1, 1] = RNG.normal(size=(2, 2 * n + 1)) + 1j * RNG.normal(size=(2, 2 * n + 1))
@@ -526,13 +610,17 @@ def test_step_matrices_add_identity_to_zero_off_diagonals():
     h[:, 1, 0] = complex(0.0, -0.0)
     steps = RNG.uniform(1e-3, 2e-3, n)
     a = -1j * h
-    pair = pair_step_matrices(a, steps)
-    for m, generator in zip(pair, (a, -1j * h.conj().transpose(0, 2, 1))):
-        m = m.transpose(3, 0, 1, 2).reshape(-1, 2, 2)[:n]
-        expected = _written_out_step_matrices(generator, steps)
-        np.testing.assert_array_equal(m.view(np.uint64), expected.view(np.uint64))
-        off = m[:, [0, 1], [1, 0]]
-        assert not (np.signbit(off.real) | np.signbit(off.imag)).any()
+    positive = np.zeros((2 * n + 1, 2, 2), dtype=complex)
+    positive[:, 0, 0], positive[:, 1, 1] = RNG.uniform(0.1, 1.0, size=(2, 2 * n + 1))
+    positive[:, 0, 1] = positive[:, 1, 0] = complex(-0.0, 0.0)
+    for a, adjoint_generator in ((a, -1j * h.conj().transpose(0, 2, 1)),
+                                 (positive, _minus_conj_transpose(positive))):
+        for m, generator in zip(pair_step_matrices(a, steps), (a, adjoint_generator)):
+            m = m.transpose(3, 0, 1, 2).reshape(-1, 2, 2)[:n]
+            expected = _written_out_step_matrices(generator, steps)
+            np.testing.assert_array_equal(m.view(np.uint64), expected.view(np.uint64))
+            off = m[:, [0, 1], [1, 0]]
+            assert not (np.signbit(off.real) | np.signbit(off.imag)).any()
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5])
@@ -668,38 +756,66 @@ def test_blow_up_in_later_tile_names_same_step(monkeypatch, tile):
         assert 9000 < step < 9100
 
 
+def _traced_peak(run):
+    """tracemalloc's peak over one call of run, after an untraced first call."""
+    run()
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 def test_long_sweep_holds_no_full_length_stack(atom):
     grid = atom.grid(1e-3)
     assert len(grid) - 1 == 15915
     hfun = lambda t: cd_hamiltonian(atom, t)
-    propagate(hfun, [0.0, 1.0], grid)  # first-call allocations outside the measurement
-    tracemalloc.start()
-    try:
-        propagate(hfun, [0.0, 1.0], grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = _traced_peak(lambda: propagate(hfun, [0.0, 1.0], grid))
     # full-length stacks held about 5.3 MB: H and its sum terms, 2 MB each, and
     # -iH; 4,096-step tiles 2.14 MB, 1,536-step spans 1.69 MB beside the 1 MB
     # of step matrices, 1.66 MB with the states allocated after the scan's
-    # chunk pass: the peak is one span's transient beside the step matrices
-    assert peak < 1.68e6
+    # chunk pass, when the peak was one span's transient beside the step
+    # matrices; 1.57 MB with the span built one component entry at a time,
+    # when the peak is the scan's: the step matrices beside the 0.51 MB of states
+    assert peak < 1.60e6
 
 
 def test_long_pair_sweep_holds_one_generator_per_span(atom):
     grid = atom.grid(1e-3)
     hfun = lambda t: cd_hamiltonian(atom, t)
-    propagate_pair(hfun, [0.0, 1.0], [0.0, 1.0], grid)  # first-call allocations outside
-    tracemalloc.start()
-    try:
-        propagate_pair(hfun, [0.0, 1.0], [0.0, 1.0], grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = _traced_peak(lambda: propagate_pair(hfun, [0.0, 1.0], [0.0, 1.0], grid))
     # 2.88 MB with two negated-conjugate copies of each span's generator for
     # the adjoint sweep; 2.68 MB with the span's own generator turned into
-    # -A^dag in place after the forward matrices are built
-    assert peak < 2.72e6
+    # -A^dag in place after the forward matrices are built, 2.59 MB with the
+    # span built one component entry at a time
+    assert peak < 2.62e6
+
+
+def test_sweep_matrix_build_holds_one_span_beside_the_matrices(atom):
+    # the atom's 15,915 steps in 11 spans of 1,536: beside the 1.02 MB of step
+    # matrices a span held 0.64 MB while numpy's iterator buffers cast and
+    # strode over (2, 2, B) stacks, and 0.51 MB built one component entry at
+    # a time: its H and A, then A and the step build's own rows
+    grid = atom.grid(1e-3)
+    peak, ms = _traced_peak(
+        lambda: propagate_module._sweep_matrices(lambda t: cd_hamiltonian(atom, t), grid))
+    assert sum(m.nbytes for m in ms) == 1_019_904
+    assert peak - sum(m.nbytes for m in ms) < 0.55e6
+
+
+def test_step_block_holds_only_its_rows():
+    # a 1,536-step span: k2 and k3 (4 rows of B complex each), two of the
+    # three dt factors, k4's entry and one scratch row make 12 rows; numpy's
+    # cast and iteration buffers, 432 KB in all before the build went entry
+    # by entry, would add to them
+    b = 1536
+    a = component_major(RNG.normal(size=(2 * b + 1, 2, 2)) + 1j * RNG.normal(size=(2 * b + 1, 2, 2)))
+    steps = RNG.uniform(1e-3, 2e-3, b)
+    nodes, mids = a[0], a[1, :, :, :-1]
+    peak, _ = _traced_peak(lambda: propagate_module._step_block(
+        nodes[:, :, :-1], mids, nodes[:, :, 1:], steps))
+    assert peak < 12.5 * 16 * b
 
 
 def test_overlap_requires_pair(atom, atom_grid):

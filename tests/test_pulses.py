@@ -8,7 +8,9 @@ Proves:
   - non-finite pulse parameters are rejected, naming the field
   - grid construction honors dt and the window
   - adiabaticity ratio: static zero, center value, failure in the wings,
-    invariance under time-unit rescaling, ZeroGap at coalescence
+    invariance under time-unit rescaling, ZeroGap at coalescence; one
+    sample of the schedule per call, and the CLI's monitor, inf where the
+    gap closes, bitwise the ratio on the gapped times from one sample
   - generic (finite-difference) monitor agrees with the closed form and
     reduces to the textbook Landau-Zener ratio in the Hermitian limit
 """
@@ -31,6 +33,7 @@ from sta import (
     generic_adiabaticity_ratio,
     mixing_angle_values,
 )
+from sta.pulses import _adiabaticity_monitor
 
 TWO_PI = 2.0 * np.pi
 
@@ -206,6 +209,27 @@ def test_ratio_zero_gap():
     s = constant_schedule(delta=0.0, rabi=0.5, gamma=1.0)
     with pytest.raises(ZeroGap):
         adiabaticity_ratio(s, 0.3)
+
+
+def test_monitor_is_the_ratio_on_gapped_times_and_inf_where_the_gap_closes(atom_params):
+    # Omega_R(0) = Gamma/2 closes the gap at t = 0, which the grid holds
+    s = chirped_gaussian(ChirpedGaussianParams(rabi_peak=TWO_PI * 1.0,
+                                               width_a=atom_params.width_a,
+                                               chirp_b=atom_params.chirp_b, gamma=TWO_PI * 2.0))
+    grid = np.linspace(-20.0, 20.0, 4001)
+    calls = []
+    counted = PulseSchedule(rates=lambda t: calls.append(t) or s.rates(t), window=s.window)
+    ratio, closed = _adiabaticity_monitor(counted, grid)
+    assert len(calls) == 1
+    gapped = complex_rabi(s, grid) != 0
+    assert closed == 1 and not gapped[2000]
+    assert np.isposinf(ratio[~gapped]).all()
+    expected = adiabaticity_ratio(s, grid[gapped])
+    np.testing.assert_array_equal(ratio[gapped].view(np.uint64), expected.view(np.uint64))
+    calls.clear()
+    with pytest.raises(ZeroGap, match="spectral gap vanished"):
+        adiabaticity_ratio(counted, grid)
+    assert len(calls) == 1
 
 
 def test_generic_ratio_static_zero():
