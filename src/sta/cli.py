@@ -265,9 +265,9 @@ def run_rap(cfg: RunConfig) -> int:
     del traj  # the states, before the CSV's columns and block
     write_csv(cfg.out_path, ["t_ns", "P1", "P2", "norm2", "adiab_ratio"],
               [grid, p1, p2, p1 + p2, ratio])
-    if closed:
-        print(f"sta: warning: the spectral gap closes at {closed} grid point(s); "
-              "adiab_ratio is written as inf there", file=sys.stderr)
+    warning = diagnostics.gap_warning(closed)
+    if warning:
+        print(f"sta: warning: {warning}", file=sys.stderr)
     return 0
 
 

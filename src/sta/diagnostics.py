@@ -1,7 +1,8 @@
 """Health claims of sta runs: every bound, measurement and message, stated once.
 
-sta check reports the figures in CHECKS; rap-cd warns when its branch
-leakage reaches LEAKAGE, the oscillator past ORACLE or ENERGY_RTOL.
+sta check reports the figures in CHECKS; rap warns where the spectral gap
+closes, rap-cd when its branch leakage reaches LEAKAGE, the oscillator past
+ORACLE or ENERGY_RTOL.
 """
 
 from __future__ import annotations
@@ -81,6 +82,13 @@ def ermakov_residual(rho, rho_ddot, omega_sq, omega0: float) -> float:
 def determinant_defect(a, b, c) -> float:
     """Max |b^2 - a c + 1| of the invariant's entries; b^2 - a c = -1 exactly."""
     return float(np.max(np.abs(b**2 - a * c + 1.0)))
+
+
+def gap_warning(closed: int) -> str | None:
+    """Why a bare sweep's monitor is inf at the closed grid points where the gap closes, or None."""
+    if not closed:
+        return None
+    return f"the spectral gap closes at {closed} grid point(s); adiab_ratio is written as inf there"
 
 
 def leakage_warning(leak: float) -> str | None:

@@ -11,61 +11,61 @@ The ODE y' = A(t) y is linear, so one RK4 step is one 2x2 matrix,
 M_k = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A0, K2 = Am (I + dt/2 K1),
 K3 = Am (I + dt/2 K2) and K4 = A1 (I + dt K3), and y_{k+1} = M_k y_k.
 
-The step matrices are built one span at a time (_sweep_matrices), in the
-spans of quadrature._spans with the scan's chunk width below as their unit,
-so a span is whole chunks.  For each span H is sampled in one call,
-hfun(times) on the span's nodes and midpoints, whose result must broadcast
-to (len(times), 2, 2): a stack, or one constant 2x2 matrix.  A grid of at
-most one span calls hfun once; a longer one calls it once per span, and
-the node two spans share is sampled by both.  Each M_k
-depends only on H at its own node, midpoint and next node and on dt_k, so
-the spans change no bit of any M_k.  A = -i H is stored component-major,
-with the time index last (_generator): a[0, i, j, k] is A_ij at node k and
+A sweep's step matrices are one component-major (2, 2, N) array m,
+m[:, :, k] = M_k, with N the steps rounded up to whole chunks of the scan
+below and identities past the last step.  They are built one span at a time
+(_sweep_matrices), in the spans of quadrature._spans in whole chunks.  For
+each span H is sampled in one call, hfun(times) on the span's nodes and
+midpoints, whose result must broadcast to (len(times), 2, 2): a stack, or
+one constant 2x2 matrix.  A grid of at most one span calls hfun once; a
+longer one calls it once per span, and the node two spans share is sampled
+by both.  Each M_k depends only on H at its own node, midpoint and next node
+and on dt_k, so the spans change no bit of any M_k.  A = -i H is stored
+component-major too (_generator): a[0, i, j, k] is A_ij at node k and
 a[1, i, j, k] at the midpoint of step k, so every matrix entry is one
-contiguous row.  A span's M_k are built in batched numpy passes on such
-rows, one component entry at a time (_generator, _matmul_2x2, _step_block),
-and land in the chunk layout below with one reshape.  (A component of a
-(B, 2, 2) stack has 64 bytes between its values: one complex multiply over
-16k of them took 65-96 us against 12 us on a contiguous row, and numpy's
-@ costs 0.4-0.5 us per tiny matrix; numpy 2.4.6, shared 2-vCPU x86-64
-host.)  Every ufunc of the build reads and writes contiguous complex (B,)
-rows through out=, with the dt factors cast to complex once per span, so
-numpy allocates no iteration or cast buffers: on (2, 2, B) stacks, strided
-views and complex-by-float operands its buffers had taken as much memory
-as the arrays asked for.  A pair builds both sweeps' matrices from each
-span's sample, so H is still sampled once per point: the forward matrices
-from A, then the adjoint ones from the same array turned into -A^dag in
-place (_adjoint_generator: a.real *= -1 leaves -conj(A), and a view swaps
-the component indices).
+contiguous row.  A span's M_k are built straight into its columns of m in batched numpy
+passes on such rows, one component entry at a time (_matmul_2x2,
+_step_block).  (A component of a (B, 2, 2) stack has 64 bytes between its
+values: one complex multiply over 16k of them took 65-96 us against 12 us on
+a contiguous row, and numpy's @ costs 0.4-0.5 us per tiny matrix; numpy
+2.4.6, shared 2-vCPU x86-64 host.)  Every ufunc of the build reads and
+writes contiguous complex (B,) rows through out=, with the dt factors cast
+to complex once per span, so numpy allocates no iteration or cast buffers:
+on (2, 2, B) stacks, strided views and complex-by-float operands its buffers
+had taken as much memory as the arrays asked for.  A pair builds both
+sweeps' matrices from each span's sample, so H is still sampled once per
+point: the forward matrices from A, then the adjoint ones from the same
+array turned into -A^dag in place (_adjoint_generator: a.real *= -1 leaves
+-conj(A), and a view swaps the component indices).
 
 Beside the 64 bytes per step of each sweep's matrices, a span holds about
-330 bytes per step, for a pair as for one sweep: H and A while
-converting, then A and the build's own rows (about 420 bytes when the
-build ran on whole stacks, 1.66 MB for the atom's 15,915-step propagate
-and 2.68 MB for its pair).  The peak is now the scan's: _rk4 holds the
-1.02 MB of step matrices beside the 0.51 MB of states, 1.57 MB for the
-atom's propagate and 2.59 MB for its pair (tracemalloc, numpy 2.4.6).
+273 bytes per step, for a pair as for one sweep: H and A while converting,
+then A and the build's own rows.  The peak is the scan's, the 1.02 MB of
+step matrices beside the 0.51 MB of states: 1.57 MB for the atom's
+15,915-step propagate, 2.59 MB for its pair (tracemalloc, numpy 2.4.6).
 
 The recurrence is then solved by a two-level scan (Blelloch, "Prefix sums
 and their applications", 1990) over chunks of w = ceil(sqrt(n / 16)) steps
-(_chunk_width), whose matrices are stored with the chunk index last so that
-each numpy pass below covers every chunk at once:
+(_chunk_width).  Step i of every chunk is one column of m every w apart,
+so each numpy pass below covers every chunk at once:
   1. the chunk propagators, products of each chunk's M_k, in one pass per
      step within a chunk;
   2. the chunk-start states, one scalar 2x2 product per chunk;
   3. the states inside the chunks, again one pass per step within a chunk.
 That is O(n) work in O(sqrt(n)) numpy calls and Python iterations: about
 2 w passes and n / w scalar products.  Fitted over widths 8-256 on the
-15,915-step atom sweep, a pass cost about 3.5 us beyond its per-element
-work and a chunk of phase 2 about 0.5 us (numpy 2.4.6, shared 2-vCPU
-x86-64 host), so the sweep is fastest near w = sqrt(n / 14); _rk4 took
-about 1.0 ms at w = 32 against 1.4 ms at ceil(sqrt(n)) = 127.  A
-chunk propagator can overflow where the states stay finite (a zero or tiny
-component meets an entry that grows past the largest double); such a
-chunk is stepped one M_k at a time, so a sweep fails exactly when, and at
-the step where, the step-by-step recurrence does.  _rk4 allocates the
-states after phase 2, once the chunk propagators and the chunk-start
-lists are freed, so they are never held beside each other.
+15,915-step atom sweep with each pass on contiguous chunks, a pass cost
+about 3.5 us beyond its per-element work and a chunk of phase 2 about
+0.5 us (numpy 2.4.6, shared 2-vCPU x86-64 host), so the sweep is fastest
+near w = sqrt(n / 14): _rk4 took about 1.0 ms at w = 32 against 1.4 ms at
+ceil(sqrt(n)) = 127, and takes about 1.3 ms at w = 32 with its passes
+strided by w, as here.  A chunk propagator can overflow where the states
+stay finite (a zero or tiny component meets an entry that grows past the
+largest double); such a chunk is stepped one M_k at a time, so a sweep
+fails exactly when, and at the step where, the step-by-step recurrence
+does.  _rk4 allocates the states after phase 2, once the chunk
+propagators and the chunk-start lists are freed, so they are never held
+beside each other.
 """
 
 from __future__ import annotations
@@ -195,9 +195,8 @@ def _chunk_width(n: int) -> int:
     return math.isqrt((n - 1) // 16) + 1
 
 
-def _matmul_2x2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for component-major (2, 2, B) complex stacks, one output entry at a time."""
-    out = np.empty(x.shape, dtype=complex)
+def _matmul_2x2(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x @ y for component-major (2, 2, B) complex stacks into out, one entry at a time."""
     row = np.empty(x.shape[-1], dtype=complex)
     for i, j in _ENTRIES:
         _entry_product(x, y, i, j, out[i, j], row)
@@ -220,20 +219,23 @@ def _scale_add(x: np.ndarray, c, y: np.ndarray) -> np.ndarray:
     return x
 
 
-def _step_block(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """RK4 step matrices from A at the nodes (a0, a1) and midpoints (am) of a span.
+def _step_block(a: np.ndarray, dt: np.ndarray, out: np.ndarray) -> None:
+    """RK4 step matrices of a span's len(dt) steps, from its generator a, into out.
 
-    All four are component-major (2, 2, B).  I + dt/6 (a0 + 2 (k2 + k3) + k4)
-    with k2 = am + dt/2 am a0, k3 = am + dt/2 am k2 and k4 = a1 + dt a1 k3,
-    summed in place: the same floating-point operations as the written-out
-    expression, with fewer temporaries.  Every ufunc acts on contiguous
-    complex (B,) rows, so numpy needs no cast or iteration buffers: the dt
-    factors are cast to complex once, as a complex-by-float multiply casts
-    them, and k4 is built one entry at a time and added straight into the sum.
+    a is component-major (_generator, or _adjoint_generator's view), A at
+    the nodes a0 and a1 and midpoints am; out is the span's (2, 2, B)
+    columns of the sweep's matrices.  I + dt/6 (a0 + 2 (k2 + k3) + k4) with
+    k2 = am + dt/2 am a0, k3 = am + dt/2 am k2 and k4 = a1 + dt a1 k3 is
+    summed in place in out, where k2 is built: the same floating-point
+    operations as the written-out expression, with fewer temporaries.  Every
+    ufunc acts on contiguous complex (B,) rows (see the module docstring):
+    the dt factors are cast to complex once, as a complex-by-float multiply
+    casts them, and k4 is built one entry at a time and added into the sum.
     """
+    a0, am, a1 = a[0, :, :, :-1], a[1, :, :, :-1], a[0, :, :, 1:]
     half = (0.5 * dt).astype(complex)
-    k2 = _scale_add(_matmul_2x2(am, a0), half, am)
-    k3 = _scale_add(_matmul_2x2(am, k2), half, am)
+    k2 = _scale_add(_matmul_2x2(am, a0, out), half, am)
+    k3 = _scale_add(_matmul_2x2(am, k2, np.empty(out.shape, dtype=complex)), half, am)
     del half
     full, sixth = dt.astype(complex), (dt / 6.0).astype(complex)
     for i, j in _ENTRIES:
@@ -249,27 +251,6 @@ def _step_block(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, dt: np.ndarray) 
         m *= sixth
         # +0.0 off the diagonal too, as I + ... turns a -0.0 there into +0.0
         m += 1.0 if i == j else 0.0
-    return k2
-
-
-def _step_matrices(a: np.ndarray, steps: np.ndarray, width: int, m: np.ndarray,
-                   chunk: int) -> None:
-    """RK4 step matrices written into m, laid out by chunks of width steps.
-
-    m[i, :, :, chunk + j] becomes M_{j width + i} of these steps; identities
-    pad their last chunk.  a is the component-major generator of _generator
-    over the len(steps) steps, or _adjoint_generator's view of it.  The
-    steps are whole chunks but for the last, so they land in m with one
-    reshape.
-    """
-    n = len(steps)
-    nodes, mids = a[0], a[1, :, :, :-1]
-    blk = _step_block(nodes[:, :, :-1], mids, nodes[:, :, 1:], steps)
-    (c, r), j = divmod(n, width), chunk
-    m[:, :, :, j:j + c] = blk[:, :, :c * width].reshape(2, 2, c, width).transpose(3, 0, 1, 2)
-    if r:
-        m[:r, :, :, j + c] = blk[:, :, c * width:].transpose(2, 0, 1)
-        m[r:, :, :, j + c] = np.eye(2)
 
 
 def _adjoint_generator(a: np.ndarray) -> np.ndarray:
@@ -285,15 +266,15 @@ def _adjoint_generator(a: np.ndarray) -> np.ndarray:
 
 
 def _sweep_matrices(hfun, grid: np.ndarray, pair: bool = False) -> list[np.ndarray]:
-    """The chunk-layout step matrices of _step_matrices over all of grid.
+    """The step matrices over all of grid, component-major: m[:, :, k] is M_k.
 
-    One array for the sweep of A, and with pair=True a second for that of
-    -A^dag, in that order.  The steps are cut into the spans of _spans, in
-    whole chunks; each span's H is sampled in one hfun call, the
-    forward matrices of that span are built from the sample, and a pair's
-    adjoint ones from the same generator, turned into -A^dag in place.  The
-    arrays are allocated after the first span is sampled, so a grid of one
-    span holds its H stack and its matrices at different times.
+    One (2, 2, N) array, N the steps in whole chunks with identities past
+    the last step, for the sweep of A, and with pair=True a second for that
+    of -A^dag.  Each span of _spans, in whole chunks, samples H in one hfun
+    call; the span's forward matrices are built from the sample, and a
+    pair's adjoint ones from the same generator, turned into -A^dag in
+    place.  The arrays are allocated after the first span is sampled, so a
+    grid of one span holds its H stack and its matrices at different times.
     """
     n = len(grid) - 1
     width = _chunk_width(n)
@@ -302,13 +283,15 @@ def _sweep_matrices(hfun, grid: np.ndarray, pair: bool = False) -> list[np.ndarr
         span = grid[s:e + 1]
         a, steps = _generator(hfun, span), np.diff(span)
         if not ms:
-            ms = [np.empty((width, 2, 2, -(-n // width)), dtype=complex)
+            ms = [np.empty((2, 2, -(-n // width) * width), dtype=complex)
                   for _ in range(1 + pair)]
+            for m in ms:
+                m[:, :, n:] = np.eye(2)[:, :, None]
         # blow-ups surface as NonFiniteState in _rk4, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            _step_matrices(a, steps, width, ms[0], s // width)
+            _step_block(a, steps, ms[0][:, :, s:e])
             if pair:
-                _step_matrices(_adjoint_generator(a), steps, width, ms[1], s // width)
+                _step_block(_adjoint_generator(a), steps, ms[1][:, :, s:e])
         del a, steps  # before the next span's H is sampled
     return ms
 
@@ -316,16 +299,18 @@ def _sweep_matrices(hfun, grid: np.ndarray, pair: bool = False) -> list[np.ndarr
 def _rk4(m: np.ndarray, y0: np.ndarray, n: int, adjoint: bool = False) -> np.ndarray:
     """RK4 sweep of n steps for y' = A(t) y from its step matrices.
 
-    m holds the chunk-layout step matrices of _step_matrices for the n
-    steps; adjoint=True names the sweep y' = A^dag(t) y in errors.
+    m holds the step matrices of _sweep_matrices for the n steps;
+    adjoint=True names the sweep y' = A^dag(t) y in errors.
     y0 must be finite (_initial_state).  Raises NonFiniteState naming the
     first step whose state is not finite.
     """
-    width, chunks = m.shape[0], m.shape[-1]
+    width = _chunk_width(n)
+    chunks = m.shape[-1] // width
+    # m[i, :, :, j] is M_{j width + i}: each product below is one pass over
+    # all chunks, strided by width
+    m = m.reshape(2, 2, chunks, width).transpose(3, 0, 1, 2)
     # blow-ups surface as NonFiniteState below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        # chunks run along the last, contiguous axis of m, so each product
-        # below is one pass over all chunks
         # 1. propagators M_{j width + width - 1} ... M_{j width} of all chunks but the last
         prop = m[0, :, :, :-1]
         for q in m[1:, :, :, :-1]:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .biortho import _fd_spectrum
 from .errors import ZeroGap
+from .quadrature import _spans
 
 __all__ = [
     "PulseRates",
@@ -173,15 +174,19 @@ def adiabaticity_ratio(s: PulseSchedule, t):
     return _ratio(r, omega)
 
 
-def _adiabaticity_monitor(s: PulseSchedule, t) -> tuple[np.ndarray, int]:
-    """adiabaticity_ratio from one sample of the rates, inf where the gap closes.
+def _adiabaticity_monitor(s: PulseSchedule, t: np.ndarray) -> tuple[np.ndarray, int]:
+    """adiabaticity_ratio on the 1-d times t from one rates sample per span of _spans.
 
-    Returns the ratio and the number of times where the gap closes; the
-    mixing angle's ZeroGap is still raised at the other times.
+    Returns the ratio, inf where the gap closes, and the number of such
+    times; the mixing angle's ZeroGap is still raised at the other times.
     """
-    r = s.rates(t)
-    omega = _complex_rabi(r)
-    return _ratio(r, omega), int(np.count_nonzero(omega == 0))
+    ratio, closed = np.empty(len(t)), 0
+    for a, b in _spans(len(t)):
+        r = s.rates(t[a:b])
+        omega = _complex_rabi(r)
+        ratio[a:b] = _ratio(r, omega)
+        closed += int(np.count_nonzero(omega == 0))
+    return ratio, closed
 
 
 def _ratio(r: PulseRates, omega):

@@ -12,7 +12,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-# Most intervals per span.  The sweep's transient, about 330 bytes per span
+# Most intervals per span.  The sweep's transient, about 273 bytes per span
 # step, stays under the atom sweep's scan (the step matrices beside the
 # states), which sets its peak; the angle and the projection gave the same
 # peaks at 1,536 and 4,096.  When the transient was about 420 bytes per step

@@ -1053,6 +1053,22 @@ def test_transitionless_sweep_peak_memory():
     assert peak < 1.72e6
 
 
+def test_bare_sweep_peak_memory(tmp_path):
+    cfg = climod.load_run_config("rap", None, tmp_path / "out", None, None)
+    run = climod._SCENARIOS["rap"][0]
+    run(cfg)  # first-call allocations outside
+    tracemalloc.start()
+    try:
+        assert run(cfg) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2.57 MB with the adiabaticity monitor sampled over the whole grid at
+    # once; 1.69 MB with one rates sample per span, so the peak is the
+    # sweep's scan: the step matrices and the states beside the 127 KB grid
+    assert peak < 1.80e6
+
+
 def _assert_leakage_is_minus_amplitude(schedule, grid, sweep):
     """_transitionless_sweep's leakage is bitwise |c_-| of the full (N, 2) projection."""
     traj, leak = climod._transitionless_sweep(schedule, grid, sweep)

@@ -3,7 +3,8 @@
 A figure equal to its bound fails: the rap-cd leakage warning and the
 check's leakage line agree there.  The warning says "reaches" at the
 bound and "exceeds" above it.  The convergence order's deviation
-alone passes at its bound.
+alone passes at its bound.  rap's gap warning counts the closed grid
+points and is absent where there are none.
 """
 
 import numpy as np
@@ -21,6 +22,13 @@ def test_leakage_warns_at_its_bound():
         "max branch leakage 1.000e-05 exceeds 1e-05; the sweep passes too close to the "
         "exceptional point for this dt")
     assert diagnostics.leakage_warning(np.nextafter(LEAKAGE, 0)) is None
+
+
+def test_gap_warning_counts_the_closed_points():
+    assert diagnostics.gap_warning(0) is None
+    assert diagnostics.gap_warning(1) == (
+        "the spectral gap closes at 1 grid point(s); adiab_ratio is written as inf there")
+    assert diagnostics.gap_warning(3).startswith("the spectral gap closes at 3 grid point(s);")
 
 
 def _lines(name, measured):

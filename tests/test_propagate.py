@@ -76,7 +76,7 @@ from sta import (
 import sta.cli as cli_module
 import sta.trap as trap_module
 from sta.propagate import (_adjoint_generator, _chunk_width, _generator, _matmul_2x2,
-                           _step_matrices)
+                           _step_block)
 from sta.quadrature import _refine
 
 propagate_module = sys.modules["sta.propagate"]
@@ -249,14 +249,40 @@ OVERFLOW_GROWTH = sum(OVERFLOW_RATE**k / math.factorial(k) for k in range(5))
 
 def test_overflowing_chunk_propagator_keeps_finite_sweep():
     [m] = propagate_module._sweep_matrices(lambda t: OVERFLOW_H, OVERFLOW_GRID)
-    assert m.shape[0] == _chunk_width(4000) == 16
+    assert m.shape == (2, 2, 4000) and _chunk_width(4000) == 16
     assert np.isfinite(m).all()
-    np.testing.assert_allclose(m[:, 1, 1, 0], OVERFLOW_GROWTH, rtol=1e-12)
+    np.testing.assert_allclose(m[1, 1, :16], OVERFLOW_GROWTH, rtol=1e-12)
     with np.errstate(over="ignore"):
-        assert np.isinf(np.prod(m[:, 1, 1, 0]))  # the first chunk's propagator
+        assert np.isinf(np.prod(m[1, 1, :16]))  # the first chunk's propagator
     traj = propagate(lambda t: OVERFLOW_H, [1.0, 0.0], OVERFLOW_GRID)
     assert np.all(traj.states[:, 0] == 1.0)
     assert np.all(traj.states[:, 1] == 0.0)
+
+
+def _ramp_with_overflowing_rate(rate):
+    """H with A = -i H = diag(1e-3 t / 4000, rate): a slow ramp beside a constant rate."""
+    def hfun(t):
+        h = np.zeros(np.shape(t) + (2, 2), dtype=complex)
+        h[..., 0, 0] = 1j * 1e-3 * np.asarray(t) / 4000.0
+        h[..., 1, 1] = 1j * rate
+        return h
+
+    return hfun
+
+
+def test_overflowing_chunk_propagator_steps_its_own_chunk():
+    # every chunk propagator's (1, 1) entry overflows, so each chunk of
+    # psi = (1, 0) is stepped one M_k at a time; the ramp makes every chunk's
+    # steps differ, so psi_1 matches the sweep without the overflowing rate,
+    # whose propagators stay finite, only if each chunk steps its own matrices
+    grid = OVERFLOW_GRID
+    for run in (lambda h: propagate(h, [1.0, 0.0], grid).states,
+                lambda h: propagate_pair(h, [1.0, 0.0], [1.0, 0.0], grid).adjoint_states):
+        states = run(_ramp_with_overflowing_rate(OVERFLOW_RATE))
+        reference = run(_ramp_with_overflowing_rate(0.0))
+        assert np.all(states[:, 1] == 0.0)
+        assert abs(math.log(abs(reference[-1, 0]))) > 1.9  # exp(+-2): the ramp counts
+        np.testing.assert_allclose(states[:, 0], reference[:, 0], rtol=1e-13, atol=0.0)
 
 
 def test_state_overflowing_inside_a_chunk_names_its_step():
@@ -270,8 +296,8 @@ def test_state_overflowing_inside_a_chunk_names_its_step():
 
     grid = np.linspace(0.0, 4000.0, 4001)
     [m] = propagate_module._sweep_matrices(hfun, grid)
-    growth = m[:, 1, 1, 1].real
-    assert m.shape[0] == 16 and np.all(m[:, 1, 1, 1].imag == 0.0)
+    growth = m[1, 1, 16:32].real
+    assert _chunk_width(4000) == 16 and np.all(m[1, 1, 16:32].imag == 0.0)
     assert 1e307 * np.prod(growth) < 1e306  # the second chunk's propagator
     with np.errstate(over="ignore"):
         step = 16 + int(np.argmax(np.isinf(1e307 * np.cumprod(growth)))) + 1
@@ -463,17 +489,16 @@ def _written_out_step_matrices(a, steps):
 
 
 def pair_step_matrices(a, steps):
-    """Forward and adjoint _step_matrices of a (2 n + 1, 2, 2) generator stack.
+    """Forward and adjoint _step_block matrices of a (2 n + 1, 2, 2) generator stack, (n, 2, 2).
 
     Built as a pair sweep builds them: the forward ones from the component-major
     generator, then the adjoint ones from the same array turned into -A^dag in place.
     """
-    width = _chunk_width(len(steps))
     g = component_major(a)
-    ms = [np.empty((width, 2, 2, -(-len(steps) // width)), dtype=complex) for _ in range(2)]
-    _step_matrices(g, steps, width, ms[0], 0)
-    _step_matrices(_adjoint_generator(g), steps, width, ms[1], 0)
-    return ms
+    ms = np.empty((2, 2, 2, len(steps)), dtype=complex)
+    _step_block(g, steps, ms[0])
+    _step_block(_adjoint_generator(g), steps, ms[1])
+    return [np.ascontiguousarray(m.transpose(2, 0, 1)) for m in ms]
 
 
 def component_major(a):
@@ -515,21 +540,38 @@ def test_step_matrices_bitwise(n):
     h[1::3, 1, 0] = -0.0
     steps = RNG.uniform(1e-3, 2e-3, n)
 
-    def by_step(m):  # m[i, :, :, j] holds step j * width + i
-        # a copy: at width 1 the reshape is a view with a strided last axis
-        return np.ascontiguousarray(m.transpose(3, 0, 1, 2).reshape(-1, 2, 2))
-
     def bits(m):
-        return m[:n].view(np.uint64)
+        return m.view(np.uint64)
 
     a = -1j * h
-    forward, adjoint = map(by_step, pair_step_matrices(a, steps))
+    forward, adjoint = pair_step_matrices(a, steps)
     # the adjoint generator -a^dag differs from -1j h^dag only in the signs of zeros
     adjoint_generator = -1j * h.conj().transpose(0, 2, 1)
     np.testing.assert_array_equal(bits(forward), bits(_written_out_step_matrices(a, steps)))
     np.testing.assert_array_equal(
         bits(adjoint), bits(_written_out_step_matrices(adjoint_generator, steps)))
-    assert np.all(forward[n:] == np.eye(2)) and np.all(adjoint[n:] == np.eye(2))
+
+
+@pytest.mark.parametrize("n", [1, 10, 17, 1530, 3053, 4591])
+def test_sweep_matrices_are_component_major_with_identity_tail(n):
+    # (2, 2, N) arrays, N the steps in whole chunks: column k is M_k, bitwise
+    # the written-out expression across span edges, and the columns past the
+    # last step are the identity, which the scan's last chunk steps through
+    u = np.linspace(0.0, 1.0, n + 1)
+    grid = u + 0.1 * np.sin(2.0 * np.pi * u) / (2.0 * np.pi)
+    hfun = _linear_hamiltonian(n)
+    width = _chunk_width(n)
+    ms = propagate_module._sweep_matrices(hfun, grid, pair=True)
+    a = -1j * hfun(_refine(grid))
+    steps = np.diff(grid)
+    for m, generator in zip(ms, (a, _minus_conj_transpose(a))):
+        assert m.shape == (2, 2, math.ceil(n / width) * width) and m.flags.c_contiguous
+        by_step = np.ascontiguousarray(m[:, :, :n].transpose(2, 0, 1))
+        np.testing.assert_array_equal(by_step.view(np.uint64),
+                                      _written_out_step_matrices(generator, steps).view(np.uint64))
+        tail = m[:, :, n:].transpose(2, 0, 1)
+        assert np.all(tail == np.eye(2))
+        assert not np.signbit(tail.real).any() and not np.signbit(tail.imag).any()
 
 
 def _minus_conj_transpose(a):
@@ -553,8 +595,7 @@ def test_step_matrices_bitwise_with_non_finite_entries():
     _put_non_finite(a)
     steps = RNG.uniform(1e-3, 2e-3, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        forward, adjoint = (m.transpose(3, 0, 1, 2).reshape(-1, 2, 2)[:n]
-                            for m in pair_step_matrices(a, steps))
+        forward, adjoint = pair_step_matrices(a, steps)
         expected = _written_out_step_matrices(a, steps)
         expected_adjoint = _written_out_step_matrices(_minus_conj_transpose(a), steps)
     finite = np.isfinite(forward).all(axis=(1, 2))
@@ -587,11 +628,12 @@ def test_step_block_ufuncs_act_on_contiguous_rows_of_one_dtype():
     b = 100
     g = component_major(RNG.normal(size=(2 * b + 1, 2, 2)) + 1j * RNG.normal(size=(2 * b + 1, 2, 2)))
     steps = RNG.uniform(1e-3, 2e-3, b)
-    block = lambda g, steps: propagate_module._step_block(g[0, :, :, :-1], g[1, :, :, :-1],
-                                                          g[0, :, :, 1:], steps)
-    expected = block(g, steps)
-    got = block(g.view(Recorded), steps.view(Recorded))
-    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+    expected = np.empty((2, 2, b), dtype=complex)
+    _step_block(g, steps, expected)
+    # the span's columns of a sweep's matrices, as _sweep_matrices passes them
+    m = np.empty((2, 2, b + 6), dtype=complex)
+    _step_block(g.view(Recorded), steps.view(Recorded), m.view(Recorded)[:, :, 3:3 + b])
+    np.testing.assert_array_equal(m[:, :, 3:3 + b].view(np.uint64), expected.view(np.uint64))
     assert len(calls) > 40
     for operands in calls:
         assert len({dtype for dtype, _, _ in operands}) == 1, operands
@@ -616,7 +658,6 @@ def test_step_matrices_add_identity_to_zero_off_diagonals():
     for a, adjoint_generator in ((a, -1j * h.conj().transpose(0, 2, 1)),
                                  (positive, _minus_conj_transpose(positive))):
         for m, generator in zip(pair_step_matrices(a, steps), (a, adjoint_generator)):
-            m = m.transpose(3, 0, 1, 2).reshape(-1, 2, 2)[:n]
             expected = _written_out_step_matrices(generator, steps)
             np.testing.assert_array_equal(m.view(np.uint64), expected.view(np.uint64))
             off = m[:, [0, 1], [1, 0]]
@@ -628,14 +669,15 @@ def test_matmul_2x2_matches_numpy(scale):
     a = scale * (RNG.normal(size=(2049, 2, 2)) + 1j * RNG.normal(size=(2049, 2, 2)))
     c = np.ascontiguousarray(a.transpose(1, 2, 0))
     g = component_major(a)
-    # contiguous stacks, the node/midpoint views _step_matrices passes in, and
-    # the component-swapped nodes of an adjoint block
+    # contiguous stacks, the node/midpoint views _step_block takes, and the
+    # component-swapped nodes of an adjoint block
     nodes, mids, swapped = g[0], g[1, :, :, :1024], g[0].transpose(1, 0, 2)
     for x, y in ((c[:, :, :1024], c[:, :, 1024:2048]), (mids, nodes[:, :, :1024]),
                  (mids, nodes[:, :, 1:]), (mids, swapped[:, :, 1:])):
         xs, ys = x.transpose(2, 0, 1), y.transpose(2, 0, 1)  # as (B, 2, 2) stacks
         bound = 1e-15 * (np.abs(xs) @ np.abs(ys))
-        assert np.all(np.abs(_matmul_2x2(x, y).transpose(2, 0, 1) - xs @ ys) <= bound)
+        product = _matmul_2x2(x, y, np.empty(x.shape, dtype=complex))
+        assert np.all(np.abs(product.transpose(2, 0, 1) - xs @ ys) <= bound)
 
 
 def _warped_atom_grid(atom, n):
@@ -795,27 +837,29 @@ def test_long_pair_sweep_holds_one_generator_per_span(atom):
 def test_sweep_matrix_build_holds_one_span_beside_the_matrices(atom):
     # the atom's 15,915 steps in 11 spans of 1,536: beside the 1.02 MB of step
     # matrices a span held 0.64 MB while numpy's iterator buffers cast and
-    # strode over (2, 2, B) stacks, and 0.51 MB built one component entry at
-    # a time: its H and A, then A and the step build's own rows
+    # strode over (2, 2, B) stacks, 0.51 MB built one component entry at a
+    # time into a span block that was then copied into the matrices, and
+    # 0.42 MB built straight into them: its H and A, then A and the step
+    # build's own rows
     grid = atom.grid(1e-3)
     peak, ms = _traced_peak(
         lambda: propagate_module._sweep_matrices(lambda t: cd_hamiltonian(atom, t), grid))
     assert sum(m.nbytes for m in ms) == 1_019_904
-    assert peak - sum(m.nbytes for m in ms) < 0.55e6
+    assert peak - sum(m.nbytes for m in ms) < 0.46e6
 
 
 def test_step_block_holds_only_its_rows():
-    # a 1,536-step span: k2 and k3 (4 rows of B complex each), two of the
-    # three dt factors, k4's entry and one scratch row make 12 rows; numpy's
+    # a 1,536-step span built into its columns of the matrices: k3 (4 rows of
+    # B complex), two of the three dt factors, k4's entry and one scratch row
+    # make 8 rows; k2 held apart from the matrices would add 4, and numpy's
     # cast and iteration buffers, 432 KB in all before the build went entry
-    # by entry, would add to them
+    # by entry, more
     b = 1536
     a = component_major(RNG.normal(size=(2 * b + 1, 2, 2)) + 1j * RNG.normal(size=(2 * b + 1, 2, 2)))
     steps = RNG.uniform(1e-3, 2e-3, b)
-    nodes, mids = a[0], a[1, :, :, :-1]
-    peak, _ = _traced_peak(lambda: propagate_module._step_block(
-        nodes[:, :, :-1], mids, nodes[:, :, 1:], steps))
-    assert peak < 12.5 * 16 * b
+    out = np.empty((2, 2, b), dtype=complex)
+    peak, _ = _traced_peak(lambda: _step_block(a, steps, out))
+    assert peak < 8.5 * 16 * b
 
 
 def test_overlap_requires_pair(atom, atom_grid):
