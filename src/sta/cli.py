@@ -37,8 +37,9 @@ from . import csvfmt, diagnostics, trap
 from .errors import ConfigError, StaError
 from .propagate import (_require_steps, branch_projection, convergence_order, propagate,
                         propagate_pair)
-from .pulses import (ChirpedGaussianParams, _adiabaticity_monitor, adiabaticity_ratio,
+from .pulses import (ChirpedGaussianParams, _adiabaticity_monitor, _adiabaticity_ratio,
                      chirped_gaussian)
+from .quadrature import _spans
 
 TWO_PI = 2.0 * np.pi
 
@@ -296,12 +297,18 @@ def run_cd_terms(cfg: RunConfig) -> int:
     """Counterdiabatic coupling components and the adiabaticity monitor.
 
     The coupling diverges at an exceptional point on the sweep, so the run
-    fails there with BranchJump, as rap-cd does.
+    fails there with BranchJump, as rap-cd does: the mixing-angle pass runs
+    first for that check alone.  C and the monitor then take one rates
+    sample per span of _spans, as rap's monitor does, and the monitor's
+    ZeroGap is still raised where the gap closes.
     """
     schedule, grid = _atom_setup(cfg.params)
     cd.mixing_angle_trajectory(schedule, grid)
-    c = np.asarray(cd.cd_coupling(schedule, grid))
-    ratio = np.asarray(adiabaticity_ratio(schedule, grid), dtype=float)
+    c, ratio = np.empty(len(grid), complex), np.empty(len(grid))
+    for a, b in _spans(len(grid)):
+        r = schedule.rates(grid[a:b])
+        c[a:b] = 0.5j * cd._alpha_dot(r)
+        ratio[a:b] = _adiabaticity_ratio(r)
     write_csv(cfg.out_path, ["t_ns", "c_real_rad_per_ns", "c_imag_rad_per_ns", "adiab_ratio"],
               [grid, c.real, c.imag, ratio])
     return 0
@@ -394,8 +401,9 @@ def run_oscillator(cfg: RunConfig) -> int:
     plan = _trap_plan(cfg.params)
     grid, start, end = _display_grid(cfg.params, plan)
 
-    closed = trap.closed_form_trajectory(plan, grid)
+    # the oracle first, so only the grid sits beside its sweep
     oracle = trap.hamilton_trajectory(plan, grid)
+    closed = trap.closed_form_trajectory(plan, grid)
     energy = closed.energy(plan)
     w2 = np.asarray(plan.omega_sq(grid))
     e_over_w = np.where(w2 > 0.0, energy / np.sqrt(np.where(w2 > 0.0, w2, 1.0)), np.nan)

@@ -167,7 +167,11 @@ def adiabaticity_ratio(s: PulseSchedule, t):
     ZeroGap
         If |Omega| vanishes at some requested time (eigenvalue coalescence).
     """
-    r = s.rates(t)
+    return _adiabaticity_ratio(s.rates(t))
+
+
+def _adiabaticity_ratio(r: PulseRates):
+    """adiabaticity_ratio from one sample r of the schedule's rates; ZeroGap as there."""
     omega = _complex_rabi(r)
     if np.any(omega == 0):
         raise ZeroGap("spectral gap vanished; adiabaticity ratio undefined")

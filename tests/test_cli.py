@@ -24,6 +24,7 @@ import sta.counterdiabatic as cdmod
 import sta.diagnostics as diagmod
 from sta import csvfmt
 from sta.cli import main, write_csv
+from sta.pulses import PulseSchedule
 
 propagate_module = sys.modules["sta.propagate"]
 quadrature_module = sys.modules["sta.quadrature"]
@@ -131,6 +132,25 @@ def test_cd_terms_csv(tmp_path):
     assert abs(rows["adiab_ratio"][mid] - 0.0250037504688047) < 1e-6
     assert np.max(np.abs(rows["c_imag_rad_per_ns"])) > np.max(np.abs(rows["c_real_rad_per_ns"]))
     assert np.max(rows["adiab_ratio"]) > 1.0
+
+
+def test_cd_terms_samples_the_rates_once_per_span(monkeypatch, tmp_path):
+    # --dt 0.01 gives 1,593 points: the angle pass samples its two refined
+    # spans and its anchor, then C and the monitor one span of _spans each
+    calls, atom_setup = [], climod._atom_setup
+
+    def counted_setup(params):
+        schedule, grid = atom_setup(params)
+        return PulseSchedule(rates=lambda t: calls.append(np.shape(t)) or schedule.rates(t),
+                             window=schedule.window), grid
+
+    monkeypatch.setattr(climod, "_atom_setup", counted_setup)
+    code, path = run(tmp_path, "cd-terms", "--dt", "0.01", out="spans.csv")
+    assert code == 0
+    assert calls == [(3073,), (113,), (), (1536,), (57,)]
+    monkeypatch.setattr(quadrature_module, "_SPAN", 10 * 1593)
+    code, whole = run(tmp_path, "cd-terms", "--dt", "0.01", out="whole.csv")
+    assert code == 0 and path.read_bytes() == whole.read_bytes()
 
 
 def test_oscillator_default_csv(tmp_path):
@@ -402,6 +422,10 @@ def test_cd_terms_refuses_exceptional_point(tmp_path, capsys, scenario, code, fl
     # BranchJump where the grid misses t = 0, ZeroGap where it lands on it
     refusal = "mixing-angle rate diverges" if flags else "mixing angle jumps"
     assert (refusal in err) == (code == 3)
+    if got == 3:
+        # the angle pass refuses before C or the monitor is sampled or the CSV opened
+        assert err.startswith("sta: runtime error: ") and err.count("\n") == 1
+        assert not path.exists()
     if got == 0:
         rows = table(path)
         closed = np.isinf(rows["adiab_ratio"])
@@ -965,6 +989,24 @@ def test_format_rows_three_digit_exponents_among_two_digit_ones():
     assert b"e+100" in text and b"e-250" in text
 
 
+@pytest.mark.parametrize("cols", [5, 9])
+def test_format_rows_frees_each_stage(cols):
+    rows = csvfmt.BLOCK_VALUES // cols
+    table = _two_digit_exponent_values(np.random.default_rng(cols), rows * cols)
+    table = table.reshape(rows, cols)
+    csvfmt.format_rows(table)  # the lookup tables are built on the first call
+    tracemalloc.start()
+    try:
+        csvfmt.format_rows(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 250 bytes per value with every stage's arrays held to the end;
+    # about 115 with each freed once dead, the ASCII halves gathered one at
+    # a time and the slot array freed before the zero bytes are deleted
+    assert peak < 125 * table.size
+
+
 def test_format_rows_carries_into_the_next_decade():
     # doubles just below a power of ten whose 17 digits round up to it: 9.99...95 -> 1e+k
     carried = []
@@ -1053,20 +1095,37 @@ def test_transitionless_sweep_peak_memory():
     assert peak < 1.72e6
 
 
-def test_bare_sweep_peak_memory(tmp_path):
-    cfg = climod.load_run_config("rap", None, tmp_path / "out", None, None)
-    run = climod._SCENARIOS["rap"][0]
+def _scenario_peak(tmp_path, scenario):
+    """tracemalloc's peak over one default run of scenario, after an untraced first run."""
+    cfg = climod.load_run_config(scenario, None, tmp_path / "out", None, None)
+    run = climod._SCENARIOS[scenario][0]
     run(cfg)  # first-call allocations outside
     tracemalloc.start()
     try:
         assert run(cfg) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_bare_sweep_peak_memory(tmp_path):
     # 2.57 MB with the adiabaticity monitor sampled over the whole grid at
     # once; 1.69 MB with one rates sample per span, so the peak is the
     # sweep's scan: the step matrices and the states beside the 127 KB grid
-    assert peak < 1.80e6
+    assert _scenario_peak(tmp_path, "rap") < 1.80e6
+
+
+def test_cd_terms_peak_memory(tmp_path):
+    # 2.33 MB with C and the monitor sampled over the whole grid at once;
+    # 0.78 MB with one rates sample per span, beside the 127 KB grid
+    assert _scenario_peak(tmp_path, "cd-terms") < 1.3e6
+
+
+def test_oscillator_peak_memory(tmp_path):
+    # 0.86 MB with the CSV kernel's arrays held to the end of each block
+    # beside the nine columns; 0.72 MB with each freed once dead, and 0.65
+    # MB with the oracle's sweep run first, beside the grid alone
+    assert _scenario_peak(tmp_path, "oscillator") < 0.70e6
 
 
 def _assert_leakage_is_minus_amplitude(schedule, grid, sweep):
