@@ -4,10 +4,11 @@
 
 Runs the five CSV scenarios and ``sta check`` at their defaults, and
 ``rap-cd`` on the benchmark's ``atom_config`` draws for SEEDS, in process.
-Writes ``manifest.json`` (numpy version; per CSV its SHA-256, header, row
-count, and every 100th data row plus the last, as text; per seeded run
-also its seed and config) and ``check.txt`` (the check's stdout,
-verbatim) next to this file.
+Writes ``manifest.json`` (numpy version and the fingerprint of the host's
+bits from ``hostbits.py``; per CSV its SHA-256, header, row count, and
+every 100th data row plus the last, as text; per seeded run also its seed
+and config) and ``check.txt`` (the check's stdout, verbatim) next to this
+file.
 ``tests/test_golden.py`` compares fresh runs with them.  A change that
 alters these bytes by design reruns this script and names the changed
 files and the reason in CHANGES.md.
@@ -24,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from hostbits import fingerprint  # this script's directory
 
 from sta.cli import main
 
@@ -82,7 +84,8 @@ def regenerate() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         csvs = {s: csv_entry(run_scenario(s, Path(tmp))) for s in SCENARIOS}
         seeded = {f"rap-cd-seed-{k}": seeded_entry(k, Path(tmp)) for k in SEEDS}
-    manifest = {"numpy": np.__version__, "every": EVERY, "csv": csvs, "seeded": seeded}
+    manifest = {"numpy": np.__version__, "fingerprint": fingerprint(), "every": EVERY,
+                "csv": csvs, "seeded": seeded}
     (HERE / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
     (HERE / "check.txt").write_text(run_check())
     return 0

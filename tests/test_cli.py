@@ -540,6 +540,70 @@ def test_failed_write_to_out_is_runtime_error(capsys, scenario, dt):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("scenario,dt", [("oscillator", None), ("check", "0.05")])
+def test_longer_existing_out_ends_as_a_fresh_write(tmp_path, capsys, scenario, dt):
+    # the output is written over the old bytes, then cut to its own length
+    flags = ["--dt", dt] if dt else []
+    fresh, old = tmp_path / "fresh.out", tmp_path / "old.out"
+    assert main([scenario, *flags, "--out", str(fresh)]) == 0
+    old.write_bytes(b"x" * (2 * fresh.stat().st_size + 4097))
+    assert main([scenario, *flags, "--out", str(old)]) == 0
+    assert old.read_bytes() == fresh.read_bytes()
+
+
+def test_failed_block_leaves_no_old_bytes(tmp_path, monkeypatch, capsys):
+    # a format error between writes cuts the file after the blocks already written
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"x" * 2_000_000)
+    written, format_rows = [], csvfmt.format_rows
+
+    def third_block_fails(block):
+        if len(written) == 2:
+            raise FloatingPointError("overflow encountered in multiply")
+        written.append(format_rows(block))
+        return written[-1]
+
+    monkeypatch.setattr(csvfmt, "format_rows", third_block_fails)
+    assert main(["rap", "--dt", "0.01", "--out", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("sta: runtime error: floating-point error in rap")
+    head = b"t_ns,P1,P2,norm2,adiab_ratio\n"
+    assert path.read_bytes() == head + b"".join(written)
+
+
+def test_out_through_a_hard_link_keeps_its_inode(tmp_path):
+    path, link = tmp_path / "out.csv", tmp_path / "link.csv"
+    path.write_bytes(b"x" * 100_000)
+    os.link(path, link)
+    inode = path.stat().st_ino
+    assert main(["rap", "--dt", "0.1", "--out", str(path)]) == 0
+    assert path.stat().st_ino == inode
+    assert link.read_bytes() == path.read_bytes()
+    assert link.read_bytes().startswith(b"t_ns,") and b"x" not in link.read_bytes()
+
+
+@pytest.mark.skipif(not Path(os.devnull).exists(), reason="needs a null device")
+@pytest.mark.parametrize("scenario,dt", [("oscillator", None), ("check", "0.05")])
+def test_out_to_the_null_device(capsys, scenario, dt):
+    # the null device is seekable, but cutting it to length fails with EINVAL
+    flags = ["--dt", dt] if dt else []
+    assert main([scenario, *flags, "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("scenario,dt", [("rap", "0.1"), ("check", "0.05")])
+def test_read_only_existing_out_is_config_error(tmp_path, capsys, scenario, dt):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old")
+    path.chmod(0o444)
+    if os.access(path, os.W_OK):
+        pytest.skip("this user may write to read-only files")
+    code = main([scenario, "--dt", dt, "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("sta: config error: cannot write output file: [Errno 13]")
+    assert path.read_bytes() == b"old"
+
+
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 def test_failed_write_to_stdout_is_runtime_error(unbuffered):
