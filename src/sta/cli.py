@@ -38,9 +38,7 @@ from . import csvfmt, diagnostics, trap
 from .errors import ConfigError, StaError
 from .propagate import (_require_steps, branch_projection, convergence_order, propagate,
                         propagate_pair)
-from .pulses import (ChirpedGaussianParams, _adiabaticity_monitor, _adiabaticity_ratio,
-                     chirped_gaussian)
-from .quadrature import _spans
+from .pulses import ChirpedGaussianParams, _alpha_dot, _ratio, _span_walk, chirped_gaussian
 
 TWO_PI = 2.0 * np.pi
 
@@ -287,12 +285,12 @@ def run_rap(cfg: RunConfig) -> int:
     """Bare sweep: populations, norm and the adiabaticity monitor, inf where the gap closes."""
     schedule, grid = _atom_setup(cfg.params)
     traj = propagate(lambda t: cd.bare_hamiltonian(schedule, t), [0.0, 1.0], grid)
-    ratio, closed = _adiabaticity_monitor(schedule, grid)
+    ratio, closed = _span_walk(schedule, grid, _ratio)
     p1, p2 = traj.p1, traj.p2
     del traj  # the states, before the CSV's columns and block
     write_csv(cfg.out_path, ["t_ns", "P1", "P2", "norm2", "adiab_ratio"],
               [grid, p1, p2, p1 + p2, ratio])
-    warning = diagnostics.gap_warning(closed)
+    warning = diagnostics.gap_warning(int(np.count_nonzero(closed)))
     if warning:
         print(f"sta: warning: {warning}", file=sys.stderr)
     return 0
@@ -322,19 +320,14 @@ def run_rap_cd(cfg: RunConfig) -> int:
 def run_cd_terms(cfg: RunConfig) -> int:
     """Counterdiabatic coupling components and the adiabaticity monitor.
 
-    The coupling diverges at an exceptional point on the sweep, so the run
-    fails there with BranchJump, as rap-cd does: the mixing-angle pass runs
-    first for that check alone.  C and the monitor then take one rates
-    sample per span of _spans, as rap's monitor does, and the monitor's
-    ZeroGap is still raised where the gap closes.
+    C diverges at an exceptional point on the sweep, so the mixing-angle pass
+    runs first, for its refusal alone, as in rap-cd: ZeroGap ("mixing-angle rate
+    diverges") where its samples land on the point, BranchJump where they step
+    over it; either exits 3.  C and the monitor then come from _span_walk.
     """
     schedule, grid = _atom_setup(cfg.params)
     cd.mixing_angle_trajectory(schedule, grid)
-    c, ratio = np.empty(len(grid), complex), np.empty(len(grid))
-    for a, b in _spans(len(grid)):
-        r = schedule.rates(grid[a:b])
-        c[a:b] = 0.5j * cd._alpha_dot(r)
-        ratio[a:b] = _adiabaticity_ratio(r)
+    c, ratio = _span_walk(schedule, grid, lambda r: (0.5j * _alpha_dot(r), _ratio(r)[0]))
     write_csv(cfg.out_path, ["t_ns", "c_real_rad_per_ns", "c_imag_rad_per_ns", "adiab_ratio"],
               [grid, c.real, c.imag, ratio])
     return 0

@@ -27,8 +27,8 @@ span of quadrature._spans at a time.  The angle, 16 bytes per point, is
 all the branch basis holds: MixingAngleTrajectory builds the (N, 2, 2)
 vector stacks right and left, or the rows of some grid points, from
 sin(alpha/2) and cos(alpha/2) when read.  The corrected drives read one
-sample of the schedule's rates per call, take C and H_0 from it, and add
-+-C into the stack of H_0 in place.
+sample of the schedule's rates per call, take C (pulses._alpha_dot) and
+H_0 from it, and add +-C into the stack of H_0 in place.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .biortho import _fd_spectrum, _mat2
 from .errors import BranchJump, ZeroGap
-from .pulses import PulseRates, PulseSchedule
+from .pulses import PulseRates, PulseSchedule, _alpha_dot
 from .quadrature import _cumulative_simpson, _refine, _spans
 
 __all__ = [
@@ -96,23 +96,6 @@ def alpha_dot(s: PulseSchedule, t):
         If the denominator magnitude falls below 1e-300 (exceptional point).
     """
     return _alpha_dot(s.rates(t))
-
-
-def _alpha_dot(r: PulseRates, where=True):
-    """alpha_dot from one sample r of the schedule's rates.
-
-    With a boolean array where, only at the points where it is True, and 0
-    elsewhere: ZeroGap is raised for those points only, and no quotient is
-    taken at the others.
-    """
-    delta, delta_dot, o, rabi_dot, gamma, gamma_dot = r
-    d = delta - 0.5j * gamma
-    num = rabi_dot * d - o * (delta_dot - 0.5j * gamma_dot)
-    den = d * d + o * o
-    if np.any((np.abs(den) < 1e-300) & where):
-        raise ZeroGap("mixing-angle rate diverges: (Delta - i Gamma/2)^2 + Omega_R^2 ~ 0")
-    out = np.zeros(np.broadcast(num, den).shape, dtype=complex)
-    return np.divide(num, den, out=out, where=where)[()]
 
 
 def cd_coupling(s: PulseSchedule, t):

@@ -9,6 +9,10 @@ pulse
     Delta(t) = -2 b t,        Omega_R(t) = Omega_0 exp(-a t^2)
 
 swept across resonance realizes rapid adiabatic passage.
+
+Omega, the mixing angle's rate alpha_dot and the adiabaticity ratio are
+stated once each here, on one PulseRates; _span_walk fills such formulas
+over a grid from one rates sample per span of quadrature._spans.
 """
 
 from __future__ import annotations
@@ -153,6 +157,22 @@ def _complex_rabi(r: PulseRates):
     return np.sqrt(-((g + 2j * d) ** 2) + 4.0 * o**2)
 
 
+def _alpha_dot(r: PulseRates, where=True):
+    """alpha_dot (see counterdiabatic.alpha_dot) from one sample r of the schedule's rates.
+
+    With a boolean array where, only where it is True and 0 elsewhere: no
+    quotient is taken, and no ZeroGap raised, at the other points.
+    """
+    delta, delta_dot, o, rabi_dot, gamma, gamma_dot = r
+    d = delta - 0.5j * gamma
+    num = rabi_dot * d - o * (delta_dot - 0.5j * gamma_dot)
+    den = d * d + o * o
+    if np.any((np.abs(den) < 1e-300) & where):
+        raise ZeroGap("mixing-angle rate diverges: (Delta - i Gamma/2)^2 + Omega_R^2 ~ 0")
+    out = np.zeros(np.broadcast(num, den).shape, dtype=complex)
+    return np.divide(num, den, out=out, where=where)[()]
+
+
 def adiabaticity_ratio(s: PulseSchedule, t):
     """Local adiabaticity monitor r(t) = 2 |Omega_a| / |Omega|.
 
@@ -165,44 +185,45 @@ def adiabaticity_ratio(s: PulseSchedule, t):
     Raises
     ------
     ZeroGap
-        If |Omega| vanishes at some requested time (eigenvalue coalescence).
+        If |Omega| vanishes at some requested time (eigenvalue coalescence)
+        or alpha_dot diverges at another.
     """
-    return _adiabaticity_ratio(s.rates(t))
-
-
-def _adiabaticity_ratio(r: PulseRates):
-    """adiabaticity_ratio from one sample r of the schedule's rates; ZeroGap as there."""
-    omega = _complex_rabi(r)
-    if np.any(omega == 0):
+    ratio, closed = _ratio(s.rates(t))
+    if np.any(closed):
         raise ZeroGap("spectral gap vanished; adiabaticity ratio undefined")
-    return _ratio(r, omega)
+    return ratio
 
 
-def _adiabaticity_monitor(s: PulseSchedule, t: np.ndarray) -> tuple[np.ndarray, int]:
-    """adiabaticity_ratio on the 1-d times t from one rates sample per span of _spans.
+def _ratio(r: PulseRates):
+    """|alpha_dot| / |Omega| from one sample r of the rates, and the mask where Omega is 0.
 
-    Returns the ratio, inf where the gap closes, and the number of such
-    times; the mixing angle's ZeroGap is still raised at the other times.
+    The ratio is inf there, and alpha_dot, so its ZeroGap too, is not taken there.
     """
-    ratio, closed = np.empty(len(t)), 0
-    for a, b in _spans(len(t)):
-        r = s.rates(t[a:b])
-        omega = _complex_rabi(r)
-        ratio[a:b] = _ratio(r, omega)
-        closed += int(np.count_nonzero(omega == 0))
-    return ratio, closed
-
-
-def _ratio(r: PulseRates, omega):
-    """|alpha_dot| / |Omega| from one sample r of the rates and its Omega, inf where Omega is 0."""
-    from .counterdiabatic import _alpha_dot
-
-    gapped = omega != 0
-    rate = np.abs(_alpha_dot(r, gapped))
+    omega = _complex_rabi(r)
+    closed = omega == 0
+    rate = np.abs(_alpha_dot(r, ~closed))
     ratio = np.full(np.shape(omega), np.inf)
     with np.errstate(over="ignore"):
-        np.divide(rate, np.abs(omega), out=ratio, where=gapped)
-    return ratio[()]
+        np.divide(rate, np.abs(omega), out=ratio, where=~closed)
+    return ratio[()], closed
+
+
+def _span_walk(s: PulseSchedule, t: np.ndarray, formula) -> tuple[np.ndarray, ...]:
+    """formula(s.rates(t)) on the non-empty 1-d times t, one rates sample per span of _spans.
+
+    formula maps a PulseRates to a tuple of arrays, each written into a full-length
+    array of the dtype its first span gives; each span's sample and results are
+    freed before the next sample.  For a formula of each point's own rates, as
+    every caller's is, the bits are those of one call over all of t.
+    """
+    out = ()
+    for a, b in _spans(len(t)):
+        parts = formula(s.rates(t[a:b]))
+        out = out or tuple(np.empty(len(t), dtype=p.dtype) for p in parts)
+        for whole, part in zip(out, parts):
+            whole[a:b] = part
+        del parts  # before the next span is sampled
+    return out
 
 
 def generic_adiabaticity_ratio(hfun, t: float, h: float = 1e-4) -> float:

@@ -2,8 +2,9 @@
 
 All three are shared by the atom and trap modules.  Every batched pass over
 a grid walks it in the spans of _spans, at most _SPAN intervals each: the
-RK4 step matrices (in whole scan chunks), the mixing angle and the branch
-projection.  So none of them holds a full-length sample of a long grid.
+RK4 step matrices (in whole scan chunks), the mixing angle, the branch
+projection, and pulses._span_walk, which fills rap's adiabaticity monitor
+and cd-terms' C and monitor.  So none of them holds a full-length sample.
 """
 
 from __future__ import annotations

@@ -8,12 +8,23 @@ Proves:
   - non-finite pulse parameters are rejected, naming the field
   - grid construction honors dt and the window
   - adiabaticity ratio: static zero, center value, failure in the wings,
-    invariance under time-unit rescaling, ZeroGap at coalescence; one
+    invariance under time-unit rescaling, ZeroGap at coalescence, and
+    alpha_dot's ZeroGap first where the rate diverges at a gapped time; one
     sample of the schedule per call, and the CLI's monitor, inf where the
     gap closes, bitwise the ratio on the gapped times from one sample
+  - the span walker: one rates sample per span, and each output with the
+    dtype and bits of one formula call over all the times
   - generic (finite-difference) monitor agrees with the closed form and
     reduces to the textbook Landau-Zener ratio in the Hermitian limit
+  - no module of the package imports inside a function, so the cycle
+    between pulses and counterdiabatic cannot come back through a
+    deferred import; and only the span walker samples the rates per span,
+    but for the mixing angle's refined spans
 """
+
+import ast
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +44,10 @@ from sta import (
     generic_adiabaticity_ratio,
     mixing_angle_values,
 )
-from sta.pulses import _adiabaticity_monitor
+from sta.pulses import _alpha_dot, _ratio, _span_walk
+
+SRC = Path(sys.modules["sta"].__file__).parent
+quadrature_module = sys.modules["sta.quadrature"]
 
 TWO_PI = 2.0 * np.pi
 
@@ -219,12 +233,13 @@ def test_monitor_is_the_ratio_on_gapped_times_and_inf_where_the_gap_closes(atom_
     grid = np.linspace(-20.0, 20.0, 4001)
     calls = []
     counted = PulseSchedule(rates=lambda t: calls.append(t) or s.rates(t), window=s.window)
-    ratio, closed = _adiabaticity_monitor(counted, grid)
+    ratio, closed = _span_walk(counted, grid, _ratio)
     # one sample per span of quadrature._spans: 1,536, 1,536 and 929 points
     assert [len(t) for t in calls] == [1536, 1536, 929]
     np.testing.assert_array_equal(np.concatenate(calls), grid)
     gapped = complex_rabi(s, grid) != 0
-    assert closed == 1 and not gapped[2000]
+    assert np.count_nonzero(closed) == 1 and not gapped[2000]
+    np.testing.assert_array_equal(closed, ~gapped)
     assert np.isposinf(ratio[~gapped]).all()
     expected = adiabaticity_ratio(s, grid[gapped])
     np.testing.assert_array_equal(ratio[gapped].view(np.uint64), expected.view(np.uint64))
@@ -232,6 +247,60 @@ def test_monitor_is_the_ratio_on_gapped_times_and_inf_where_the_gap_closes(atom_
     with pytest.raises(ZeroGap, match="spectral gap vanished"):
         adiabaticity_ratio(counted, grid)
     assert len(calls) == 1
+
+
+def test_ratio_raises_alpha_dots_zero_gap_where_it_diverges_at_a_gapped_time():
+    # Omega = 0 at the first time; at the second Omega = 2e-160 is not 0, but
+    # (Delta - i Gamma/2)^2 + Omega_R^2 = 1e-320 makes alpha_dot diverge there,
+    # and the ratio takes alpha_dot at the gapped times before the gap check
+    s = PulseSchedule(rates=lambda t: PulseRates(np.zeros(2), 0.0, np.array([0.5, 1e-160]),
+                                                 1.0, np.array([1.0, 0.0]), 0.0),
+                      window=(0.0, 1.0))
+    assert complex_rabi(s, None)[0] == 0 and complex_rabi(s, None)[1] != 0
+    with pytest.raises(ZeroGap, match="mixing-angle rate diverges"):
+        adiabaticity_ratio(s, None)
+
+
+@pytest.mark.parametrize("n, spans", [(63, [63]), (64, [64]), (65, [64, 1]),
+                                      (129, [64, 64, 1])])
+def test_span_walk_is_bitwise_one_formula_call_over_all_the_times(monkeypatch, atom, n, spans):
+    monkeypatch.setattr(quadrature_module, "_SPAN", 64)
+    times = np.linspace(-4.0, 4.0, n)
+    calls = []
+    counted = PulseSchedule(rates=lambda t: calls.append(len(t)) or atom.rates(t),
+                            window=atom.window)
+
+    def formula(r):  # a complex, a float and a bool array
+        return 0.5j * _alpha_dot(r), _ratio(r)[0], r.delta < 0.0
+
+    got = _span_walk(counted, times, formula)
+    assert calls == spans
+    want = formula(atom.rates(times))
+    assert [x.dtype for x in got] == [np.dtype(complex), np.dtype(float), np.dtype(bool)]
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.shape == y.shape == (n,)
+        assert x.tobytes() == y.tobytes()
+
+
+def _functions():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path.name, node
+
+
+def test_no_module_imports_inside_a_function():
+    inner = [f"{name}:{node.lineno} in {fn.name}" for name, fn in _functions()
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert inner == []
+
+
+def test_only_the_span_walker_samples_the_rates_per_span():
+    # the mixing angle's refined spans, nodes and midpoints, carry a running sum
+    walkers = {f"{name}:{fn.name}" for name, fn in _functions() for loop in ast.walk(fn)
+               if isinstance(loop, ast.For) and "_spans(" in ast.unparse(loop.iter)
+               and any(f in ast.unparse(loop) for f in (".rates(", "alpha_dot("))}
+    assert walkers == {"pulses.py:_span_walk", "counterdiabatic.py:mixing_angle_values"}
 
 
 def test_generic_ratio_static_zero():
