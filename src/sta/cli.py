@@ -423,8 +423,10 @@ def run_oscillator(cfg: RunConfig) -> int:
     # the oracle first, so only the grid sits beside its sweep
     oracle = trap.hamilton_trajectory(plan, grid)
     closed = trap.closed_form_trajectory(plan, grid)
-    energy = closed.energy(plan)
-    w2 = np.asarray(plan.omega_sq(grid))
+    # rho and omega^2 once on the grid, for the energy, E/omega and their columns
+    rho = plan.rho(grid)
+    w2 = plan._omega_sq(rho, plan.rho_ddot(grid))
+    energy = trap._energy(closed.q, closed.p, plan.mass, w2)
     e_over_w = np.where(w2 > 0.0, energy / np.sqrt(np.where(w2 > 0.0, w2, 1.0)), np.nan)
     v, v_oracle = closed.p / plan.mass, oracle.p / plan.mass
     write_csv(
@@ -432,7 +434,7 @@ def run_oscillator(cfg: RunConfig) -> int:
         ["t_s", "q_m", "v_m_per_s", "energy_J", "energy_over_omega_Js",
          "omega_sq_rad2_per_s2", "rho", "q_oracle_m", "v_oracle_m_per_s"],
         [grid, closed.q, v, energy, e_over_w,
-         w2, np.asarray(plan.rho(grid)), oracle.q, v_oracle],
+         w2, rho, oracle.q, v_oracle],
     )
     warning = diagnostics.oscillator_warning(plan, closed.q, v, oracle.q, v_oracle,
                                              float(energy[start]), float(energy[end]))
@@ -457,8 +459,9 @@ def _check_lines(params: dict) -> tuple[list[str], bool]:
     measured["biorthogonal-overlap-drift"] = diagnostics.overlap_drift(pair.biorth_overlap)
     plan = _trap_plan(TRAP_DEFAULTS)
     ts = np.linspace(0.0, plan.tf, 10001)
+    rho, rho_ddot = plan.rho(ts), plan.rho_ddot(ts)
     measured["ermakov-residual"] = diagnostics.ermakov_residual(
-        plan.rho(ts), plan.rho_ddot(ts), plan.omega_sq(ts), plan.omega0)
+        rho, rho_ddot, plan._omega_sq(rho, rho_ddot), plan.omega0)
     inv = trap.invariant_at(plan, np.linspace(0.0, plan.tf, 101))
     measured["invariant-determinant"] = diagnostics.determinant_defect(inv.a, inv.b, inv.c)
     order = convergence_order(lambda t: cd.bare_hamiltonian(schedule, t), [0.0, 1.0],

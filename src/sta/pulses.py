@@ -161,13 +161,17 @@ def _alpha_dot(r: PulseRates, where=True):
     """alpha_dot (see counterdiabatic.alpha_dot) from one sample r of the schedule's rates.
 
     With a boolean array where, only where it is True and 0 elsewhere: no
-    quotient is taken, and no ZeroGap raised, at the other points.
+    quotient is taken, and no ZeroGap raised, at the other points.  ZeroGap
+    where |den| < 1e-300, which needs both parts of den below 1e-300; the
+    dearer hypot |den| is taken only when some point has both.
     """
     delta, delta_dot, o, rabi_dot, gamma, gamma_dot = r
     d = delta - 0.5j * gamma
     num = rabi_dot * d - o * (delta_dot - 0.5j * gamma_dot)
     den = d * d + o * o
-    if np.any((np.abs(den) < 1e-300) & where):
+    small = np.abs(den.real) < 1e-300
+    if (np.any(small) and np.any(small & (np.abs(den.imag) < 1e-300) & where)
+            and np.any((np.abs(den) < 1e-300) & where)):
         raise ZeroGap("mixing-angle rate diverges: (Delta - i Gamma/2)^2 + Omega_R^2 ~ 0")
     out = np.zeros(np.broadcast(num, den).shape, dtype=complex)
     return np.divide(num, den, out=out, where=where)[()]
@@ -222,7 +226,7 @@ def _span_walk(s: PulseSchedule, t: np.ndarray, formula) -> tuple[np.ndarray, ..
         out = out or tuple(np.empty(len(t), dtype=p.dtype) for p in parts)
         for whole, part in zip(out, parts):
             whole[a:b] = part
-        del parts  # before the next span is sampled
+        del parts, part  # the span's results, the loop's last one too, before the next sample
     return out
 
 

@@ -104,8 +104,10 @@ class ErmakovPlan:
     reduced time s = t/tf (ascending).  Outside [0, tf] the plan is
     clamped: rho sits at its boundary value with zero derivatives, so
     omega^2 continues as omega_0^2 before the ramp and omega_f^2 after it.
-    min_omega_sq and max_abs_omega_sq are no arguments: each plan scans its
-    own omega^2 on _SCAN_SAMPLES points of the ramp when it is built.
+    min_omega_sq, max_abs_omega_sq and the coefficients of rho' and rho''
+    in s are no arguments: each plan fixes the derivative coefficients when
+    it is built, so an evaluation of rho' or rho'' is one _polyval, and then
+    scans its own omega^2 on _SCAN_SAMPLES points of the ramp.
     """
 
     omega0: float
@@ -117,9 +119,15 @@ class ErmakovPlan:
     theta0: float
     min_omega_sq: float = field(init=False)
     max_abs_omega_sq: float = field(init=False)
+    _coeffs_dot: np.ndarray = field(init=False, repr=False, compare=False)
+    _coeffs_ddot: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
+        for name, order in (("_coeffs_dot", 1), ("_coeffs_ddot", 2)):
+            derivative = npoly.polyder(self.coeffs, order)
+            derivative.setflags(write=False)
+            object.__setattr__(self, name, derivative)
         w2 = self.omega_sq(np.linspace(0.0, self.tf, _SCAN_SAMPLES))
         object.__setattr__(self, "min_omega_sq", float(np.min(w2)))
         object.__setattr__(self, "max_abs_omega_sq", float(np.max(np.abs(w2))))
@@ -135,53 +143,77 @@ class ErmakovPlan:
 
     def rho(self, t):
         s = np.clip(np.asarray(t, dtype=float) / self.tf, 0.0, 1.0)
-        return npoly.polyval(s, self.coeffs)
+        return _polyval(s, self.coeffs)
+
+    def _derivative(self, t, coeffs, scale):
+        """The polynomial coeffs at s = t/tf over scale inside [0, tf], 0 outside it."""
+        t = np.asarray(t, dtype=float)
+        inside = (t >= 0.0) & (t <= self.tf)
+        s = np.clip(t / self.tf, 0.0, 1.0)
+        return np.where(inside, _polyval(s, coeffs) / scale, 0.0)
 
     def rho_dot(self, t):
-        t = np.asarray(t, dtype=float)
-        inside = (t >= 0.0) & (t <= self.tf)
-        s = np.clip(t / self.tf, 0.0, 1.0)
-        return np.where(inside, npoly.polyval(s, npoly.polyder(self.coeffs)) / self.tf, 0.0)
+        return self._derivative(t, self._coeffs_dot, self.tf)
 
     def rho_ddot(self, t):
-        t = np.asarray(t, dtype=float)
-        inside = (t >= 0.0) & (t <= self.tf)
-        s = np.clip(t / self.tf, 0.0, 1.0)
-        return np.where(inside, npoly.polyval(s, npoly.polyder(self.coeffs, 2)) / self.tf**2, 0.0)
+        return self._derivative(t, self._coeffs_ddot, self.tf**2)
 
     def omega_sq(self, t):
         """Planned squared trap frequency; may transiently be negative."""
-        rho = self.rho(t)
-        return self.omega0**2 / rho**4 - self.rho_ddot(t) / rho
+        return self._omega_sq(self.rho(t), self.rho_ddot(t))
+
+    def _omega_sq(self, rho, rho_ddot):
+        """omega^2 from the Ermakov equation, given rho and rho'' at the same times."""
+        return self.omega0**2 / rho**4 - rho_ddot / rho
 
     def phase_integral(self, t):
         """omega_0 * integral_0^t dt'/rho^2 at one time or an array of times.
 
-        One cumulative composite-Simpson table of 1/rho^2 is built on
-        _PHASE_NODES nodes over [0, tf]; each t then adds a single Simpson
-        panel from the last even node at or before it.  The cost is
-        O(len(t) + _PHASE_NODES) whatever the grid, sorted or not.  Outside
-        the ramp rho is constant and the integral linear.  Each value
-        depends on its own t only, so scalar and array calls give
-        bit-identical results elementwise: the invariant phases and the
-        closed-form trajectory share their angles exactly.
+        Before the ramp rho is 1 and the integral is omega_0 t.  If some t
+        is not before it, one cumulative composite-Simpson table of 1/rho^2
+        is built on _PHASE_NODES nodes over [0, tf]; each t then adds a
+        single Simpson panel from the last even node at or before it.  The
+        cost is O(len(t)), plus O(_PHASE_NODES) when the table is built,
+        whatever the grid, sorted or not.  After the ramp rho is constant
+        and the integral linear.  Each value depends on its own t only, so
+        scalar and array calls give bit-identical results elementwise: the
+        invariant phases and the closed-form trajectory share their angles
+        exactly.
         """
         t = np.asarray(t, dtype=float)
-        nodes = np.linspace(0.0, self.tf, _PHASE_NODES)
-        y = 1.0 / self.rho(nodes) ** 2
-        even, y_even = nodes[0::2], y[0::2]
-        table = _cumulative_simpson(y_even, y[1::2], np.diff(even))
-        inside = np.clip(t, 0.0, self.tf)
-        k = np.searchsorted(even, inside, side="right") - 1
-        y_mid, y_end = 1.0 / self.rho(np.stack([0.5 * (even[k] + inside), inside])) ** 2
-        panel = ((inside - even[k]) / 6.0) * (y_even[k] + 4.0 * y_mid + y_end)
-        head = np.where(t > self.tf, self.omega0 / self.rho_final**2 * (t - self.tf), 0.0)
-        phase = np.where(t < 0.0, self.omega0 * t, head + self.omega0 * (table[k] + panel))
+        phase = self.omega0 * t
+        if not np.all(t < 0.0):
+            nodes = np.linspace(0.0, self.tf, _PHASE_NODES)
+            y = 1.0 / self.rho(nodes) ** 2
+            even, y_even = nodes[0::2], y[0::2]
+            table = _cumulative_simpson(y_even, y[1::2], np.diff(even))
+            inside = np.clip(t, 0.0, self.tf)
+            k = np.searchsorted(even, inside, side="right") - 1
+            y_mid, y_end = 1.0 / self.rho(np.stack([0.5 * (even[k] + inside), inside])) ** 2
+            panel = ((inside - even[k]) / 6.0) * (y_even[k] + 4.0 * y_mid + y_end)
+            head = np.where(t > self.tf, self.omega0 / self.rho_final**2 * (t - self.tf), 0.0)
+            phase = np.where(t < 0.0, phase, head + self.omega0 * (table[k] + panel))
         return phase if phase.ndim else float(phase)
 
     def theta(self, t):
         """Rotation angle theta(t) of the transported trajectory (scalar or array)."""
         return self.theta0 + self.phase_integral(t)
+
+
+def _polyval(s, coeffs: np.ndarray):
+    """npoly.polyval(s, coeffs) for 1-d float coeffs, bit for bit, in one array updated in place.
+
+    The same Horner steps, s * 0 + c[-1] and then c[k] + acc * s, each a
+    commutative product or sum of the same two operands; polyval allocates
+    two arrays per step, which cost rho and its derivatives a third of
+    their time on the oscillator's grids.
+    """
+    acc = s * 0.0
+    acc += coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc *= s
+        acc += c
+    return acc
 
 
 def plan_expansion(spec: ExpansionSpec) -> ErmakovPlan:
@@ -316,8 +348,12 @@ class PhaseSpaceTrajectory:
         The kinetic term is taken as (p/m) p / 2, so that it overflows only
         when the energy itself does, not when p^2 alone would (a heavy mass).
         """
-        w2 = np.asarray(plan.omega_sq(self.grid))
-        return 0.5 * (self.p / plan.mass) * self.p + 0.5 * plan.mass * w2 * self.q**2
+        return _energy(self.q, self.p, plan.mass, np.asarray(plan.omega_sq(self.grid)))
+
+
+def _energy(q, p, mass: float, w2):
+    """PhaseSpaceTrajectory.energy's formula, with omega^2 given as w2 at the times of q and p."""
+    return 0.5 * (p / mass) * p + 0.5 * mass * w2 * q**2
 
 
 def closed_form_trajectory(plan: ErmakovPlan, grid) -> PhaseSpaceTrajectory:
@@ -333,8 +369,9 @@ def closed_form_trajectory(plan: ErmakovPlan, grid) -> PhaseSpaceTrajectory:
     rho = np.asarray(plan.rho(grid))
     rho_dot = np.asarray(plan.rho_dot(grid))
     theta = plan.theta(grid)
-    q = r * rho * np.cos(theta)
-    p = -(m * w0 / rho) * r * np.sin(theta) + m * rho_dot * r * np.cos(theta)
+    cos = np.cos(theta)
+    q = r * rho * cos
+    p = -(m * w0 / rho) * r * np.sin(theta) + m * rho_dot * r * cos
     return PhaseSpaceTrajectory(grid=grid.copy(), q=q, p=p)
 
 

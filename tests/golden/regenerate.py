@@ -2,13 +2,15 @@
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Runs the five CSV scenarios and ``sta check`` at their defaults, and
-``rap-cd`` on the benchmark's ``atom_config`` draws for SEEDS, in process.
+Runs the five CSV scenarios and ``sta check`` at their defaults, in
+process.  Also runs ``rap-cd`` on the benchmark's ``atom_config`` draws
+and ``oscillator`` on its ``trap_config`` draws for SEEDS, and
+``oscillator`` on the rest orbit REST, whose CSV holds signed zeros.
 Writes ``manifest.json`` (numpy version and the fingerprint of the host's
 bits from ``hostbits.py``; per CSV its SHA-256, header, row count, and
-every 100th data row plus the last, as text; per seeded run also its seed
-and config) and ``check.txt`` (the check's stdout, verbatim) next to this
-file.
+every 100th data row plus the last, as text; per seeded run also its
+scenario, seed (None for the rest orbit) and config) and ``check.txt``
+(the check's stdout, verbatim) next to this file.
 ``tests/test_golden.py`` compares fresh runs with them.  A change that
 alters these bytes by design reruns this script and names the changed
 files and the reason in CHANGES.md.
@@ -22,6 +24,7 @@ import io
 import json
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +34,11 @@ from sta.cli import main
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parents[1] / "bench"))
-from workloads import atom_config  # noqa: E402
+from workloads import atom_config, trap_config  # noqa: E402
 
 SCENARIOS = ("rap", "rap-cd", "rap-cd-approx", "cd-terms", "oscillator")
-SEEDS = (1, 2, 3, 4, 5)  # seeds of the rap-cd runs on atom_config
+SEEDS = (1, 2, 3, 4, 5)  # seeds of the rap-cd and oscillator runs on the bench's configs
+REST = {"q0_um": 0, "v0_um_per_ms": 0}  # the oscillator at rest: q and v are all +-0
 EVERY = 100
 
 
@@ -65,10 +69,9 @@ def run_scenario(scenario: str, directory: Path, config: dict | None = None) -> 
     return path.read_bytes()
 
 
-def seeded_entry(seed: int, directory: Path) -> dict:
-    config = atom_config(np.random.default_rng(seed))
-    return {"scenario": "rap-cd", "seed": seed, "config": config,
-            **csv_entry(run_scenario("rap-cd", directory, config))}
+def seeded_entry(scenario: str, seed: int | None, config: dict, directory: Path) -> dict:
+    return {"scenario": scenario, "seed": seed, "config": config,
+            **csv_entry(run_scenario(scenario, directory, config))}
 
 
 def run_check() -> str:
@@ -83,7 +86,14 @@ def run_check() -> str:
 def regenerate() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         csvs = {s: csv_entry(run_scenario(s, Path(tmp))) for s in SCENARIOS}
-        seeded = {f"rap-cd-seed-{k}": seeded_entry(k, Path(tmp)) for k in SEEDS}
+        seeded = {}
+        for scenario, draw in (("rap-cd", atom_config), ("oscillator", trap_config)):
+            for k in SEEDS:
+                config = draw(np.random.default_rng(k))
+                seeded[f"{scenario}-seed-{k}"] = seeded_entry(scenario, k, config, Path(tmp))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "q0 = v0 = 0: rest solution", UserWarning)
+            seeded["oscillator-rest"] = seeded_entry("oscillator", None, REST, Path(tmp))
     manifest = {"numpy": np.__version__, "fingerprint": fingerprint(), "every": EVERY,
                 "csv": csvs, "seeded": seeded}
     (HERE / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")

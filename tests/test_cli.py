@@ -294,6 +294,26 @@ def test_oscillator_initial_velocity(tmp_path):
     np.testing.assert_allclose(rows["v_m_per_s"][i0], 2e-3, rtol=1e-9)
 
 
+@pytest.mark.parametrize("scenario,bound", [("oscillator", 30_021), ("check", 20_103)])
+def test_each_ramp_quantity_costs_one_rho_evaluation_per_time(monkeypatch, tmp_path, capsys,
+                                                              scenario, bound):
+    # 38,030 and 30,104 points when omega^2 was built twice on the display
+    # grid and rho a third time for its column, the oracle's start point
+    # before the ramp built the 2,001-node phase table and the check's
+    # Ermakov residual took rho again for its omega^2; counted as
+    # bench/spans.py counts trap.rho_points
+    points = []
+    rho = climod.trap.ErmakovPlan.rho
+
+    def counted(plan, t):
+        points.append(int(np.size(t)))
+        return rho(plan, t)
+
+    monkeypatch.setattr(climod.trap.ErmakovPlan, "rho", counted)
+    assert main([scenario, "--out", str(tmp_path / "out")]) == 0
+    assert sum(points) <= bound
+
+
 def test_check_passes(tmp_path, capsys):
     code, path = run(tmp_path, "check", out="report.txt")
     out = capsys.readouterr().out

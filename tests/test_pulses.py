@@ -12,8 +12,12 @@ Proves:
     alpha_dot's ZeroGap first where the rate diverges at a gapped time; one
     sample of the schedule per call, and the CLI's monitor, inf where the
     gap closes, bitwise the ratio on the gapped times from one sample
-  - the span walker: one rates sample per span, and each output with the
-    dtype and bits of one formula call over all the times
+  - the span walker: one rates sample per span, each output with the dtype
+    and bits of one formula call over all the times, and each span's sample
+    and results freed before the next sample (tracemalloc)
+  - alpha_dot's ZeroGap decision, which takes the hypot |den| only where
+    both parts of den are small, is the plain |den| < 1e-300 test's on edge
+    denominators, masked points and scalars
   - generic (finite-difference) monitor agrees with the closed form and
     reduces to the textbook Landau-Zener ratio in the Hermitian limit
   - no module of the package imports inside a function, so the cycle
@@ -24,6 +28,7 @@ Proves:
 
 import ast
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +266,51 @@ def test_ratio_raises_alpha_dots_zero_gap_where_it_diverges_at_a_gapped_time():
         adiabaticity_ratio(s, None)
 
 
+# (Delta - i Gamma/2)^2 + Omega_R^2 that alpha_dot should see, and whether it raises
+_EDGE_DENOMINATORS = [
+    (0.99e-300 + 0.99e-300j, False),  # both parts under 1e-300, |den| = 1.4e-300
+    (-0.8e-300 + 0.65e-300j, False),  # both parts under, |den| = 1.03e-300
+    (0.7e-300 + 0.7e-300j, True),     # |den| = 0.99e-300
+    (0.99e-300 + 0.1e-300j, True),
+    (1e-300, False),
+    (5e-324, True),                   # subnormals
+    (3e-320 - 3e-320j, True),
+    (0.0, True),
+    (1.0, False),
+    (complex(np.nan, 0.0), False),
+    (complex(0.0, np.nan), False),
+    (complex(np.inf, 0.0), False),
+    (complex(1e-310, np.inf), False),
+]
+
+
+def _raises_zero_gap(r, where=True):
+    with np.errstate(all="ignore"):  # the non-finite quotients are not the point here
+        try:
+            _alpha_dot(r, where)
+        except ZeroGap:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("target, raises", _EDGE_DENOMINATORS)
+def test_alpha_dot_zero_gap_decision_is_the_plain_test_on_edge_denominators(target, raises):
+    # Delta = sqrt(target) with Omega_R = Gamma = 0 makes den = Delta^2, about target
+    with np.errstate(all="ignore"):
+        deltas = np.sqrt(np.array([1.0, target, 2.0], dtype=complex))
+        den = deltas * deltas
+        plain = np.abs(den) < 1e-300  # the test that the decision must keep
+    assert plain[1] == raises and not plain[0] and not plain[2]
+    r = PulseRates(deltas, 1.0, 0.0, 1.0, 0.0, 0.0)
+    assert _raises_zero_gap(r) == raises
+    # masked points take no quotient and raise nothing
+    assert _raises_zero_gap(r, np.array([True, False, True])) is False
+    assert _raises_zero_gap(r, np.array([False, True, False])) == raises
+    # scalar rates, as constant_schedule gives them
+    assert _raises_zero_gap(PulseRates(complex(deltas[1]), 1.0, 0.0, 1.0, 0.0, 0.0)) == raises
+    assert _raises_zero_gap(PulseRates(deltas[1], 1.0, 0.0, 1.0, 0.0, 0.0)) == raises
+
+
 @pytest.mark.parametrize("n, spans", [(63, [63]), (64, [64]), (65, [64, 1]),
                                       (129, [64, 64, 1])])
 def test_span_walk_is_bitwise_one_formula_call_over_all_the_times(monkeypatch, atom, n, spans):
@@ -280,6 +330,35 @@ def test_span_walk_is_bitwise_one_formula_call_over_all_the_times(monkeypatch, a
     for x, y in zip(got, want):
         assert x.dtype == y.dtype and x.shape == y.shape == (n,)
         assert x.tobytes() == y.tobytes()
+
+
+def _traced_peak(call):
+    """tracemalloc's peak over one call, above what was live before it, after an untraced call."""
+    call()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_span_walk_frees_each_spans_sample_and_results_before_the_next(atom):
+    # the largest result last: the loop variable holds it after the copy
+    def formula(r):
+        return r.delta < 0.0, _ratio(r)[0], 0.5j * _alpha_dot(r)
+
+    span = quadrature_module._SPAN
+    times = np.linspace(-4.0, 4.0, 12 * span)
+    _, one_span = _traced_peak(lambda: formula(atom.rates(times[:span])))
+    out, peak = _traced_peak(lambda: _span_walk(atom, times, formula))
+    whole = sum(x.nbytes for x in out)
+    results = whole // 12  # one span's results, 25 bytes a point
+    # 1,076 bytes above the outputs and one span's sample and formula (numpy
+    # 2.4.6); 25,764 with the last result held while the next span is
+    # sampled, and 39,924 with all three
+    assert peak - whole - one_span < results // 4
 
 
 def _functions():

@@ -22,12 +22,18 @@ Proves:
   - energy audit: quoted initial energy, exact hundredfold drop, identity
     expansion, rest solution warning, transit is genuinely non-adiabatic
   - validation: bad spec values, inversion flag
+  - one evaluation per time: rho, and rho', rho'' and omega^2 from the
+    coefficients fixed when the plan is built, are bitwise the forms that
+    take npoly.polyval and polyder at each call, for scalar and array t inside and outside [0, tf], and a
+    replaced or subclassed plan fixes its own; times before the ramp give
+    omega_0 t bitwise and build no phase table
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from sta import (
     ErmakovPlan,
@@ -226,6 +232,77 @@ def test_plan_scans_its_own_omega_sq(expansion_plan):
     doubled = _scaled_omega_plan(expansion_plan, 2.0)
     assert doubled.min_omega_sq == 2.0 * expansion_plan.min_omega_sq
     assert doubled.max_abs_omega_sq == 2.0 * expansion_plan.max_abs_omega_sq
+
+
+def _random_plans(n=6, seed=33):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield plan_expansion(ExpansionSpec(
+            omega0=TWO_PI * rng.uniform(10.0, 500.0), omegaf=TWO_PI * rng.uniform(0.5, 600.0),
+            tf=rng.uniform(1e-3, 0.3), mass=1.44e-25, q0=rng.normal(0.0, 1e-6)))
+
+
+def _polyder_forms(plan, t):
+    """rho, rho', rho'' and omega^2 by npoly.polyval, with polyder taken at each call."""
+    t = np.asarray(t, dtype=float)
+    inside = (t >= 0.0) & (t <= plan.tf)
+    s = np.clip(t / plan.tf, 0.0, 1.0)
+    rho = npoly.polyval(s, plan.coeffs)
+    rho_dot = np.where(inside, npoly.polyval(s, npoly.polyder(plan.coeffs)) / plan.tf, 0.0)
+    rho_ddot = np.where(inside, npoly.polyval(s, npoly.polyder(plan.coeffs, 2)) / plan.tf**2,
+                        0.0)
+    return rho, rho_dot, rho_ddot, plan.omega0**2 / rho**4 - rho_ddot / rho
+
+
+def _ramp(plan, t):
+    return plan.rho(t), plan.rho_dot(t), plan.rho_ddot(t), plan.omega_sq(t)
+
+
+def test_ramp_quantities_are_bitwise_the_polyval_and_polyder_forms():
+    for plan in _random_plans():
+        tf = plan.tf
+        ts = np.concatenate([[-tf, -0.0, 0.0, tf, np.nextafter(tf, np.inf), 2.0 * tf],
+                             np.random.default_rng(1).uniform(-0.5 * tf, 1.5 * tf, 257)])
+        for x, y in zip(_ramp(plan, ts), _polyder_forms(plan, ts)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for t in [*ts[:12], 0.3 * tf]:  # numpy scalars, and a Python float
+            for x, y in zip(_ramp(plan, t), _polyder_forms(plan, t)):
+                assert type(x) is type(y) and np.shape(x) == np.shape(y) == ()
+                assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def test_phase_integral_before_the_ramp_is_omega0_t_and_builds_no_table(monkeypatch):
+    points = []
+    rho = ErmakovPlan.rho
+    monkeypatch.setattr(ErmakovPlan, "rho", lambda plan, t: points.append(np.size(t))
+                        or rho(plan, t))
+    for plan in _random_plans():
+        before = np.linspace(-TWO_PI / plan.omega0, -1e-300, 101)
+        points.clear()
+        assert plan.phase_integral(before).tobytes() == (plan.omega0 * before).tobytes()
+        assert plan.phase_integral(before[0]) == plan.omega0 * before[0]
+        assert points == []
+        # one time on the ramp builds the table for all; each value is still its own call's
+        mixed = np.concatenate([before[::10], [0.0, 0.3 * plan.tf, plan.tf, 1.5 * plan.tf]])
+        array = plan.phase_integral(mixed)
+        assert len(points) == 2
+        assert array[:11].tobytes() == (plan.omega0 * mixed[:11]).tobytes()
+        np.testing.assert_array_equal(array, [plan.phase_integral(t) for t in mixed])
+
+
+def test_replace_and_subclass_fix_their_own_derivative_coefficients(expansion_plan):
+    steeper = plan_expansion(ExpansionSpec(omega0=TWO_PI * 250.0, omegaf=TWO_PI * 0.25,
+                                           tf=0.025, mass=1.44e-25, q0=1e-6))
+    replaced = dataclasses.replace(expansion_plan, coeffs=steeper.coeffs)
+    doubled = _scaled_omega_plan(steeper, 2.0)
+    for plan in (expansion_plan, replaced, doubled):
+        for coeffs, order in ((plan._coeffs_dot, 1), (plan._coeffs_ddot, 2)):
+            assert coeffs.tobytes() == npoly.polyder(plan.coeffs, order).tobytes()
+            assert not coeffs.flags.writeable
+    assert replaced._coeffs_dot.tobytes() != expansion_plan._coeffs_dot.tobytes()
+    assert "_coeffs" not in repr(expansion_plan)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(expansion_plan, _coeffs_dot=steeper._coeffs_dot)
 
 
 def test_invariance_residual_sensitivity():
