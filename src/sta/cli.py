@@ -163,10 +163,17 @@ def load_run_config(scenario: str, config_path, out, dt, window_factor) -> RunCo
 
 def _atom_setup(params: dict):
     """Schedule and grid in internal units (rad/ns, ns) from config numbers."""
+    # (2 pi)^2 x overflows past about 4.55e306, to inf with no numpy warning as
+    # Python floats, and ChirpedGaussianParams would raise on it; 2 pi 1e-3 x cannot
+    chirps = {key: TWO_PI**2 * float(params[key]) for key in ("chirp_a_ghz2", "chirp_b_ghz2")}
+    for key, x in chirps.items():
+        if not abs(x) < math.inf:
+            raise ConfigError(f"config key '{key}' = {params[key]:g} is out of range: its "
+                              "value in rad/ns^2 is not a finite double")
     cg = ChirpedGaussianParams(
         rabi_peak=TWO_PI * 1e-3 * params["rabi_peak_mhz"],
-        width_a=TWO_PI**2 * params["chirp_a_ghz2"],
-        chirp_b=TWO_PI**2 * params["chirp_b_ghz2"],
+        width_a=chirps["chirp_a_ghz2"],
+        chirp_b=chirps["chirp_b_ghz2"],
         gamma=TWO_PI * 1e-3 * params["gamma_mhz"],
     )
     # the half-window as chirped_gaussian forms it; Python floats, so a window

@@ -35,7 +35,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .biortho import _mat2
 from .diagnostics import energy_claim_error
@@ -104,10 +103,9 @@ class ErmakovPlan:
     reduced time s = t/tf (ascending).  Outside [0, tf] the plan is
     clamped: rho sits at its boundary value with zero derivatives, so
     omega^2 continues as omega_0^2 before the ramp and omega_f^2 after it.
-    min_omega_sq, max_abs_omega_sq and the coefficients of rho' and rho''
-    in s are no arguments: each plan fixes the derivative coefficients when
-    it is built, so an evaluation of rho' or rho'' is one _polyval, and then
-    scans its own omega^2 on _SCAN_SAMPLES points of the ramp.
+    rho, rho' and rho'' are one routine of the derivative order over coeffs.
+    min_omega_sq and max_abs_omega_sq are no arguments: each plan scans its
+    own omega^2 on _SCAN_SAMPLES points of the ramp when it is built.
     """
 
     omega0: float
@@ -119,44 +117,45 @@ class ErmakovPlan:
     theta0: float
     min_omega_sq: float = field(init=False)
     max_abs_omega_sq: float = field(init=False)
-    _coeffs_dot: np.ndarray = field(init=False, repr=False, compare=False)
-    _coeffs_ddot: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
-        for name, order in (("_coeffs_dot", 1), ("_coeffs_ddot", 2)):
-            derivative = npoly.polyder(self.coeffs, order)
-            derivative.setflags(write=False)
-            object.__setattr__(self, name, derivative)
         w2 = self.omega_sq(np.linspace(0.0, self.tf, _SCAN_SAMPLES))
         object.__setattr__(self, "min_omega_sq", float(np.min(w2)))
         object.__setattr__(self, "max_abs_omega_sq", float(np.max(np.abs(w2))))
 
     @property
     def rho_final(self) -> float:
-        return float(npoly.polyval(1.0, self.coeffs))
+        return float(_polyval(1.0, self.coeffs))
 
     @property
     def trap_inverted(self) -> bool:
         """True when the planned omega^2 dips negative (transient expulsive trap)."""
         return bool(self.min_omega_sq < 0.0)
 
-    def rho(self, t):
-        s = np.clip(np.asarray(t, dtype=float) / self.tf, 0.0, 1.0)
-        return _polyval(s, self.coeffs)
+    def _rho(self, t, order: int):
+        """The order-th time derivative of rho at t; for order >= 1, 0 outside [0, tf].
 
-    def _derivative(self, t, coeffs, scale):
-        """The polynomial coeffs at s = t/tf over scale inside [0, tf], 0 outside it."""
+        coeffs are differentiated by npoly.polyder's own products j c_j, bit for bit.
+        """
         t = np.asarray(t, dtype=float)
-        inside = (t >= 0.0) & (t <= self.tf)
         s = np.clip(t / self.tf, 0.0, 1.0)
-        return np.where(inside, _polyval(s, coeffs) / scale, 0.0)
+        coeffs = self.coeffs
+        for _ in range(order):
+            coeffs = np.arange(1.0, len(coeffs)) * coeffs[1:]
+        if order == 0:
+            return _polyval(s, coeffs)
+        inside = (t >= 0.0) & (t <= self.tf)
+        return np.where(inside, _polyval(s, coeffs) / self.tf**order, 0.0)
+
+    def rho(self, t):
+        return self._rho(t, 0)
 
     def rho_dot(self, t):
-        return self._derivative(t, self._coeffs_dot, self.tf)
+        return self._rho(t, 1)
 
     def rho_ddot(self, t):
-        return self._derivative(t, self._coeffs_ddot, self.tf**2)
+        return self._rho(t, 2)
 
     def omega_sq(self, t):
         """Planned squared trap frequency; may transiently be negative."""

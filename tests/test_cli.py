@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -183,6 +183,17 @@ def test_oscillator_default_csv(tmp_path):
     assert np.max(np.abs(rows["q_m"] - rows["q_oracle_m"])) < 1e-6 * np.max(np.abs(rows["q_m"]))
     assert np.max(np.abs(rows["v_m_per_s"] - rows["v_oracle_m_per_s"])) < \
         1e-6 * np.max(np.abs(rows["v_m_per_s"]))
+
+
+def test_oscillator_dt_sets_the_ramp_sample_count(tmp_path):
+    # --dt in seconds becomes n_shortcut = tf/dt + 1 samples across the ramp
+    code, path = run(tmp_path, "oscillator", "--dt", "1e-5")
+    assert code == 0
+    t = table(path)["t_s"]
+    assert len(t) == 501 + 2501 + 501
+    i0, i1 = 501, 501 + 2500
+    assert t[i0] == 0.0 and abs(t[i1] - 0.025) < 1e-15
+    np.testing.assert_allclose(np.diff(t[i0:i1 + 1]), 1e-5, rtol=1e-9)
 
 
 def test_oscillator_fast_inverted_trap(tmp_path):
@@ -511,6 +522,20 @@ def test_integer_too_large_for_a_double_is_config_error(tmp_path, capsys, scenar
                                        "got an integer too large for a double\n")
 
 
+@pytest.mark.parametrize("scenario", ["rap", "rap-cd", "rap-cd-approx", "cd-terms"])
+@pytest.mark.parametrize("key,value", [("chirp_b_ghz2", 1e308), ("chirp_b_ghz2", -1e308),
+                                       ("chirp_a_ghz2", 1e308), ("chirp_b_ghz2", 4.6e306)])
+def test_chirp_past_the_double_range_in_rad_per_ns_is_config_error(tmp_path, capsys, scenario,
+                                                                  key, value):
+    # (2 pi)^2 x overflows to inf past about 4.55e306, and ChirpedGaussianParams
+    # raised its own ValueError with a traceback before any guard of the CLI ran
+    code, path = run(tmp_path, scenario, "--config", config_file(tmp_path, {key: value}))
+    assert code == 2
+    assert capsys.readouterr().err == (f"sta: config error: config key '{key}' = {value:g} is out "
+                                       "of range: its value in rad/ns^2 is not a finite double\n")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("payload,message", [
     ({"n_shortcut": BIG}, "config key 'n_shortcut' must be finite"),
     ({"n_ellipse": BIG}, "config key 'n_ellipse' must be finite"),
@@ -670,11 +695,14 @@ def test_flag_misuse(tmp_path, capsys):
     assert code == 2 and "--dt" in capsys.readouterr().err
 
 
-def test_unknown_scenario_exits_via_argparse(capsys):
+def test_unknown_scenario_exits_via_argparse(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+    # argparse refuses it first; the config loader refuses it on its own too
+    with pytest.raises(climod.ConfigError, match="^unknown scenario 'frobnicate'$"):
+        climod.load_run_config("frobnicate", None, tmp_path / "out", None, None)
 
 
 def test_approx_flag_exits_via_argparse(capsys):
@@ -866,6 +894,8 @@ def _per_value_calls(monkeypatch):
 @settings(max_examples=300, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 9)),
               elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+@example(np.empty((0, 5)))  # empty tables: no lines, or one empty line per row
+@example(np.empty((3, 0)))
 def test_format_rows_matches_per_value_format(table):
     assert csvfmt.format_rows(table) == _reference_rows(table)
 

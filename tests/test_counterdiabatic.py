@@ -10,14 +10,16 @@ Proves:
     Hermitian truncation, truncation gap = |Re C|)
   - mixing angle: anchors, continuous 0 -> pi continuation through
     resonance, tan identity along the way, coarse-grid rejection; the
-    trajectory freezes views, never the caller's grid
+    trajectory freezes views, never the caller's grid, and refuses a grid
+    and angle of different shapes
   - branch energies follow the continued angle and match the closed form
   - adiabatic phases: static law, decay law, conjugate partner
   - phase shaping: zero policy = plain correction, canonical policy
     rebuilds the full drive, off-diagonal obstruction for random policies
   - numerical eigenvector derivative and the spectral-data correction
     match the analytic route at O(h^2), follow a branch swap of the
-    principal root, and decompose once per evaluation
+    principal root, and decompose once per evaluation; a branch whose
+    vector turns orthogonal across the step is a ZeroGap
   - every builder-backed Hamiltonian is bitwise (zero signs included) the
     nested-np.stack assembly it replaced, and the in-place corrected drives
     are bitwise H_0 + H_1, also where Gamma = 0 leaves a -0.0 in H_0; each
@@ -220,6 +222,11 @@ def test_mixing_angle_trajectory_leaves_caller_grid_writeable(atom):
     assert grid.flags.writeable and alpha.flags.writeable
 
 
+def test_mixing_angle_trajectory_refuses_unequal_shapes():
+    with pytest.raises(ValueError, match="grid and alpha must have matching shapes"):
+        MixingAngleTrajectory(np.linspace(0.0, 1.0, 3), np.zeros(2, dtype=complex))
+
+
 def test_branch_energies_follow_angle(atom, atom_grid):
     traj = mixing_angle_trajectory(atom, atom_grid)
     ep, em = branch_energies(atom, atom_grid, traj.alpha)
@@ -360,6 +367,15 @@ def test_fd_degeneracy_names_shifted_matrix():
     # [[0, 1], [t, 0]] is defective at t = 0, here the t - h sample
     with pytest.raises(DegenerateSpectrum, match="matrix 2:"):
         _fd_spectrum(lambda t: np.array([[0.0, 1.0], [t, 0.0]]), 1e-4, 1e-4)
+
+
+def test_fd_spectrum_refuses_a_branch_orthogonal_across_the_step():
+    # the eigenvalue 1 moves from e_1 at t to e_2 at t +- h, where <e_1|e_2> = 0
+    def hfun(t):
+        return np.diag([1.0, -1.0] if t == 0.0 else [-1.0, 1.0]).astype(complex)
+
+    with pytest.raises(ZeroGap, match="cannot gauge-align eigenvectors across the step"):
+        _fd_spectrum(hfun, 0.0, 1e-4)
 
 
 def test_fd_helpers_decompose_once(monkeypatch, atom):

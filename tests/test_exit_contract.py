@@ -10,7 +10,8 @@ diagnostics.ORACLE of the closed form, or says that it does not.  The
 bounds are read from diagnostics; the comparisons are this module's own.
 
 Each numeric key is left at its default, or drawn log-uniformly in
-magnitude over 1e-300 to 1e300 or within a factor of 100 of its default
+magnitude over 1e-300 to 10^308.25, the top of the double range, or
+within a factor of 100 of its default
 (signed for chirp_b_ghz2, q0_um and v0_um_per_ms).  About one config in
 four sets one key to an integer past the double range.  Gamma = 0, a peak
 Rabi frequency at or near the exceptional point Omega_0 = Gamma/2, ff > f0
@@ -40,7 +41,7 @@ MAX_STEPS = 2000
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 BIG = 2**1024  # the least integer past the double range
 
-_magnitude = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_magnitude = st.floats(-300.0, 308.25).map(lambda e: 10.0**e)  # 10.0**e raises past 308.25
 _sign = st.sampled_from([1, -1])
 
 
@@ -50,7 +51,7 @@ def _near(value):
 
 
 def _key(default, signed=False):
-    """A key's value: log-uniform over 1e+-300 or near its default (or near 1 if that is 0)."""
+    """A key's value: log-uniform over 1e-300 to 1.8e308 or near its default (or 1 if that is 0)."""
     values = st.one_of(_magnitude, _near(abs(default) or 1.0))
     return st.builds(operator.mul, _sign, values) if signed else values
 
@@ -137,6 +138,9 @@ def run_dir(tmp_path_factory):
 @given(payload=atom_configs())
 @example(payload={"gamma_mhz": 10**400})
 @example(payload={"chirp_b_ghz2": -(10**400)})
+@example(payload={"chirp_b_ghz2": 1e308})
+@example(payload={"chirp_b_ghz2": -1e308})
+@example(payload={"chirp_a_ghz2": 1e308})
 @example(payload={"gamma_mhz": 0.0, "dt_ns": 0.02})
 @example(payload={"rabi_peak_mhz": 1.001, "dt_ns": 0.01})
 def test_atom_runs_keep_the_exit_contract(run_dir, scenario, payload):

@@ -11,7 +11,8 @@ Proves:
     with the conjugated left stack at span edges, and one branch's |c_n|
     from row n alone is bitwise the modulus of that column
   - transitionless driving keeps branch leakage tiny; the bare drive leaks
-  - empirical convergence order ~4 and the 16x error drop per halving
+  - empirical convergence order ~4 and the 16x error drop per halving; the
+    order is refused when the errors vanish
   - population bounds, monotone decay, non-finite and bad-grid rejection;
     the returned grid is read-only and the caller's stays writeable
   - the first non-finite step is named, inside and after the first span,
@@ -188,6 +189,12 @@ def test_convergence_order_and_ratio(atom):
         runs[n] = propagate(hfun, [0.0, 1.0], np.linspace(*atom.window, n + 1)).states[-1]
     ratio = np.linalg.norm(runs[256] - runs[2048]) / np.linalg.norm(runs[512] - runs[2048])
     assert 2.0**3.7 < ratio < 2.0**4.3
+
+
+def test_convergence_order_refuses_vanished_errors():
+    # H = 0 leaves every run at psi0 exactly, so no error is left to compare
+    with pytest.raises(ValueError, match="errors vanished; convergence order undefined"):
+        convergence_order(lambda t: np.zeros((2, 2)), [0.6, 0.8], (0.0, 1.0), n0=4)
 
 
 def test_population_bounds(atom, atom_grid):
