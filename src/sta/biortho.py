@@ -13,7 +13,8 @@ Every function takes a (..., 2, 2) stack and works on all of its matrices at
 once, with no Python loop over them; a single (2, 2) matrix is the stack with
 an empty leading shape.  Spectral data then has shapes (..., 2) for the
 values and (..., 2, 2) for the vectors.  _mat2 builds every such stack of
-the package; _fd_spectrum gives d/dt of a basis from one (3, 2, 2) stack.
+the package, component-major (_empty_stack); _fd_spectrum gives d/dt of a
+basis from one (3, 2, 2) stack.
 """
 
 from __future__ import annotations
@@ -56,10 +57,23 @@ class BiorthoBasis:
             getattr(self, name).setflags(write=False)
 
 
+def _empty_stack(shape: tuple) -> np.ndarray:
+    """An unfilled complex shape + (2, 2) stack, a view of component-major (2, 2) + shape memory.
+
+    Each entry stack[..., i, j] is then one contiguous array, so the ufuncs
+    that write an entry, and propagate._generator's -i multiply over a
+    sampled H, read and write contiguous memory.
+    """
+    return np.moveaxis(np.empty((2, 2) + shape, dtype=complex), (0, 1), (-2, -1))
+
+
 def _mat2(m11, m12, m21, m22) -> np.ndarray:
-    """Complex (..., 2, 2) stack [[m11, m12], [m21, m22]] of broadcastable entries."""
+    """Complex (..., 2, 2) stack [[m11, m12], [m21, m22]] of broadcastable entries.
+
+    Allocated component-major by _empty_stack, so each entry is written contiguously.
+    """
     shape = np.broadcast_shapes(*map(np.shape, (m11, m12, m21, m22)))
-    out = np.empty(shape + (2, 2), dtype=complex)
+    out = _empty_stack(shape)
     out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = m11, m12, m21, m22
     return out
 

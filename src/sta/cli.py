@@ -170,6 +170,11 @@ def _atom_setup(params: dict):
         if not abs(x) < math.inf:
             raise ConfigError(f"config key '{key}' = {params[key]:g} is out of range: its "
                               "value in rad/ns^2 is not a finite double")
+    # chirped_gaussian's rates form 2a, which overflows past about 2.28e306 and
+    # would meet the 0.0 of the pulse centre as inf times zero
+    if not 2.0 * chirps["chirp_a_ghz2"] < math.inf:
+        raise ConfigError(f"config key 'chirp_a_ghz2' = {params['chirp_a_ghz2']:g} is out of "
+                          "range: twice its value in rad/ns^2 is not a finite double")
     cg = ChirpedGaussianParams(
         rabi_peak=TWO_PI * 1e-3 * params["rabi_peak_mhz"],
         width_a=chirps["chirp_a_ghz2"],
@@ -427,23 +432,26 @@ def run_oscillator(cfg: RunConfig) -> int:
     plan = _trap_plan(cfg.params)
     grid, start, end = _display_grid(cfg.params, plan)
 
-    # the oracle first, so only the grid sits beside its sweep
+    # the oracle first, so only the grid sits beside its sweep; each
+    # trajectory is dropped once its q and v are taken, with its p and grid copy
     oracle = trap.hamilton_trajectory(plan, grid)
+    q_oracle, v_oracle = oracle.q, oracle.p / plan.mass
+    del oracle
     closed = trap.closed_form_trajectory(plan, grid)
     # rho and omega^2 once on the grid, for the energy, E/omega and their columns
     rho = plan.rho(grid)
     w2 = plan._omega_sq(rho, plan.rho_ddot(grid))
     energy = trap._energy(closed.q, closed.p, plan.mass, w2)
+    q, v = closed.q, closed.p / plan.mass
+    del closed
     e_over_w = np.where(w2 > 0.0, energy / np.sqrt(np.where(w2 > 0.0, w2, 1.0)), np.nan)
-    v, v_oracle = closed.p / plan.mass, oracle.p / plan.mass
     write_csv(
         cfg.out_path,
         ["t_s", "q_m", "v_m_per_s", "energy_J", "energy_over_omega_Js",
          "omega_sq_rad2_per_s2", "rho", "q_oracle_m", "v_oracle_m_per_s"],
-        [grid, closed.q, v, energy, e_over_w,
-         w2, rho, oracle.q, v_oracle],
+        [grid, q, v, energy, e_over_w, w2, rho, q_oracle, v_oracle],
     )
-    warning = diagnostics.oscillator_warning(plan, closed.q, v, oracle.q, v_oracle,
+    warning = diagnostics.oscillator_warning(plan, q, v, q_oracle, v_oracle,
                                              float(energy[start]), float(energy[end]))
     if warning:
         print(f"sta: warning: {warning}", file=sys.stderr)

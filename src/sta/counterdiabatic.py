@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .biortho import _fd_spectrum, _mat2
+from .biortho import _empty_stack, _fd_spectrum, _mat2
 from .errors import BranchJump, ZeroGap
 from .pulses import PulseRates, PulseSchedule, _alpha_dot
 from .quadrature import _cumulative_simpson, _refine, _spans
@@ -71,11 +71,16 @@ def bare_hamiltonian(s: PulseSchedule, t) -> np.ndarray:
 
 
 def _bare_hamiltonian(r: PulseRates) -> np.ndarray:
-    """H_0 from one sample r of the schedule's rates."""
+    """H_0 from one sample r of the schedule's rates.
+
+    The stack is component-major (biortho._empty_stack), a (..., 2, 2)
+    view of (2, 2, ...) memory: each entry write below and a sweep's -i
+    multiply over the stack (propagate._generator) act on contiguous memory.
+    """
     d, _, o, _, g, _ = r
     # each entry is written in place by the ufuncs of -d + 0j, o and d - 1j g,
     # so no complex temporaries are held beside the stack
-    h = np.empty(np.shape(d) + (2, 2), dtype=complex)
+    h = _empty_stack(np.shape(d))
     np.add(-d, 0j, out=h[..., 0, 0])
     h[..., 0, 1] = h[..., 1, 0] = o
     np.multiply(1j, g, out=h[..., 1, 1])

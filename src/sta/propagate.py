@@ -15,34 +15,56 @@ A sweep's step matrices are one component-major (2, 2, N) array m,
 m[:, :, k] = M_k, with N the steps rounded up to whole chunks of the scan
 below and identities past the last step.  They are built one span at a time
 (_sweep_matrices), in the spans of quadrature._spans in whole chunks.  For
-each span H is sampled in one call, hfun(times) on the span's nodes and
-midpoints, whose result must broadcast to (len(times), 2, 2): a stack, or
-one constant 2x2 matrix.  A grid of at most one span calls hfun once; a
-longer one calls it once per span, and the node two spans share is sampled
-by both.  Each M_k depends only on H at its own node, midpoint and next node
-and on dt_k, so the spans change no bit of any M_k.  A = -i H is stored
-component-major too (_generator): a[0, i, j, k] is A_ij at node k and
-a[1, i, j, k] at the midpoint of step k, so every matrix entry is one
-contiguous row.  A span's M_k are built straight into its columns of m in batched numpy
-passes on such rows, one component entry at a time (_matmul_2x2,
-_step_block).  (A component of a (B, 2, 2) stack has 64 bytes between its
-values: one complex multiply over 16k of them took 65-96 us against 12 us on
-a contiguous row, and numpy's @ costs 0.4-0.5 us per tiny matrix; numpy
-2.4.6, shared 2-vCPU x86-64 host.)  Every ufunc of the build reads and
-writes contiguous complex (B,) rows through out=, with the dt factors cast
-to complex once per span, so numpy allocates no iteration or cast buffers:
-on (2, 2, B) stacks, strided views and complex-by-float operands its buffers
-had taken as much memory as the arrays asked for.  A pair builds both
-sweeps' matrices from each span's sample, so H is still sampled once per
-point: the forward matrices from A, then the adjoint ones from the same
-array turned into -A^dag in place (_adjoint_generator: a.real *= -1 leaves
--conj(A), and a view swaps the component indices).
+each span H is sampled in one call, hfun(times) on the span's B + 1 nodes
+followed by its B midpoints 0.5 (g[:-1] + g[1:]) (the bits of
+quadrature._refine's), whose result must broadcast to (len(times), 2, 2): a
+stack, or one constant 2x2 matrix.  A grid of at most one span calls hfun
+once; a longer one calls it once per span, and the node two spans share is
+sampled by both.  Each M_k depends only on H at its own node, midpoint and
+next node and on dt_k, so the spans change no bit of any M_k.  A = -i H is
+one multiply, out of the (2, 2, 2 B + 1) view of the sample, into a
+component-major (2, 2, 2 B + 1) array (_generator): a[i, j, k] is A_ij at
+node k and a[i, j, B + 1 + k] at the midpoint of step k, so the nodes
+a[..., :B], the next nodes a[..., 1:B + 1] and the midpoints a[..., B + 1:]
+are contiguous rows of every entry.  The package's H stacks are themselves
+component-major, a (B, 2, 2) view of (2, 2, B) memory
+(biortho._empty_stack), so that multiply reads contiguous memory too.  A
+span's M_k are built straight into its columns of m in batched numpy passes
+on such rows, one component entry at a time (_matmul_2x2, _step_block).  (A component of a C-ordered
+(B, 2, 2) stack has 64 bytes between its values: one complex multiply over
+16k of them took 65-96 us against 12 us on a contiguous row, and numpy's @
+costs 0.4-0.5 us per tiny matrix; numpy 2.4.6, shared 2-vCPU x86-64 host.)
+Every ufunc of the build reads and writes contiguous (B,) rows of the
+sweep's dtype through out=, with the dt factors cast to it once per span, so
+numpy allocates no iteration or cast buffers: on (2, 2, B) stacks, strided
+views and complex-by-float operands its buffers had taken as much memory as
+the arrays asked for.  A pair builds both sweeps' matrices from each span's
+sample, so H is still sampled once per point: the forward matrices from A,
+then the adjoint ones from the same array turned into -A^dag in place
+(_adjoint_generator: a.real *= -1 leaves -conj(A), and a view swaps the
+component indices).
 
-Beside the 64 bytes per step of each sweep's matrices, a span holds about
-273 bytes per step, for a pair as for one sweep: H and A while converting,
-then A and the build's own rows.  The peak is the scan's, the 1.02 MB of
-step matrices beside the 0.51 MB of states: 1.57 MB for the atom's
-15,915-step propagate, 2.59 MB for its pair (tracemalloc, numpy 2.4.6).
+A sweep is real when its start (both starts for a pair) has no imaginary
+part and a span's H has no real part, as for the trap's linear generator
+H = i [[0, 1/m], [-m omega^2, 0]].  Then A is Im H, copied as float64, and
+the build, the scan's chunk-start scalars and the states are float64.  (a +
+0i)(b + 0i) rounds to ab whether numpy's loop is fused or plain, and adds
+of zero imaginary parts change no real part, so a real sweep is bitwise the
+real parts of the complex sweep of the same start, whose imaginary parts are
+zero; an inf or a NaN reaches the same entries in both, so both fail at the
+same step.  The first span whose H has a real part casts the matrices built
+so far to complex, once, and the sweep goes on in complex, bitwise the sweep
+that was complex throughout.
+
+Beside the 64 bytes per step of each complex sweep's matrices, a span holds
+about 273 bytes per step, for a pair as for one sweep: H and A while
+converting, then A and the build's own rows.  The peak is the scan's, the
+1.02 MB of step matrices beside the 0.51 MB of states: 1.57 MB for the
+atom's 15,915-step propagate, 2.59 MB for its pair.  A real sweep's matrices
+take 32 bytes per step, and its span about 190 while converting: the complex
+H beside the float A.  The oscillator's default 3,002-step sweep peaks
+there, at 0.38 MB in propagate and 0.41 MB in trap.hamilton_trajectory,
+against 0.60 and 0.62 MB in complex (tracemalloc, numpy 2.4.6).
 
 The recurrence is then solved by a two-level scan (Blelloch, "Prefix sums
 and their applications", 1990) over chunks of w = ceil(sqrt(n / 16)) steps
@@ -78,7 +100,8 @@ it takes the plain loop.  Its second product goes to a new array and is
 always fused.  (The plain loop matched Python's product on all of 400
 random products, a fused one on 53-57% of them; numpy 2.4.6, AVX-512
 x86-64 host.)  So a scan that laid its states out otherwise, or cut them
-into other chunks, would move the last bits of its states.
+into other chunks, would move the last bits of its states.  A real sweep's
+products round once in either loop, so its bits do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -90,7 +113,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonFiniteState
-from .quadrature import _refine, _spans
+from .quadrature import _spans
 
 __all__ = [
     "StateTrajectory",
@@ -109,7 +132,11 @@ _ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 @dataclass(frozen=True)
 class StateTrajectory:
-    """States on a time grid, with the adjoint companion when pair-propagated."""
+    """States on a time grid, with the adjoint companion when pair-propagated.
+
+    The states keep their sweep's dtype: float64 for a real sweep (a real
+    start under an H with no real part, see propagate), complex otherwise.
+    """
 
     grid: np.ndarray
     states: np.ndarray
@@ -186,20 +213,25 @@ def _sample_hamiltonian(hfun, times: np.ndarray) -> np.ndarray:
                          f"broadcast to {shape}") from None
 
 
-def _generator(hfun, grid: np.ndarray) -> np.ndarray:
-    """A = -i H sampled component-major on the nodes and midpoints of grid.
+def _generator(hfun, grid: np.ndarray, real: bool = False) -> np.ndarray:
+    """A = -i H sampled component-major on the nodes of grid, then its midpoints.
 
-    For n steps returns a of shape (2, 2, 2, n + 1): a[0, :, :, k] at node
-    k and a[1, :, :, k] at the midpoint of step k; a[1, :, :, n] is unused.
+    For B steps hfun is called once on the B + 1 nodes followed by the B
+    midpoints 0.5 (g[:-1] + g[1:]), and a has shape (2, 2, 2 B + 1):
+    a[:, :, k] is A at node k and a[:, :, B + 1 + k] at the midpoint of
+    step k, so each entry is one row.  With real=True and an H with no real
+    part, A = Im H is returned as float64; otherwise A is complex, made by one
+    multiply out of the (2, 2, 2 B + 1) view of H, contiguous when H is
+    component-major (biortho._empty_stack).
     """
-    h = _sample_hamiltonian(hfun, _refine(grid))
-    a = np.empty((2, 2, 2, len(grid)), dtype=complex)
+    h = _sample_hamiltonian(hfun, np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
+    h = h.transpose(1, 2, 0)
+    if real and not h.real.any():
+        return h.imag.copy()
+    a = np.empty(h.shape, dtype=complex)
     # a non-finite H surfaces as NonFiniteState in the sweep, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, j in _ENTRIES:
-            np.multiply(-1j, h[0::2, i, j], out=a[0, i, j])
-            np.multiply(-1j, h[1::2, i, j], out=a[1, i, j, :-1])
-    a[1, :, :, -1] = 0.0
+        np.multiply(-1j, h, out=a)
     return a
 
 
@@ -209,8 +241,8 @@ def _chunk_width(n: int) -> int:
 
 
 def _matmul_2x2(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """x @ y for component-major (2, 2, B) complex stacks into out, one entry at a time."""
-    row = np.empty(x.shape[-1], dtype=complex)
+    """x @ y for component-major (2, 2, B) stacks into out, one entry at a time, in out's dtype."""
+    row = np.empty(x.shape[-1], dtype=out.dtype)
     for i, j in _ENTRIES:
         _entry_product(x, y, i, j, out[i, j], row)
     return out
@@ -235,26 +267,30 @@ def _scale_add(x: np.ndarray, c, y: np.ndarray) -> np.ndarray:
 def _step_block(a: np.ndarray, dt: np.ndarray, out: np.ndarray) -> None:
     """RK4 step matrices of a span's len(dt) steps, from its generator a, into out.
 
-    a is component-major (_generator, or _adjoint_generator's view), A at
-    the nodes a0 and a1 and midpoints am; out is the span's (2, 2, B)
-    columns of the sweep's matrices.  I + dt/6 (a0 + 2 (k2 + k3) + k4) with
+    a is the (2, 2, 2 B + 1) generator of _generator, or _adjoint_generator's
+    view of it: A at the nodes a0 = a[..., :B] and a1 = a[..., 1:B + 1] and
+    at the midpoints am = a[..., B + 1:], so every entry read is a
+    contiguous row.  out is the span's (2, 2, B) columns of the sweep's
+    matrices, of a's dtype.  I + dt/6 (a0 + 2 (k2 + k3) + k4) with
     k2 = am + dt/2 am a0, k3 = am + dt/2 am k2 and k4 = a1 + dt a1 k3 is
     summed in place in out, where k2 is built: the same floating-point
     operations as the written-out expression, with fewer temporaries.  Every
-    ufunc acts on contiguous complex (B,) rows (see the module docstring):
-    the dt factors are cast to complex once, as a complex-by-float multiply
-    casts them, and k4 is built one entry at a time and added into the sum.
+    ufunc acts on contiguous (B,) rows of out's dtype (see the module
+    docstring): the dt factors are cast to it once, as a complex-by-float
+    multiply casts them, and k4 is built one entry at a time and added into
+    the sum.
     """
-    a0, am, a1 = a[0, :, :, :-1], a[1, :, :, :-1], a[0, :, :, 1:]
-    half = (0.5 * dt).astype(complex)
+    b, dtype = len(dt), out.dtype
+    a0, a1, am = a[..., :b], a[..., 1:b + 1], a[..., b + 1:]
+    half = (0.5 * dt).astype(dtype)
     k2 = _scale_add(_matmul_2x2(am, a0, out), half, am)
-    k3 = _scale_add(_matmul_2x2(am, k2, np.empty(out.shape, dtype=complex)), half, am)
+    k3 = _scale_add(_matmul_2x2(am, k2, np.empty(out.shape, dtype=dtype)), half, am)
     del half
-    full, sixth = dt.astype(complex), (dt / 6.0).astype(complex)
+    full, sixth = dt.astype(dtype), (dt / 6.0).astype(dtype)
     for i, j in _ENTRIES:
         k2[i, j] += k3[i, j]
     k2 = _scale_add(k2, 2.0, a0)
-    k4, row = np.empty((2, len(dt)), dtype=complex)
+    k4, row = np.empty((2, b), dtype=dtype)
     for i, j in _ENTRIES:
         _entry_product(a1, k3, i, j, k4, row)
         k4 *= full
@@ -269,16 +305,18 @@ def _step_block(a: np.ndarray, dt: np.ndarray, out: np.ndarray) -> None:
 def _adjoint_generator(a: np.ndarray) -> np.ndarray:
     """-A^dag from the component-major generator a of A, made in a's own memory.
 
-    a.real is multiplied by -1 in place, which leaves -conj(A); the view
-    returned swaps the component indices.  a no longer holds A afterwards.
-    (Multiplied, not negated: np.negative through out= into a strided float
-    view gives wrong values under numpy 2.4.6.)
+    a.real is multiplied by -1 in place, which leaves -conj(A) (-A for a
+    float a, whose .real is a itself); the view returned swaps the component
+    indices.  a no longer holds A afterwards.  (Multiplied, not negated:
+    np.negative through out= into a strided float view gives wrong values
+    under numpy 2.4.6.)
     """
     a.real *= -1.0
-    return a.transpose(0, 2, 1, 3)
+    return a.transpose(1, 0, 2)
 
 
-def _sweep_matrices(hfun, grid: np.ndarray, pair: bool = False) -> list[np.ndarray]:
+def _sweep_matrices(hfun, grid: np.ndarray, pair: bool = False,
+                    real: bool = False) -> list[np.ndarray]:
     """The step matrices over all of grid, component-major: m[:, :, k] is M_k.
 
     One (2, 2, N) array, N the steps in whole chunks with identities past
@@ -288,18 +326,24 @@ def _sweep_matrices(hfun, grid: np.ndarray, pair: bool = False) -> list[np.ndarr
     pair's adjoint ones from the same generator, turned into -A^dag in
     place.  The arrays are allocated after the first span is sampled, so a
     grid of one span holds its H stack and its matrices at different times.
+    With real=True the matrices are float64 while each span's H has no real
+    part; the first span with one casts them to complex, once, and the
+    sweep goes on in complex, bitwise as if it had been complex throughout.
     """
     n = len(grid) - 1
     width = _chunk_width(n)
     ms = []
     for s, e in _spans(n, width):
         span = grid[s:e + 1]
-        a, steps = _generator(hfun, span), np.diff(span)
+        a, steps = _generator(hfun, span, real), np.diff(span)
         if not ms:
-            ms = [np.empty((2, 2, -(-n // width) * width), dtype=complex)
+            ms = [np.empty((2, 2, -(-n // width) * width), dtype=a.dtype)
                   for _ in range(1 + pair)]
             for m in ms:
                 m[:, :, n:] = np.eye(2)[:, :, None]
+        elif a.dtype != ms[0].dtype:  # a real part: complex from this span on
+            ms = [m.astype(complex) for m in ms]
+        real = a.dtype == float
         # blow-ups surface as NonFiniteState in _rk4, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             _step_block(a, steps, ms[0][:, :, s:e])
@@ -312,11 +356,13 @@ def _sweep_matrices(hfun, grid: np.ndarray, pair: bool = False) -> list[np.ndarr
 def _rk4(m: np.ndarray, y0: np.ndarray, n: int, adjoint: bool = False) -> np.ndarray:
     """RK4 sweep of n steps for y' = A(t) y from its step matrices.
 
-    m holds the step matrices of _sweep_matrices for the n steps;
-    adjoint=True names the sweep y' = A^dag(t) y in errors.
-    y0 must be finite (_initial_state).  Raises NonFiniteState naming the
-    first step whose state is not finite.
+    m holds the step matrices of _sweep_matrices for the n steps, and the
+    sweep runs in their dtype: y0, the chunk-start scalars and the states.
+    y0 must be finite (_initial_state), and real when m is.
+    adjoint=True names the sweep y' = A^dag(t) y in errors.  Raises
+    NonFiniteState naming the first step whose state is not finite.
     """
+    y0 = y0 if m.dtype == complex else y0.real
     width = _chunk_width(n)
     chunks = m.shape[-1] // width
     # m[i, :, :, j] is M_{j width + i}: each product below is one pass over
@@ -329,7 +375,7 @@ def _rk4(m: np.ndarray, y0: np.ndarray, n: int, adjoint: bool = False) -> np.nda
         for q in m[1:, :, :, :-1]:
             prop = q[:, 0, None] * prop[0] + q[:, 1, None] * prop[1]
         # 2. chunk-start states, one scalar step per chunk
-        y, z = complex(y0[0]), complex(y0[1])
+        y, z = y0.tolist()
         ys, zs = [y], [z]
         for j, (p00, p01, p10, p11) in enumerate(zip(*prop.reshape(4, -1).tolist())):
             y1, z1 = p00 * y + p01 * z, p10 * y + p11 * z
@@ -348,7 +394,7 @@ def _rk4(m: np.ndarray, y0: np.ndarray, n: int, adjoint: bool = False) -> np.nda
         prev = np.array([ys, zs])
         del prop, ys, zs
         filled = prev.shape[1]
-        out = np.empty((chunks * width + 1, 2), dtype=complex)
+        out = np.empty((chunks * width + 1, 2), dtype=m.dtype)
         out[0] = y0
         out[1 + filled * width:] = np.nan  # rows past a blow-up never pass as finite
         states = out[1:].reshape(chunks, width, 2).transpose(1, 2, 0)[:, :, :filled]
@@ -373,11 +419,15 @@ def propagate(hfun, psi0, grid) -> StateTrajectory:
 
     hfun takes an array of times and returns an array that broadcasts to
     (len(times), 2, 2), H at each time.  It is called once per span of
-    quadrature._spans, so once for any grid of at most one span.
+    quadrature._spans, so once for any grid of at most one span.  A psi0
+    with no imaginary part under an H with no real part, such as the trap's
+    linear generator, is swept in float64, and the states are float64 as
+    long as every span is real: bitwise the real parts of the complex
+    sweep, whose imaginary parts are then zero.
     """
     grid = _check_grid(grid)
     psi0 = _initial_state(psi0, "forward")
-    [m] = _sweep_matrices(hfun, grid)
+    [m] = _sweep_matrices(hfun, grid, real=not psi0.imag.any())
     states = _rk4(m, psi0, len(grid) - 1)
     return StateTrajectory(grid=grid, states=states)
 
@@ -388,12 +438,14 @@ def propagate_pair(hfun, psi0, psihat0, grid) -> StateTrajectory:
     <psi_hat|psi> is a constant of motion of the exact flow, whatever the
     non-Hermitian H; its numerical drift measures integrator error.  hfun
     is called as in propagate, once per span: both sweeps' step matrices
-    are built from each span's sample.
+    are built from each span's sample.  The pair is swept in float64 when
+    both starts have no imaginary part and H has no real part.
     """
     grid = _check_grid(grid)
     psi0 = _initial_state(psi0, "forward")
     psihat0 = _initial_state(psihat0, "adjoint")
-    ms = _sweep_matrices(hfun, grid, pair=True)
+    real = not (psi0.imag.any() or psihat0.imag.any())
+    ms = _sweep_matrices(hfun, grid, pair=True, real=real)
     n = len(grid) - 1
     states = _rk4(ms.pop(0), psi0, n)  # popped, so each array is freed after its sweep
     adjoint = _rk4(ms.pop(), psihat0, n, adjoint=True)

@@ -284,7 +284,10 @@ def effective_hamiltonian(plan: ErmakovPlan):
 
     With x = (q, p), i x' = H x reproduces q' = p/m, p' = -m omega^2 q, so
     the Schrodinger-style propagator drives the classical oscillator.  The
-    callable broadcasts over time arrays.
+    callable broadcasts over time arrays; its stacks are _mat2's,
+    component-major, so the -i multiply of a sweep reads contiguous rows.
+    H has no real part, so a sweep from a real (q, p) runs in float64
+    (propagate.propagate).
     """
     m = plan.mass
 
@@ -405,11 +408,12 @@ def hamilton_trajectory(plan: ErmakovPlan, grid) -> PhaseSpaceTrajectory:
     invariant afterwards; the independent cross-check of the transport
     formulas.  The integration runs on _substep_grid, so a grid too coarse
     for omega gets substeps, and the states are returned at the points of
-    grid.
+    grid.  The start and H are real, so the sweep is float64, bitwise the
+    real parts of the complex one.
     """
     grid = _check_grid(grid)
     start = closed_form_trajectory(plan, grid[:1])
-    x0 = np.array([start.q[0], start.p[0]], dtype=complex)
+    x0 = np.array([start.q[0], start.p[0]])
     fine, ends = _substep_grid(plan, grid)
     at_grid = propagate(effective_hamiltonian(plan), x0, fine).states[ends]
     return PhaseSpaceTrajectory(

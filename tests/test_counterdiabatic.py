@@ -21,7 +21,8 @@ Proves:
     principal root, and decompose once per evaluation; a branch whose
     vector turns orthogonal across the step is a ZeroGap
   - every builder-backed Hamiltonian is bitwise (zero signs included) the
-    nested-np.stack assembly it replaced, and the in-place corrected drives
+    nested-np.stack assembly it replaced, and component-major (each entry
+    one contiguous row), and the in-place corrected drives
     are bitwise H_0 + H_1, also where Gamma = 0 leaves a -0.0 in H_0; each
     corrected drive samples the schedule once per call
   - H_0, alpha_dot and the corrected drive read with the constant rates as
@@ -417,8 +418,10 @@ def _coupling_ref(c):
 
 
 def assert_bitwise(got, ref):
+    """Equal bits, compared in C order: the package's stacks are component-major views."""
     assert got.shape == ref.shape and got.dtype == ref.dtype == complex
-    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(ref).view(np.uint64))
 
 
 # t = -0.0 gives Delta = +0.0, whose -Delta + 0j entry must stay +0.0
@@ -427,6 +430,9 @@ def test_hamiltonians_bitwise_match_stacked_reference(atom, where):
     t = _refine(atom.grid(1e-3)) if where == "grid" else where
     c = cd_coupling(atom, t)
     assert_bitwise(bare_hamiltonian(atom, t), _bare_ref(atom, t))
+    if where == "grid":  # component-major: each entry one contiguous row
+        for drive in (bare_hamiltonian, cd_hamiltonian, cd_hamiltonian_approx):
+            assert drive(atom, t).transpose(1, 2, 0).flags.c_contiguous
     assert_bitwise(cd_hamiltonian(atom, t), _bare_ref(atom, t) + _coupling_ref(c))
     assert_bitwise(cd_hamiltonian_approx(atom, t),
                    _bare_ref(atom, t) + _coupling_ref(1j * np.asarray(c).imag))

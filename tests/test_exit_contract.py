@@ -69,7 +69,8 @@ def atom_configs(draw):
     cfg = draw(st.fixed_dictionaries({}, optional={
         "gamma_mhz": st.one_of(st.just(0.0), _key(d["gamma_mhz"])),
         "rabi_peak_mhz": _key(d["rabi_peak_mhz"]),
-        "chirp_a_ghz2": _key(d["chirp_a_ghz2"]),
+        # and the band where (2 pi)^2 x is finite but twice it is not
+        "chirp_a_ghz2": st.one_of(_key(d["chirp_a_ghz2"]), st.floats(2.3e306, 4.55e306)),
         "chirp_b_ghz2": _key(d["chirp_b_ghz2"], signed=True),
         "window_factor": _key(d["window_factor"]),
         # the default 0.001 ns is 15,915 steps, past the lowered ceiling
@@ -141,6 +142,7 @@ def run_dir(tmp_path_factory):
 @example(payload={"chirp_b_ghz2": 1e308})
 @example(payload={"chirp_b_ghz2": -1e308})
 @example(payload={"chirp_a_ghz2": 1e308})
+@example(payload={"chirp_a_ghz2": 4e306})
 @example(payload={"gamma_mhz": 0.0, "dt_ns": 0.02})
 @example(payload={"rabi_peak_mhz": 1.001, "dt_ns": 0.01})
 def test_atom_runs_keep_the_exit_contract(run_dir, scenario, payload):

@@ -579,4 +579,6 @@ def test_effective_hamiltonian_bitwise_match_stacked_reference(expansion_spec, e
     ref = 1j * np.stack([top, bot], axis=-2)
     got = effective_hamiltonian(expansion_plan)(t)
     assert got.shape == ref.shape and got.dtype == ref.dtype == complex
-    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64), ref.view(np.uint64))
+    if where == "grid":  # component-major: each entry one contiguous row
+        assert got.transpose(1, 2, 0).flags.c_contiguous
