@@ -80,6 +80,15 @@ class RunConfig:
         return self.out if self.out is not None else Path(f"{self.scenario}.csv")
 
 
+@dataclass(frozen=True)
+class Table:
+    """A CSV scenario's outcome: the header and columns main writes, and its warning or None."""
+
+    header: list[str]
+    columns: list[np.ndarray]
+    warning: str | None
+
+
 def _require_number(scenario: str, key: str, value, minimum=None, strict=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key '{key}' for scenario '{scenario}' must be a number")
@@ -293,22 +302,18 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
             fh.write(csvfmt.format_rows(block[:m]))
 
 
-def run_rap(cfg: RunConfig) -> int:
+def run_rap(cfg: RunConfig) -> Table:
     """Bare sweep: populations, norm and the adiabaticity monitor, inf where the gap closes."""
     schedule, grid = _atom_setup(cfg.params)
     traj = propagate(lambda t: cd.bare_hamiltonian(schedule, t), [0.0, 1.0], grid)
     ratio, closed = _span_walk(schedule, grid, _ratio)
     p1, p2 = traj.p1, traj.p2
     del traj  # the states, before the CSV's columns and block
-    write_csv(cfg.out_path, ["t_ns", "P1", "P2", "norm2", "adiab_ratio"],
-              [grid, p1, p2, p1 + p2, ratio])
-    warning = diagnostics.gap_warning(int(np.count_nonzero(closed)))
-    if warning:
-        print(f"sta: warning: {warning}", file=sys.stderr)
-    return 0
+    return Table(["t_ns", "P1", "P2", "norm2", "adiab_ratio"], [grid, p1, p2, p1 + p2, ratio],
+                 diagnostics.gap_warning(int(np.count_nonzero(closed))))
 
 
-def run_rap_cd(cfg: RunConfig) -> int:
+def run_rap_cd(cfg: RunConfig) -> Table:
     """Corrected sweep starting on the upper branch, with branch leakage.
 
     The exact drive leaks at roundoff unless the grid misses the turning
@@ -321,15 +326,11 @@ def run_rap_cd(cfg: RunConfig) -> int:
         schedule, grid, lambda r0: propagate(lambda t: drive(schedule, t), r0, grid))
     p1, p2 = traj.p1, traj.p2
     del traj  # the states, before the CSV's columns and block
-    write_csv(cfg.out_path, ["t_ns", "P1", "P2", "norm2", "c_minus_abs"],
-              [grid, p1, p2, p1 + p2, leak])
-    warning = None if approx else diagnostics.leakage_warning(float(leak.max()))
-    if warning:
-        print(f"sta: warning: {warning}", file=sys.stderr)
-    return 0
+    return Table(["t_ns", "P1", "P2", "norm2", "c_minus_abs"], [grid, p1, p2, p1 + p2, leak],
+                 None if approx else diagnostics.leakage_warning(float(leak.max())))
 
 
-def run_cd_terms(cfg: RunConfig) -> int:
+def run_cd_terms(cfg: RunConfig) -> Table:
     """Counterdiabatic coupling components and the adiabaticity monitor.
 
     C diverges at an exceptional point on the sweep, so the mixing-angle pass
@@ -340,9 +341,8 @@ def run_cd_terms(cfg: RunConfig) -> int:
     schedule, grid = _atom_setup(cfg.params)
     cd.mixing_angle_trajectory(schedule, grid)
     c, ratio = _span_walk(schedule, grid, lambda r: (0.5j * _alpha_dot(r), _ratio(r)[0]))
-    write_csv(cfg.out_path, ["t_ns", "c_real_rad_per_ns", "c_imag_rad_per_ns", "adiab_ratio"],
-              [grid, c.real, c.imag, ratio])
-    return 0
+    return Table(["t_ns", "c_real_rad_per_ns", "c_imag_rad_per_ns", "adiab_ratio"],
+                 [grid, c.real, c.imag, ratio], None)
 
 
 def _trap_plan(params: dict) -> trap.ErmakovPlan:
@@ -420,14 +420,14 @@ def _display_grid(params: dict, plan: trap.ErmakovPlan) -> tuple[np.ndarray, int
     return np.concatenate([lead, ramp, tail]), n_period, n_period + n_ramp - 1
 
 
-def run_oscillator(cfg: RunConfig) -> int:
+def run_oscillator(cfg: RunConfig) -> Table:
     """Trap expansion with one display period at either end.
 
     Emits the closed-form trajectory, its energy bookkeeping and the RK4
-    integration of Hamilton's equations as independent columns.  Warns
-    when the two routes disagree in q or v beyond diagnostics.ORACLE, or
-    else when the energies written at t = 0 and t = tf break the energy
-    claim (diagnostics.oscillator_warning).
+    integration of Hamilton's equations as independent columns.  Its
+    warning (diagnostics.oscillator_warning) says when the two routes
+    disagree in q or v beyond diagnostics.ORACLE, or else when the energies
+    written at t = 0 and t = tf break the energy claim or the orbit rests.
     """
     plan = _trap_plan(cfg.params)
     grid, start, end = _display_grid(cfg.params, plan)
@@ -445,21 +445,15 @@ def run_oscillator(cfg: RunConfig) -> int:
     q, v = closed.q, closed.p / plan.mass
     del closed
     e_over_w = np.where(w2 > 0.0, energy / np.sqrt(np.where(w2 > 0.0, w2, 1.0)), np.nan)
-    write_csv(
-        cfg.out_path,
-        ["t_s", "q_m", "v_m_per_s", "energy_J", "energy_over_omega_Js",
-         "omega_sq_rad2_per_s2", "rho", "q_oracle_m", "v_oracle_m_per_s"],
-        [grid, q, v, energy, e_over_w, w2, rho, q_oracle, v_oracle],
-    )
     warning = diagnostics.oscillator_warning(plan, q, v, q_oracle, v_oracle,
                                              float(energy[start]), float(energy[end]))
-    if warning:
-        print(f"sta: warning: {warning}", file=sys.stderr)
-    return 0
+    return Table(["t_s", "q_m", "v_m_per_s", "energy_J", "energy_over_omega_Js",
+                  "omega_sq_rad2_per_s2", "rho", "q_oracle_m", "v_oracle_m_per_s"],
+                 [grid, q, v, energy, e_over_w, w2, rho, q_oracle, v_oracle], warning)
 
 
-def _check_lines(params: dict) -> tuple[list[str], bool]:
-    """Run the invariant suite; diagnostics measures each figure and reports it.
+def run_check(cfg: RunConfig) -> tuple[list[str], bool]:
+    """Run the invariant suite: its lines and verdict, as diagnostics measures and reports them.
 
     Both atom figures come from one _transitionless_sweep under the
     corrected drive, run as a pair from (r0, r0*): its forward states give
@@ -467,7 +461,7 @@ def _check_lines(params: dict) -> tuple[list[str], bool]:
     biorthogonality defect runs first, so its arrays are freed before the sweep.
     """
     measured = {"biorthogonality-closure-reconstruction": diagnostics.biortho_defect()}
-    schedule, grid = _atom_setup({**ATOM_DEFAULTS, "dt_ns": params["dt_ns"]})
+    schedule, grid = _atom_setup({**ATOM_DEFAULTS, "dt_ns": cfg.params["dt_ns"]})
     pair, leak = _transitionless_sweep(schedule, grid, lambda r0: propagate_pair(
         lambda t: cd.cd_hamiltonian(schedule, t), r0, r0.conj(), grid))
     measured["transitionless-branch-leakage"] = float(np.max(leak))
@@ -482,14 +476,13 @@ def _check_lines(params: dict) -> tuple[list[str], bool]:
     order = convergence_order(lambda t: cd.bare_hamiltonian(schedule, t), [0.0, 1.0],
                               schedule.window, n0=512)
     measured["rk4-convergence-order"] = abs(order - 4.0)
-    return diagnostics.check_lines(measured, params["tolerance_scale"], plan.omega0)
+    return diagnostics.check_lines(measured, cfg.params["tolerance_scale"], plan.omega0)
 
 
-def run_check(cfg: RunConfig) -> int:
-    lines, ok = _check_lines(cfg.params)
-    text = "\n".join(lines) + "\n"
-    if cfg.out is not None:
-        with _open_out(cfg.out, "w") as fh:
+def _write_text(out: Path | None, text: str) -> None:
+    """text to out, if one is given, then to stdout; StaError if stdout cannot take it."""
+    if out is not None:
+        with _open_out(out, "w") as fh:
             fh.write(text)
     try:
         sys.stdout.write(text)
@@ -500,7 +493,6 @@ def run_check(cfg: RunConfig) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         raise StaError(f"cannot write standard output: {exc}") from exc
-    return 0 if ok else 4
 
 
 # scenario name -> (runner, defaults)
@@ -532,7 +524,15 @@ def main(argv=None) -> int:
         # numpy's overflow, invalid and divide warnings become runtime errors;
         # the sites that make inf on purpose hold their own errstate
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _SCENARIOS[cfg.scenario][0](cfg)
+            outcome = _SCENARIOS[cfg.scenario][0](cfg)
+            if cfg.scenario == "check":
+                lines, ok = outcome
+                _write_text(cfg.out, "\n".join(lines) + "\n")
+                return 0 if ok else 4
+            write_csv(cfg.out_path, outcome.header, outcome.columns)
+        if outcome.warning:
+            print(f"sta: warning: {outcome.warning}", file=sys.stderr)
+        return 0
     except ConfigError as exc:
         print(f"sta: config error: {exc}", file=sys.stderr)
         return 2

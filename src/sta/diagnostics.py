@@ -2,7 +2,7 @@
 
 sta check reports the figures in CHECKS; rap warns where the spectral gap
 closes, rap-cd when its branch leakage reaches LEAKAGE, the oscillator past
-ORACLE or ENERGY_RTOL.
+ORACLE or ENERGY_RTOL and on the rest orbit q0 = v0 = 0.
 """
 
 from __future__ import annotations
@@ -138,5 +138,7 @@ def oscillator_warning(plan, q, v, q_oracle, v_oracle, e0: float, ef: float) -> 
             return (f"max |{name} - {name}_oracle| = {dev:.3e} exceeds {ORACLE:.0e} "
                     f"x max |{name}| = {scale:.3e}; the integrated oracle does not confirm "
                     "the closed form")
+    if plan.amplitude == 0.0:  # no energy, so no claim to keep
+        return "q0 = v0 = 0: rest solution, trajectory is identically zero"
     reason = energy_claim_error(plan, e0, ef)
     return reason and f"{reason}; the run does not confirm the energy claim"

@@ -31,7 +31,6 @@ its derivative and H are complex (..., 2, 2) stacks over a time array's shape.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,9 +85,7 @@ class ExpansionSpec:
 def _derive_angle(spec: ExpansionSpec) -> tuple[float, float]:
     """Amplitude R and launch phase theta_0 from (q0, v0)."""
     r = float(np.hypot(spec.q0, spec.v0 / spec.omega0))
-    if r == 0.0:
-        warnings.warn("q0 = v0 = 0: rest solution, trajectory is identically zero",
-                      stacklevel=3)
+    if r == 0.0:  # the rest orbit; arctan2(-0.0, 0.0) would give theta_0 = -0.0
         return 0.0, 0.0
     return r, float(np.arctan2(-spec.v0 / spec.omega0, spec.q0))
 

@@ -24,7 +24,6 @@ import io
 import json
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -91,9 +90,7 @@ def regenerate() -> int:
             for k in SEEDS:
                 config = draw(np.random.default_rng(k))
                 seeded[f"{scenario}-seed-{k}"] = seeded_entry(scenario, k, config, Path(tmp))
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "q0 = v0 = 0: rest solution", UserWarning)
-            seeded["oscillator-rest"] = seeded_entry("oscillator", None, REST, Path(tmp))
+        seeded["oscillator-rest"] = seeded_entry("oscillator", None, REST, Path(tmp))
     manifest = {"numpy": np.__version__, "fingerprint": fingerprint(), "every": EVERY,
                 "csv": csvs, "seeded": seeded}
     (HERE / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")

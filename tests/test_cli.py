@@ -6,6 +6,7 @@ and asserts on the parsed CSV or on the exit code and stderr text.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -31,6 +32,8 @@ quadrature_module = sys.modules["sta.quadrature"]
 
 TWO_PI = 2.0 * np.pi
 WINDOW = 5.0 / np.sqrt(TWO_PI**2 * 0.01)  # default half-window, ns
+REST = {"q0_um": 0.0}  # with the default v0 = 0, the oscillator's rest orbit
+REST_LINE = "sta: warning: q0 = v0 = 0: rest solution, trajectory is identically zero\n"
 
 
 def run(tmp_path, scenario, *args, out="out.csv"):
@@ -233,16 +236,15 @@ def test_oscillator_fast_compression_oracle_is_finite(tmp_path):
 
 # the closed form and its Hamilton oracle differ by 160 orders of magnitude
 # in a strongly inverted ramp; at ff_hz = 1e5 q agrees, but v misses by
-# 1.2e-7 against 3.1e-8; {"q0_um": 0.0} with v0 = 0 is the rest orbit,
-# where the comparison must not divide 0 by 0
+# 1.2e-7 against 3.1e-8; on the rest orbit the comparison must not divide
+# 0 by 0, and the run says that it rests instead
 @pytest.mark.parametrize("payload,warns", [
     ({}, None),
-    ({"q0_um": 0.0}, None),
+    (REST, None),
     ({"ff_hz": 1e5}, "v"),
     ({"f0_hz": 3.78e-6, "ff_hz": 1.88e-4, "tf_ms": 1.88e-85, "mass_kg": 3.53e-118,
       "q0_um": 6.8e-243, "v0_um_per_ms": 7.3e95, "n_shortcut": 50, "n_ellipse": 20}, "q"),
 ], ids=["default", "rest", "ff-1e5", "inverted"])
-@pytest.mark.filterwarnings("ignore:q0 = v0 = 0:UserWarning")
 def test_oscillator_warns_when_oracle_disagrees(tmp_path, capsys, payload, warns):
     code, path = run(tmp_path, "oscillator", "--config", config_file(tmp_path, payload))
     err = capsys.readouterr().err
@@ -252,19 +254,18 @@ def test_oscillator_warns_when_oracle_disagrees(tmp_path, capsys, payload, warns
         assert err.startswith(f"sta: warning: max |{warns} - {warns}_oracle| = ")
         assert err.count("\n") == 1
     else:
-        assert err == ""
+        assert err == (REST_LINE if payload == REST else "")
 
 
 # E(0) = m omega0^2 q0^2 / 2 is subnormal at q0 = 1e-145 um, where the
 # written E(tf)/E(0) reads 0.0111 against omega_f/omega_0 = 0.01, and it
-# underflows to 0 at 1e-150 um; the rest orbit keeps its library UserWarning
+# underflows to 0 at 1e-150 um; the rest orbit, with no energy, says that it rests
 @pytest.mark.parametrize("payload,warns", [
     ({}, False),
-    ({"q0_um": 0.0}, False),
+    (REST, False),
     ({"q0_um": 1e-145}, True),
     ({"q0_um": 1e-150}, True),
 ], ids=["default", "rest", "subnormal-energy", "zero-energy"])
-@pytest.mark.filterwarnings("ignore:q0 = v0 = 0:UserWarning")
 def test_oscillator_warns_when_energy_ratio_misses(tmp_path, capsys, payload, warns):
     code, path = run(tmp_path, "oscillator", "--config", config_file(tmp_path, payload))
     err = capsys.readouterr().err
@@ -276,7 +277,7 @@ def test_oscillator_warns_when_energy_ratio_misses(tmp_path, capsys, payload, wa
         assert err.count("\n") == 1
         assert not (e0 > 0 and abs(ef / e0 - 0.01) <= 1e-11)
     else:
-        assert err == ""
+        assert err == (REST_LINE if payload == REST else "")
 
 
 @pytest.mark.parametrize("q0_um", [1e-145, 1e-150], ids=["subnormal-energy", "zero-energy"])
@@ -291,6 +292,36 @@ def test_energy_audit_raises_with_the_cli_warning(tmp_path, capsys, q0_um):
     with pytest.raises(ValueError) as raised:
         climod.trap.energy_audit(plan)
     assert err == f"sta: warning: {raised.value}; the run does not confirm the energy claim\n"
+
+
+def _run_rest_orbit(tmp_path, src, flags):
+    """(exit code, stderr) of the console entry point on the rest orbit, importing sta from src."""
+    cfg = config_file(tmp_path, REST)
+    done = subprocess.run(
+        [sys.executable, *flags, "-m", "sta.cli", "oscillator", "--config", cfg,
+         "--out", str(tmp_path / "rest.csv")],
+        cwd=src, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    return done.returncode, done.stderr
+
+
+# -W acts at startup, hence the subprocess; run from src, python -m imports
+# sta from there.  Before, -W error::UserWarning ended in a traceback with
+# exit 1, -W ignore dropped the message, and the default formatter quoted
+# the install path and a line number of cli.py.
+@pytest.mark.parametrize("flags", [[], ["-W", "error::UserWarning"], ["-W", "ignore"]],
+                         ids=["no-flag", "error", "ignore"])
+def test_rest_orbit_warns_once_under_any_warnings_filter(tmp_path, flags):
+    src = Path(climod.__file__).resolve().parents[1]
+    assert _run_rest_orbit(tmp_path, src, flags) == (0, REST_LINE)
+
+
+def test_rest_orbit_stderr_does_not_depend_on_the_install_path(tmp_path):
+    src = Path(climod.__file__).resolve().parents[1]
+    copy = tmp_path / "elsewhere" / "src"
+    shutil.copytree(src / "sta", copy / "sta", ignore=shutil.ignore_patterns("__pycache__"))
+    assert _run_rest_orbit(tmp_path, copy, []) == _run_rest_orbit(tmp_path, src, []) \
+        == (0, REST_LINE)
 
 
 def test_oscillator_initial_velocity(tmp_path):
@@ -1226,13 +1257,12 @@ def test_transitionless_sweep_peak_memory():
 
 
 def _scenario_peak(tmp_path, scenario):
-    """tracemalloc's peak over one default run of scenario, after an untraced first run."""
-    cfg = climod.load_run_config(scenario, None, tmp_path / "out", None, None)
-    run = climod._SCENARIOS[scenario][0]
-    run(cfg)  # first-call allocations outside
+    """tracemalloc's peak over one default main run of scenario, after an untraced first one."""
+    argv = [scenario, "--out", str(tmp_path / "out")]
+    main(argv)  # first-call allocations outside
     tracemalloc.start()
     try:
-        assert run(cfg) == 0
+        assert main(argv) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1350,11 +1380,10 @@ def test_check_holds_no_basis_during_pair(monkeypatch, tmp_path, scenario, sweep
 
     monkeypatch.setattr(climod, sweep, recorded)
     monkeypatch.setattr(climod, other, second_sweep)
-    cfg = climod.load_run_config(scenario, None, tmp_path / "out", None, None)
     np.random.default_rng()  # numpy may import numpy.random, 0.5 MB, on first use
     tracemalloc.start()
     try:
-        code = climod._SCENARIOS[scenario][0](cfg)
+        code = main([scenario, "--out", str(tmp_path / "out")])
     finally:
         tracemalloc.stop()
     assert code == 0 and len(live) == 1
@@ -1373,11 +1402,10 @@ def test_atom_csv_holds_no_states(monkeypatch, tmp_path, scenario):
         return original(*args)
 
     monkeypatch.setattr(climod, "write_csv", recorded)
-    cfg = climod.load_run_config(scenario, None, tmp_path / "out", None, None)
     np.random.default_rng()  # numpy may import numpy.random, 0.5 MB, on first use
     tracemalloc.start()
     try:
-        code = climod._SCENARIOS[scenario][0](cfg)
+        code = main([scenario, "--out", str(tmp_path / "out")])
     finally:
         tracemalloc.stop()
     assert code == 0 and len(live) == 1

@@ -17,8 +17,8 @@ four sets one key to an integer past the double range.  Gamma = 0, a peak
 Rabi frequency at or near the exceptional point Omega_0 = Gamma/2, ff > f0
 and sample counts of 2-200 are drawn too.  The step ceiling is lowered to
 2,000 so that a run stays short, and the examples are derandomized so that
-every run of the suite draws the same configs.  The suite's
-error::RuntimeWarning filter applies, so a numpy warning fails a run here.
+every run of the suite draws the same configs.  Each run is made under
+warnings.simplefilter("error"), so any Python or numpy warning fails it.
 """
 
 import contextlib
@@ -26,6 +26,7 @@ import io
 import json
 import operator
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -110,7 +111,9 @@ def _run(tmp_path, scenario, payload):
     cfg.write_text(json.dumps(payload))
     out.unlink(missing_ok=True)
     err = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+    with (pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
+        warnings.simplefilter("error")
         mp.setattr(propagate_module, "_MAX_STEPS", MAX_STEPS)
         code = cli.main([scenario, "--config", str(cfg), "--out", str(out)])
     text = err.getvalue()
@@ -173,6 +176,7 @@ def _oracle_holds(rows):
 @example(payload={"q0_um": 1e-145, "n_shortcut": 1001, "n_ellipse": 251})
 @example(payload={"q0_um": 1e-150, "n_shortcut": 1001, "n_ellipse": 251})
 @example(payload={"ff_hz": 1e5, "n_shortcut": 101, "n_ellipse": 11})
+@example(payload={"q0_um": 0.0, "v0_um_per_ms": 0.0})
 def test_oscillator_runs_keep_the_exit_contract(run_dir, payload):
     code, err, out = _run(run_dir, "oscillator", payload)
     if code == 0:

@@ -66,7 +66,6 @@ import math
 import re
 import sys
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -823,9 +822,7 @@ def test_pair_samples_each_tile_once(atom):
 def _trap_display(params):
     """The plan and display grid of an oscillator config over the defaults."""
     params = {**cli_module.TRAP_DEFAULTS, **params}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the rest orbit's warning
-        plan = cli_module._trap_plan(params)
+    plan = cli_module._trap_plan(params)
     return plan, cli_module._display_grid(params, plan)[0]
 
 
