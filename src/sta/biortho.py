@@ -61,7 +61,7 @@ def _empty_stack(shape: tuple) -> np.ndarray:
     """An unfilled complex shape + (2, 2) stack, a view of component-major (2, 2) + shape memory.
 
     Each entry stack[..., i, j] is then one contiguous array, so the ufuncs
-    that write an entry, and propagate._generator's -i multiply over a
+    that write an entry, and the -i multiply of propagate's sampler over a
     sampled H, read and write contiguous memory.
     """
     return np.moveaxis(np.empty((2, 2) + shape, dtype=complex), (0, 1), (-2, -1))

@@ -433,7 +433,7 @@ def run_oscillator(cfg: RunConfig) -> Table:
     grid, start, end = _display_grid(cfg.params, plan)
 
     # the oracle first, so only the grid sits beside its sweep; each
-    # trajectory is dropped once its q and v are taken, with its p and grid copy
+    # trajectory is dropped once its q and v are taken, with its p
     oracle = trap.hamilton_trajectory(plan, grid)
     q_oracle, v_oracle = oracle.q, oracle.p / plan.mass
     del oracle

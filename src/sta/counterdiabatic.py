@@ -74,8 +74,8 @@ def _bare_hamiltonian(r: PulseRates) -> np.ndarray:
     """H_0 from one sample r of the schedule's rates.
 
     The stack is component-major (biortho._empty_stack), a (..., 2, 2)
-    view of (2, 2, ...) memory: each entry write below and a sweep's -i
-    multiply over the stack (propagate._generator) act on contiguous memory.
+    view of (2, 2, ...) memory: each entry write below and the -i multiply
+    of propagate's sampler (_generator) over the stack read contiguous rows.
     """
     d, _, o, _, g, _ = r
     # each entry is written in place by the ufuncs of -d + 0j, o and d - 1j g,

@@ -14,23 +14,24 @@ K3 = Am (I + dt/2 K2) and K4 = A1 (I + dt K3), and y_{k+1} = M_k y_k.
 A sweep's step matrices are one component-major (2, 2, N) array m,
 m[:, :, k] = M_k, with N the steps rounded up to whole chunks of the scan
 below and identities past the last step.  They are built one span at a time
-(_sweep_matrices), in the spans of quadrature._spans in whole chunks.  For
-each span H is sampled in one call, hfun(times) on the span's B + 1 nodes
+(_sweep_matrices), in the spans of quadrature._spans in whole chunks, from
+one seam, a sampler: called once per span on the span's B + 1 nodes
 followed by its B midpoints 0.5 (g[:-1] + g[1:]) (the bits of
-quadrature._refine's), whose result must broadcast to (len(times), 2, 2): a
-stack, or one constant 2x2 matrix.  A grid of at most one span calls hfun
-once; a longer one calls it once per span, and the node two spans share is
-sampled by both.  Each M_k depends only on H at its own node, midpoint and
-next node and on dt_k, so the spans change no bit of any M_k.  A = -i H is
-one multiply, out of the (2, 2, 2 B + 1) view of the sample, into a
-component-major (2, 2, 2 B + 1) array (_generator): a[i, j, k] is A_ij at
-node k and a[i, j, B + 1 + k] at the midpoint of step k, so the nodes
-a[..., :B], the next nodes a[..., 1:B + 1] and the midpoints a[..., B + 1:]
-are contiguous rows of every entry.  The package's H stacks are themselves
-component-major, a (B, 2, 2) view of (2, 2, B) memory
-(biortho._empty_stack), so that multiply reads contiguous memory too.  A
-span's M_k are built straight into its columns of m in batched numpy passes
-on such rows, one component entry at a time (_matmul_2x2, _step_block).  (A component of a C-ordered
+quadrature._refine's), it returns A = -i H there as a component-major
+(2, 2, 2 B + 1) array a, whose dtype is the span's, and the sweep never
+sees H.  a[i, j, k] is A_ij at node k and a[i, j, B + 1 + k] at the
+midpoint of step k, so the nodes a[..., :B], the next nodes a[..., 1:B + 1]
+and the midpoints a[..., B + 1:] are contiguous rows of every entry.
+propagate's sampler (_generator) calls hfun once per span, whose result
+must broadcast to (len(times), 2, 2): a stack, or one constant 2x2 matrix.
+A = -i H is one multiply, out of the (2, 2, 2 B + 1) view of the sample;
+the package's H stacks are themselves component-major, a (B, 2, 2) view of
+(2, 2, B) memory (biortho._empty_stack), so that multiply reads contiguous
+memory too.  The node two spans share is sampled by both.  Each M_k
+depends only on A at its own node, midpoint and next node and on dt_k, so
+the spans change no bit of any M_k.  A span's M_k are built straight into
+its columns of m in batched numpy passes on such rows, one component entry
+at a time (_matmul_2x2, _step_block).  (A component of a C-ordered
 (B, 2, 2) stack has 64 bytes between its values: one complex multiply over
 16k of them took 65-96 us against 12 us on a contiguous row, and numpy's @
 costs 0.4-0.5 us per tiny matrix; numpy 2.4.6, shared 2-vCPU x86-64 host.)
@@ -44,17 +45,18 @@ then the adjoint ones from the same array turned into -A^dag in place
 (_adjoint_generator: a.real *= -1 leaves -conj(A), and a view swaps the
 component indices).
 
-A sweep is real when its start (both starts for a pair) has no imaginary
-part and a span's H has no real part, as for the trap's linear generator
-H = i [[0, 1/m], [-m omega^2, 0]].  Then A is Im H, copied as float64, and
-the build, the scan's chunk-start scalars and the states are float64.  (a +
+A sweep is real while its sampler returns float64, as _generator's does
+when the start (both starts for a pair) has no imaginary part and a span's
+H has no real part, as for the trap's linear generator
+H = i [[0, 1/m], [-m omega^2, 0]], whose A is Im H, copied as float64; the
+build, the scan's chunk-start scalars and the states are then float64.  (a +
 0i)(b + 0i) rounds to ab whether numpy's loop is fused or plain, and adds
 of zero imaginary parts change no real part, so a real sweep is bitwise the
 real parts of the complex sweep of the same start, whose imaginary parts are
 zero; an inf or a NaN reaches the same entries in both, so both fail at the
-same step.  The first span whose H has a real part casts the matrices built
-so far to complex, once, and the sweep goes on in complex, bitwise the sweep
-that was complex throughout.
+same step.  The first complex span casts the matrices built so far to
+complex, once, and the sweep goes on in complex, bitwise the sweep that was
+complex throughout.
 
 Beside the 64 bytes per step of each complex sweep's matrices, a span holds
 about 273 bytes per step, for a pair as for one sweep: H and A while
@@ -143,10 +145,13 @@ class StateTrajectory:
     adjoint_states: np.ndarray | None = None
 
     def __post_init__(self):
-        self.grid.setflags(write=False)
-        self.states.setflags(write=False)
-        if self.adjoint_states is not None:
-            self.adjoint_states.setflags(write=False)
+        # views, so that freezing them leaves the caller's arrays writeable
+        for name in ("grid", "states", "adjoint_states"):
+            x = getattr(self, name)
+            if x is not None:
+                x = np.asarray(x).view()
+                x.setflags(write=False)
+                object.__setattr__(self, name, x)
 
     @property
     def p1(self) -> np.ndarray:
@@ -172,8 +177,8 @@ class StateTrajectory:
 
 
 def _check_grid(grid: np.ndarray) -> np.ndarray:
-    """A validated float view of grid: freezing it leaves the caller's array writeable."""
-    grid = np.asarray(grid, dtype=float).view()
+    """grid as a validated float array (the caller's own when it is one)."""
+    grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("grid must be a 1-d array with at least two points")
     if not np.isfinite(grid).all():
@@ -198,41 +203,33 @@ def _initial_state(y0, where: str) -> np.ndarray:
     return y0
 
 
-def _sample_hamiltonian(hfun, times: np.ndarray) -> np.ndarray:
-    """H on all times from one call hfun(times), as a (len(times), 2, 2) array.
+def _generator(hfun, real: bool):
+    """The sampler of a sweep under hfun, times -> A = -i H at times, (2, 2, len(times)).
 
-    The result must broadcast to that shape, so a constant (2, 2) matrix is
-    accepted; any other shape is a ValueError that names it.
+    Each sample is one call hfun(times), whose result must broadcast to
+    (len(times), 2, 2) (any other shape is a ValueError that names it), and
+    one -i multiply.  With real=True A is Im H as float64 while H has no
+    real part, and complex from the first call whose H has one on.
     """
-    h = np.asarray(hfun(times), dtype=complex)
-    shape = (len(times), 2, 2)
-    try:
-        return np.broadcast_to(h, shape)
-    except ValueError:
-        raise ValueError(f"H(t) on {len(times)} times has shape {h.shape}, which does not "
-                         f"broadcast to {shape}") from None
+    def sample(times: np.ndarray) -> np.ndarray:
+        nonlocal real
+        h = np.asarray(hfun(times), dtype=complex)
+        shape = (len(times), 2, 2)
+        try:
+            h = np.broadcast_to(h, shape).transpose(1, 2, 0)
+        except ValueError:
+            raise ValueError(f"H(t) on {len(times)} times has shape {h.shape}, which does not "
+                             f"broadcast to {shape}") from None
+        real = real and not h.real.any()
+        if real:
+            return h.imag.copy()
+        a = np.empty(h.shape, dtype=complex)
+        # a non-finite H surfaces as NonFiniteState in the sweep, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(-1j, h, out=a)
+        return a
 
-
-def _generator(hfun, grid: np.ndarray, real: bool = False) -> np.ndarray:
-    """A = -i H sampled component-major on the nodes of grid, then its midpoints.
-
-    For B steps hfun is called once on the B + 1 nodes followed by the B
-    midpoints 0.5 (g[:-1] + g[1:]), and a has shape (2, 2, 2 B + 1):
-    a[:, :, k] is A at node k and a[:, :, B + 1 + k] at the midpoint of
-    step k, so each entry is one row.  With real=True and an H with no real
-    part, A = Im H is returned as float64; otherwise A is complex, made by one
-    multiply out of the (2, 2, 2 B + 1) view of H, contiguous when H is
-    component-major (biortho._empty_stack).
-    """
-    h = _sample_hamiltonian(hfun, np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
-    h = h.transpose(1, 2, 0)
-    if real and not h.real.any():
-        return h.imag.copy()
-    a = np.empty(h.shape, dtype=complex)
-    # a non-finite H surfaces as NonFiniteState in the sweep, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(-1j, h, out=a)
-    return a
+    return sample
 
 
 def _chunk_width(n: int) -> int:
@@ -267,11 +264,11 @@ def _scale_add(x: np.ndarray, c, y: np.ndarray) -> np.ndarray:
 def _step_block(a: np.ndarray, dt: np.ndarray, out: np.ndarray) -> None:
     """RK4 step matrices of a span's len(dt) steps, from its generator a, into out.
 
-    a is the (2, 2, 2 B + 1) generator of _generator, or _adjoint_generator's
-    view of it: A at the nodes a0 = a[..., :B] and a1 = a[..., 1:B + 1] and
-    at the midpoints am = a[..., B + 1:], so every entry read is a
-    contiguous row.  out is the span's (2, 2, B) columns of the sweep's
-    matrices, of a's dtype.  I + dt/6 (a0 + 2 (k2 + k3) + k4) with
+    a is a span's (2, 2, 2 B + 1) sample of A (_sweep_matrices), or
+    _adjoint_generator's view of it: A at the nodes a0 = a[..., :B] and
+    a1 = a[..., 1:B + 1] and at the midpoints am = a[..., B + 1:], so every
+    entry read is a contiguous row.  out is the span's (2, 2, B) columns of
+    the sweep's matrices, of a's dtype.  I + dt/6 (a0 + 2 (k2 + k3) + k4) with
     k2 = am + dt/2 am a0, k3 = am + dt/2 am k2 and k4 = a1 + dt a1 k3 is
     summed in place in out, where k2 is built: the same floating-point
     operations as the written-out expression, with fewer temporaries.  Every
@@ -315,41 +312,41 @@ def _adjoint_generator(a: np.ndarray) -> np.ndarray:
     return a.transpose(1, 0, 2)
 
 
-def _sweep_matrices(hfun, grid: np.ndarray, pair: bool = False,
-                    real: bool = False) -> list[np.ndarray]:
+def _sweep_matrices(sample, grid: np.ndarray, pair: bool = False) -> list[np.ndarray]:
     """The step matrices over all of grid, component-major: m[:, :, k] is M_k.
 
     One (2, 2, N) array, N the steps in whole chunks with identities past
     the last step, for the sweep of A, and with pair=True a second for that
-    of -A^dag.  Each span of _spans, in whole chunks, samples H in one hfun
-    call; the span's forward matrices are built from the sample, and a
-    pair's adjoint ones from the same generator, turned into -A^dag in
-    place.  The arrays are allocated after the first span is sampled, so a
-    grid of one span holds its H stack and its matrices at different times.
-    With real=True the matrices are float64 while each span's H has no real
-    part; the first span with one casts them to complex, once, and the
-    sweep goes on in complex, bitwise as if it had been complex throughout.
+    of -A^dag.  Each span of _spans, in whole chunks, is sampled in one call
+    sample(times) on its nodes, then its midpoints, which returns A there,
+    component-major (see the module docstring); the span's forward matrices
+    are built from it, and a pair's adjoint ones from the same array, turned
+    into -A^dag in place.  The matrices take the first span's dtype and are
+    allocated after it is sampled, so a grid of one span holds its sample
+    and its matrices at different times.  The first complex span after
+    float ones casts them to complex, once; a sampler returns complex from
+    then on.
     """
     n = len(grid) - 1
     width = _chunk_width(n)
     ms = []
     for s, e in _spans(n, width):
         span = grid[s:e + 1]
-        a, steps = _generator(hfun, span, real), np.diff(span)
+        a = sample(np.concatenate([span, 0.5 * (span[:-1] + span[1:])]))
+        steps = np.diff(span)
         if not ms:
             ms = [np.empty((2, 2, -(-n // width) * width), dtype=a.dtype)
                   for _ in range(1 + pair)]
             for m in ms:
                 m[:, :, n:] = np.eye(2)[:, :, None]
-        elif a.dtype != ms[0].dtype:  # a real part: complex from this span on
+        elif a.dtype != ms[0].dtype:  # complex from this span on
             ms = [m.astype(complex) for m in ms]
-        real = a.dtype == float
         # blow-ups surface as NonFiniteState in _rk4, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             _step_block(a, steps, ms[0][:, :, s:e])
             if pair:
                 _step_block(_adjoint_generator(a), steps, ms[1][:, :, s:e])
-        del a, steps  # before the next span's H is sampled
+        del a, steps  # before the next span is sampled
     return ms
 
 
@@ -427,7 +424,7 @@ def propagate(hfun, psi0, grid) -> StateTrajectory:
     """
     grid = _check_grid(grid)
     psi0 = _initial_state(psi0, "forward")
-    [m] = _sweep_matrices(hfun, grid, real=not psi0.imag.any())
+    [m] = _sweep_matrices(_generator(hfun, not psi0.imag.any()), grid)
     states = _rk4(m, psi0, len(grid) - 1)
     return StateTrajectory(grid=grid, states=states)
 
@@ -445,7 +442,7 @@ def propagate_pair(hfun, psi0, psihat0, grid) -> StateTrajectory:
     psi0 = _initial_state(psi0, "forward")
     psihat0 = _initial_state(psihat0, "adjoint")
     real = not (psi0.imag.any() or psihat0.imag.any())
-    ms = _sweep_matrices(hfun, grid, pair=True, real=real)
+    ms = _sweep_matrices(_generator(hfun, real), grid, pair=True)
     n = len(grid) - 1
     states = _rk4(ms.pop(0), psi0, n)  # popped, so each array is freed after its sweep
     adjoint = _rk4(ms.pop(), psihat0, n, adjoint=True)

@@ -282,9 +282,9 @@ def effective_hamiltonian(plan: ErmakovPlan):
     With x = (q, p), i x' = H x reproduces q' = p/m, p' = -m omega^2 q, so
     the Schrodinger-style propagator drives the classical oscillator.  The
     callable broadcasts over time arrays; its stacks are _mat2's,
-    component-major, so the -i multiply of a sweep reads contiguous rows.
-    H has no real part, so a sweep from a real (q, p) runs in float64
-    (propagate.propagate).
+    component-major, so the -i multiply of propagate's sampler reads
+    contiguous rows.  H has no real part, so the sampler of a sweep from a
+    real (q, p) returns Im H in float64 (propagate._generator).
     """
     m = plan.mass
 
@@ -338,8 +338,11 @@ class PhaseSpaceTrajectory:
     p: np.ndarray
 
     def __post_init__(self):
+        # views, so that freezing them leaves the caller's arrays writeable
         for name in ("grid", "q", "p"):
-            getattr(self, name).setflags(write=False)
+            x = np.asarray(getattr(self, name)).view()
+            x.setflags(write=False)
+            object.__setattr__(self, name, x)
 
     def energy(self, plan: ErmakovPlan) -> np.ndarray:
         """Instantaneous oscillator energy p^2/2m + m omega^2 q^2 / 2.
@@ -371,7 +374,7 @@ def closed_form_trajectory(plan: ErmakovPlan, grid) -> PhaseSpaceTrajectory:
     cos = np.cos(theta)
     q = r * rho * cos
     p = -(m * w0 / rho) * r * np.sin(theta) + m * rho_dot * r * cos
-    return PhaseSpaceTrajectory(grid=grid.copy(), q=q, p=p)
+    return PhaseSpaceTrajectory(grid=grid, q=q, p=p)
 
 
 def _substep_grid(plan: ErmakovPlan, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -414,7 +417,7 @@ def hamilton_trajectory(plan: ErmakovPlan, grid) -> PhaseSpaceTrajectory:
     fine, ends = _substep_grid(plan, grid)
     at_grid = propagate(effective_hamiltonian(plan), x0, fine).states[ends]
     return PhaseSpaceTrajectory(
-        grid=grid.copy(), q=at_grid[:, 0].real.copy(), p=at_grid[:, 1].real.copy()
+        grid=grid, q=at_grid[:, 0].real.copy(), p=at_grid[:, 1].real.copy()
     )
 
 

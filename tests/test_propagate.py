@@ -14,7 +14,9 @@ Proves:
   - empirical convergence order ~4 and the 16x error drop per halving; the
     order is refused when the errors vanish
   - population bounds, monotone decay, non-finite and bad-grid rejection;
-    the returned grid is read-only and the caller's stays writeable
+    the returned grid is read-only and the caller's stays writeable, and
+    StateTrajectory and trap.PhaseSpaceTrajectory store read-only views,
+    leaving the caller's grid, states, q and p writeable
   - the first non-finite step is named, inside and after the first span,
     and a non-finite initial state is named as such, before H is sampled
   - an overflowing chunk propagator neither breaks a finite sweep nor
@@ -27,16 +29,21 @@ Proves:
   - the step-matrix RK4 matches a per-step vector RK4 reference, forward
     and adjoint, on sizes at chunk and span edges, and with spans of one
     chunk
-  - the component-major generator, H sampled on a span's nodes, then its
-    midpoints (the bits of _refine's), is bitwise -1j H from a C-ordered, a
+  - the seam: _sweep_matrices sees A = -i H only through a sampler, fed
+    here by fakes.  It calls the sampler once per span, in order, on the
+    span's nodes, then its midpoints (the bits of _refine's); a float
+    sampler gives float64 matrices and states, bitwise the per-step RK4 of
+    the written-out step matrices, forward and adjoint; a complex span
+    after float ones gives bitwise the states of the all-complex sweep
+  - propagate's sampler (_generator) is bitwise -1j H from a C-ordered, a
     component-major or a constant H, and Im H as float64 for a real sweep
-    while H has no real part; the step matrices built
-    from it are bitwise the written-out RK4 expression, and the adjoint
-    ones, built from the same array turned into -A^dag in place, bitwise
-    those of the conjugate-transposed generator, with signed zeros,
-    infinities and NaNs among the entries too; every ufunc of the step
-    build that reads the generator or a dt factor acts on contiguous (B,)
-    rows of one dtype
+    while H has no real part, complex from the first H with a real part
+    on; the step matrices built from a sample are bitwise the written-out
+    RK4 expression, and the adjoint ones, built from the same array turned
+    into -A^dag in place, bitwise those of the conjugate-transposed
+    generator, with signed zeros, infinities and NaNs among the entries
+    too; every ufunc of the step build that reads the generator or a dt
+    factor acts on contiguous (B,) rows of one dtype
   - the component-wise 2x2 product of component-major stacks matches numpy's @
   - sampling H and building the step matrices one span at a time gives
     bitwise the states of one span over the whole grid, forward and paired,
@@ -45,10 +52,11 @@ Proves:
     per span on that span's nodes and midpoints, and a blow-up in a later
     span is named at the same step
   - a real start under an H with no real part is swept in float64: step
-    matrices and states bitwise the real parts of the complex sweep, whose
-    imaginary parts are zero, on the trap's default plan (and as a pair),
-    two configs whose oracle is under-resolved, the rest orbit, ff_hz 1e5,
-    an identity ramp and 40 random plans, and on pure decay; a blow-up is
+    matrices and states bitwise the real parts of the complex sweep (of a
+    fake sampler of -1j H), whose imaginary parts are zero, on the trap's
+    default plan (and as a pair), two configs whose oracle is
+    under-resolved, the rest orbit, ff_hz 1e5, an identity ramp and 40
+    random plans, and on pure decay; a blow-up is
     named at the same step in both dtypes; a span with a real part casts
     the sweep to complex, bitwise the all-complex sweep; the atom's bare
     drive from [0, 1] and a complex start stay complex
@@ -92,7 +100,6 @@ from sta.propagate import (_adjoint_generator, _chunk_width, _generator, _matmul
                            _step_block, _sweep_matrices)
 from sta.quadrature import _refine
 
-propagate_module = sys.modules["sta.propagate"]
 quadrature_module = sys.modules["sta.quadrature"]
 
 RNG = np.random.default_rng(23)
@@ -102,6 +109,17 @@ def _per_span(n):
     """Steps per span of an n-step sweep: whole chunks, at most _SPAN, at least one chunk."""
     width = _chunk_width(n)
     return width * max(1, quadrature_module._SPAN // width)
+
+
+def _sampler(afun):
+    """A fake sweep sampler: afun(times), A as a (len(times), 2, 2) stack, component-major.
+
+    The result is a fresh C-ordered (2, 2, len(times)) array of afun's dtype.
+    """
+    def sample(times):
+        return np.broadcast_to(afun(times), (len(times), 2, 2)).transpose(1, 2, 0).copy()
+
+    return sample
 
 
 def test_pure_decay_analytic():
@@ -274,8 +292,11 @@ OVERFLOW_GROWTH = sum(OVERFLOW_RATE**k / math.factorial(k) for k in range(5))
 
 @START_PHASES
 def test_overflowing_chunk_propagator_keeps_finite_sweep(phase):
-    [m] = propagate_module._sweep_matrices(lambda t: OVERFLOW_H, OVERFLOW_GRID)
+    # A = -i H as a real sweep's sampler returns it, or as a complex one does
+    a = (-1j * OVERFLOW_H).real if phase == 1.0 else -1j * OVERFLOW_H
+    [m] = _sweep_matrices(_sampler(lambda t: a), OVERFLOW_GRID)
     assert m.shape == (2, 2, 4000) and _chunk_width(4000) == 16
+    assert m.dtype == (float if phase == 1.0 else complex)
     assert np.isfinite(m).all()
     np.testing.assert_allclose(m[1, 1, :16], OVERFLOW_GROWTH, rtol=1e-12)
     with np.errstate(over="ignore"):
@@ -317,14 +338,15 @@ def test_state_overflowing_inside_a_chunk_names_its_step():
     # c = -1 over steps 20-27, so psi_2 = 1e307 passes the largest double and
     # falls back; the chunk's propagator, every chunk start and the last
     # state stay finite, and only the rows inside the chunk show the overflow
-    def hfun(t):
-        c = np.where((t >= 16.0) & (t < 20.0), 1.0, np.where((t >= 20.0) & (t < 28.0), -1.0, 0.0))
-        return np.diag([0.0, 1j]) * c[..., None, None]
+    def rate(t):
+        return np.where((t >= 16.0) & (t < 20.0), 1.0,
+                        np.where((t >= 20.0) & (t < 28.0), -1.0, 0.0))
 
+    hfun = lambda t: np.diag([0.0, 1j]) * rate(t)[..., None, None]
     grid = np.linspace(0.0, 4000.0, 4001)
-    [m] = propagate_module._sweep_matrices(hfun, grid)
-    growth = m[1, 1, 16:32].real
-    assert _chunk_width(4000) == 16 and np.all(m[1, 1, 16:32].imag == 0.0)
+    [m] = _sweep_matrices(_sampler(lambda t: np.diag([0.0, 1.0]) * rate(t)[..., None, None]), grid)
+    growth = m[1, 1, 16:32]
+    assert _chunk_width(4000) == 16 and m.dtype == float
     assert 1e307 * np.prod(growth) < 1e306  # the second chunk's propagator
     with np.errstate(over="ignore"):
         step = 16 + int(np.argmax(np.isinf(1e307 * np.cumprod(growth)))) + 1
@@ -373,15 +395,24 @@ def test_grid_must_be_finite(bad):
 
 
 def test_caller_grid_stays_writeable():
+    # the sweeps and the trajectories built directly store read-only views,
+    # so the caller's grid, states, q and p stay writeable
     h = np.eye(2, dtype=complex)
     grid = np.linspace(0.0, 1.0, 11)
+    states, q, p = np.ones((11, 2), dtype=complex), np.ones(11), np.zeros(11)
     for traj in (propagate(lambda t: h, [1.0, 0.0], grid),
-                 propagate_pair(lambda t: h, [1.0, 0.0], [0.0, 1.0], grid)):
+                 propagate_pair(lambda t: h, [1.0, 0.0], [0.0, 1.0], grid),
+                 StateTrajectory(grid=grid, states=states),
+                 trap_module.PhaseSpaceTrajectory(grid=grid, q=q, p=p)):
         assert grid.flags.writeable
         assert not traj.grid.flags.writeable
         with pytest.raises(ValueError):
             traj.grid[0] = -1.0
         np.testing.assert_array_equal(traj.grid, grid)
+    assert states.flags.writeable and q.flags.writeable and p.flags.writeable
+    stored = (traj.q, traj.p, StateTrajectory(grid=grid, states=states).states)
+    assert all(np.shares_memory(x, y) and not x.flags.writeable
+               for x, y in zip(stored, (q, p, states)))
 
 
 @pytest.mark.parametrize("layout", ["stack-time-last", "no-matrix-axes"])
@@ -543,9 +574,9 @@ def _nodes_then_midpoints(grid):
 
 
 @pytest.mark.parametrize("layout", ["C", "component-major", "constant"])
-def test_generator_is_component_major_bitwise(layout):
-    # h is H on the span's nodes, then its midpoints, as hfun returns it: a
-    # C-ordered stack, a (B, 2, 2) view of (2, 2, B) memory, or one 2x2 matrix
+def test_sampler_is_component_major_bitwise(layout):
+    # h is H on the times of a sample, as hfun returns it: a C-ordered stack,
+    # a (B, 2, 2) view of (2, 2, B) memory, or one 2x2 matrix
     n = 50
     h = RNG.normal(size=(2 * n + 1, 2, 2)) + 1j * RNG.normal(size=(2 * n + 1, 2, 2))
     h[::3, 0, 1] = 0.0
@@ -555,34 +586,100 @@ def test_generator_is_component_major_bitwise(layout):
         h = np.ascontiguousarray(h.transpose(1, 2, 0)).transpose(2, 0, 1)
     elif layout == "constant":
         h = h[5]
-    grid = np.linspace(0.0, 1.0, n + 1)
-    a = _generator(lambda t: h, grid)
+    times = np.linspace(0.0, 1.0, 2 * n + 1)
+    a = _generator(lambda t: h, False)(times)
     assert a.shape == (2, 2, 2 * n + 1) and a.dtype == complex and a.flags.c_contiguous
     with np.errstate(invalid="ignore"):
         expected = np.broadcast_to(-1j * h, (2 * n + 1, 2, 2)).transpose(1, 2, 0)
     np.testing.assert_array_equal(a.view(np.uint64), _bits(expected))
     # a real sweep asks for float64 and gets it only while H has no real part
-    assert _generator(lambda t: h, grid, real=True).dtype == complex
+    assert _generator(lambda t: h, True)(times).dtype == complex
     imaginary = np.zeros(h.shape, dtype=complex)
     imaginary.imag = h.imag
-    real = _generator(lambda t: imaginary, grid, real=True)
+    real = _generator(lambda t: imaginary, True)(times)
     assert real.dtype == float and real.shape == (2, 2, 2 * n + 1)
     expected = np.broadcast_to(imaginary.imag, (2 * n + 1, 2, 2)).transpose(1, 2, 0)
     np.testing.assert_array_equal(real.view(np.uint64), _bits(expected))
     with np.errstate(invalid="ignore"):
         # -i (i y) = y, to the sign of a zero
-        np.testing.assert_array_equal(real, _generator(lambda t: imaginary, grid).real)
+        complex_a = _generator(lambda t: imaginary, False)(times)
+    assert complex_a.dtype == complex
+    np.testing.assert_array_equal(real, complex_a.real)
 
 
-def test_generator_samples_nodes_then_midpoints():
+def test_sweep_samples_nodes_then_midpoints():
     # the midpoints carry the bits of _refine's, the sample order is the nodes' then theirs
     grid = np.cumsum(RNG.uniform(0.1, 1.0, 40))
-    hfun, calls = _recording(lambda t: np.zeros(np.shape(t) + (2, 2)))
-    _generator(hfun, grid)
+    afun, calls = _recording(lambda t: np.zeros((2, 2)))
+    _sweep_matrices(_sampler(afun), grid)
     [times] = calls
     np.testing.assert_array_equal(times, _nodes_then_midpoints(grid))
     np.testing.assert_array_equal(times[len(grid):].view(np.uint64),
                                   _refine(grid)[1::2].view(np.uint64))
+
+
+def _stepped(m, y0):
+    """The states of y_{k+1} = M_k y_k for real (n, 2, 2) step matrices, one step at a time."""
+    y, z = y0.tolist()
+    out = [(y, z)]
+    for (m00, m01), (m10, m11) in m.tolist():
+        y, z = m00 * y + m01 * z, m10 * y + m11 * z
+        out.append((y, z))
+    return np.array(out)
+
+
+def test_sweep_matrices_sampler_seam_contract(monkeypatch):
+    # _sweep_matrices sees A = -i H only through its sampler.  At spans of two
+    # steps the 13-step grid has 7 spans and one step per scan chunk, so the
+    # scan steps one M_k at a time, as the reference does.
+    monkeypatch.setattr(quadrature_module, "_SPAN", 2)
+    n = 13
+    grid = np.cumsum(RNG.uniform(0.1, 1.0, n + 1))
+    assert _chunk_width(n) == 1 and _per_span(n) == 2
+    a0, a1, b = np.random.default_rng(37).normal(size=(3, 2, 2))
+    switch = grid[6]  # the spans from step 6 on are complex
+
+    def real_a(t):
+        return a0 + t[:, None, None] * a1
+
+    def complex_a(t):
+        return real_a(t) + 1j * np.where((t >= switch)[:, None, None], b, 0.0)
+
+    psi0, psihat0 = np.array([0.6, 0.8]), np.array([1.0, -0.5])
+
+    def sweep(sample):
+        ms = _sweep_matrices(sample, grid, pair=True)
+        return ms, (_rk4(ms[0], psi0, n), _rk4(ms[1], psihat0, n, adjoint=True))
+
+    # one call per span, in order, on its nodes and then its midpoints
+    afun, calls = _recording(real_a)
+    ms, states = sweep(_sampler(afun))
+    starts = range(0, n, 2)
+    assert len(calls) == len(starts) == 7
+    for times, s in zip(calls, starts):
+        np.testing.assert_array_equal(times.view(np.uint64),
+                                      _nodes_then_midpoints(grid[s:s + 3]).view(np.uint64))
+    # a float sampler gives float64 matrices and states, bitwise those of the
+    # per-step RK4 of the written-out step matrices, forward and adjoint
+    assert all(x.dtype == float for x in (*ms, *states))
+    a, steps = real_a(_refine(grid)), np.diff(grid)
+    for x, generator, y0 in zip(states, (a, _minus_conj_transpose(a)), (psi0, psihat0)):
+        reference = _stepped(_written_out_step_matrices(generator, steps).real, y0)
+        np.testing.assert_array_equal(_bits(x), _bits(reference))
+    # a complex span after float ones: bitwise the sweep that is complex throughout
+    kinds = []
+
+    def mixed_a(t):
+        a = complex_a(t) if t.max() >= switch else real_a(t)
+        kinds.append(a.dtype)
+        return a
+
+    mixed, mixed_states = sweep(_sampler(mixed_a))
+    whole, whole_states = sweep(_sampler(complex_a))
+    assert kinds == [float] * 2 + [complex] * 5
+    assert all(x.dtype == complex for x in (*mixed, *whole, *mixed_states))
+    for x, y in zip(mixed_states, whole_states):
+        np.testing.assert_array_equal(_bits(x), _bits(y))
 
 
 def _put_non_finite(stack):
@@ -621,7 +718,7 @@ def test_sweep_matrices_are_component_major_with_identity_tail(n):
     grid = u + 0.1 * np.sin(2.0 * np.pi * u) / (2.0 * np.pi)
     hfun = _linear_hamiltonian(n)
     width = _chunk_width(n)
-    ms = propagate_module._sweep_matrices(hfun, grid, pair=True)
+    ms = _sweep_matrices(_sampler(lambda t: -1j * hfun(t)), grid, pair=True)
     a = -1j * hfun(_refine(grid))
     steps = np.diff(grid)
     for m, generator in zip(ms, (a, _minus_conj_transpose(a))):
@@ -849,14 +946,16 @@ def _trap_sweep(params):
 def _assert_real_sweep_is_the_complex_sweep(hfun, x0, grid, pair=False):
     """A real sweep's step matrices and states are bitwise the real parts of the complex ones.
 
-    The complex sweep is the build of the same H with real=False, and the
-    scan of the real matrices cast to complex; its imaginary parts are zero.
+    The real matrices are those of propagate's sampler of a real sweep, the
+    complex ones those of a fake sampler of -1j H, and the complex sweep also
+    the scan of the real matrices cast to complex; its imaginary parts are
+    zero.
     """
     n = len(grid) - 1
     x0 = np.asarray(x0, dtype=float)
     starts = (x0, x0[::-1].copy()) if pair else (x0,)
-    reals = _sweep_matrices(hfun, grid, pair=pair, real=True)
-    complexes = _sweep_matrices(hfun, grid, pair=pair)
+    reals = _sweep_matrices(_generator(hfun, True), grid, pair=pair)
+    complexes = _sweep_matrices(_sampler(lambda t: -1j * hfun(t)), grid, pair=pair)
     if pair:
         traj = propagate_pair(hfun, *starts, grid)
         swept = (traj.states, traj.adjoint_states)
@@ -921,12 +1020,17 @@ def test_real_sweep_turns_complex_at_the_first_span_with_a_real_part():
         h = linear(t)
         return h.real * (np.asarray(t) >= 2.5)[..., None, None] + 1j * h.imag
 
-    assert _generator(hfun, grid[:_per_span(n) + 1], real=True).dtype == float
+    # the sampler of a real sweep: float64 on the first span, complex on the
+    # last, and complex from then on, on the first span too
+    sample = _generator(hfun, True)
+    first, last = (_nodes_then_midpoints(span) for span in (grid[:_per_span(n) + 1], grid[-3:]))
+    assert sample(first).dtype == float
+    assert sample(last).dtype == sample(first).dtype == complex
     psi0, psihat0 = np.array([0.6, 0.8]), np.array([1.0, -0.5])
     traj = propagate(hfun, psi0, grid)
     pair = propagate_pair(hfun, psi0, psihat0, grid)
-    [m] = _sweep_matrices(hfun, grid)
-    _, adjoint = _sweep_matrices(hfun, grid, pair=True)
+    [m] = _sweep_matrices(_sampler(lambda t: -1j * hfun(t)), grid)
+    _, adjoint = _sweep_matrices(_sampler(lambda t: -1j * hfun(t)), grid, pair=True)
     reference = _rk4(m, psi0.astype(complex), n)
     assert traj.states.dtype == pair.states.dtype == pair.adjoint_states.dtype == complex
     np.testing.assert_array_equal(_bits(traj.states), _bits(reference))
@@ -1023,8 +1127,8 @@ def test_sweep_matrix_build_holds_one_span_beside_the_matrices(atom):
     # 0.42 MB built straight into them: its H and A, then A and the step
     # build's own rows
     grid = atom.grid(1e-3)
-    peak, ms = _traced_peak(
-        lambda: propagate_module._sweep_matrices(lambda t: cd_hamiltonian(atom, t), grid))
+    sample = _generator(lambda t: cd_hamiltonian(atom, t), False)
+    peak, ms = _traced_peak(lambda: _sweep_matrices(sample, grid))
     assert sum(m.nbytes for m in ms) == 1_019_904
     assert peak - sum(m.nbytes for m in ms) < 0.46e6
 
