@@ -53,8 +53,7 @@ class BiorthoBasis:
     left: np.ndarray
 
     def __post_init__(self):
-        for name in ("values", "right", "left"):
-            getattr(self, name).setflags(write=False)
+        _store_views(self, values=self.values, right=self.right, left=self.left)
 
 
 def _empty_stack(shape: tuple) -> np.ndarray:
@@ -76,6 +75,19 @@ def _mat2(m11, m12, m21, m22) -> np.ndarray:
     out = _empty_stack(shape)
     out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = m11, m12, m21, m22
     return out
+
+
+def _store_views(record, **arrays) -> None:
+    """Store each array (a list too) on the frozen record as a read-only view of np.asarray(x).
+
+    Every record's arrays go through here: views, so that freezing them leaves
+    the caller's arrays writeable and copies nothing.  A None is left as it is.
+    """
+    for name, x in arrays.items():
+        if x is not None:
+            x = np.asarray(x).view()
+            x.setflags(write=False)
+            object.__setattr__(record, name, x)
 
 
 def _null_vector(m11, m12, m21, m22):

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .biortho import _empty_stack, _fd_spectrum, _mat2
+from .biortho import _empty_stack, _fd_spectrum, _mat2, _store_views
 from .errors import BranchJump, ZeroGap
 from .pulses import PulseRates, PulseSchedule, _alpha_dot
 from .quadrature import _cumulative_simpson, _refine, _spans
@@ -161,14 +161,10 @@ class MixingAngleTrajectory:
     alpha: np.ndarray
 
     def __post_init__(self):
-        # views, so that freezing them leaves the caller's arrays writeable
-        grid = np.asarray(self.grid, dtype=float).view()
-        alpha = np.asarray(self.alpha, dtype=complex).view()
+        grid, alpha = np.asarray(self.grid, dtype=float), np.asarray(self.alpha, dtype=complex)
         if grid.shape != alpha.shape:
             raise ValueError("grid and alpha must have matching shapes")
-        for name, x in (("grid", grid), ("alpha", alpha)):
-            x.setflags(write=False)
-            object.__setattr__(self, name, x)
+        _store_views(self, grid=grid, alpha=alpha)
 
     def right_at(self, index, branch=None) -> np.ndarray:
         """right[index]: (2, 2) at one grid point, (k, 2, 2) for a slice of them.

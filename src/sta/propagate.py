@@ -114,6 +114,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .biortho import _store_views
 from .errors import ConfigError, NonFiniteState
 from .quadrature import _spans
 
@@ -145,13 +146,7 @@ class StateTrajectory:
     adjoint_states: np.ndarray | None = None
 
     def __post_init__(self):
-        # views, so that freezing them leaves the caller's arrays writeable
-        for name in ("grid", "states", "adjoint_states"):
-            x = getattr(self, name)
-            if x is not None:
-                x = np.asarray(x).view()
-                x.setflags(write=False)
-                object.__setattr__(self, name, x)
+        _store_views(self, grid=self.grid, states=self.states, adjoint_states=self.adjoint_states)
 
     @property
     def p1(self) -> np.ndarray:

@@ -35,9 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .biortho import _mat2
+from .biortho import _mat2, _store_views
 from .diagnostics import energy_claim_error
 from .propagate import _check_grid, _require_steps, propagate
+from .pulses import _require_finite
 from .quadrature import _cumulative_simpson
 
 _OMEGA_DT = 0.025  # largest omega dt of one RK4 substep in hamilton_trajectory
@@ -77,6 +78,7 @@ class ExpansionSpec:
     v0: float = 0.0
 
     def __post_init__(self):
+        _require_finite(**vars(self))
         for name in ("omega0", "omegaf", "tf", "mass"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -116,7 +118,7 @@ class ErmakovPlan:
     max_abs_omega_sq: float = field(init=False)
 
     def __post_init__(self):
-        self.coeffs.setflags(write=False)
+        _store_views(self, coeffs=self.coeffs)
         w2 = self.omega_sq(np.linspace(0.0, self.tf, _SCAN_SAMPLES))
         object.__setattr__(self, "min_omega_sq", float(np.min(w2)))
         object.__setattr__(self, "max_abs_omega_sq", float(np.max(np.abs(w2))))
@@ -338,11 +340,7 @@ class PhaseSpaceTrajectory:
     p: np.ndarray
 
     def __post_init__(self):
-        # views, so that freezing them leaves the caller's arrays writeable
-        for name in ("grid", "q", "p"):
-            x = np.asarray(getattr(self, name)).view()
-            x.setflags(write=False)
-            object.__setattr__(self, name, x)
+        _store_views(self, grid=self.grid, q=self.q, p=self.p)
 
     def energy(self, plan: ErmakovPlan) -> np.ndarray:
         """Instantaneous oscillator energy p^2/2m + m omega^2 q^2 / 2.

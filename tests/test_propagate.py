@@ -15,8 +15,9 @@ Proves:
     order is refused when the errors vanish
   - population bounds, monotone decay, non-finite and bad-grid rejection;
     the returned grid is read-only and the caller's stays writeable, and
-    StateTrajectory and trap.PhaseSpaceTrajectory store read-only views,
-    leaving the caller's grid, states, q and p writeable
+    StateTrajectory, trap.PhaseSpaceTrajectory, BiorthoBasis and
+    ErmakovPlan store read-only views, leaving the caller's grid, states,
+    q, p, eigensystem and coefficients writeable; the last two take lists
   - the first non-finite step is named, inside and after the first span,
     and a non-finite initial state is named as such, before H is sampled
   - an overflowing chunk propagator neither breaks a finite sweep nor
@@ -80,6 +81,8 @@ import pytest
 import scipy.linalg
 
 from sta import (
+    BiorthoBasis,
+    ErmakovPlan,
     MixingAngleTrajectory,
     NonFiniteState,
     StateTrajectory,
@@ -395,8 +398,8 @@ def test_grid_must_be_finite(bad):
 
 
 def test_caller_grid_stays_writeable():
-    # the sweeps and the trajectories built directly store read-only views,
-    # so the caller's grid, states, q and p stay writeable
+    # the sweeps and the records built directly store read-only views, so
+    # the caller's grid, states, q, p, eigensystem and coefficients stay writeable
     h = np.eye(2, dtype=complex)
     grid = np.linspace(0.0, 1.0, 11)
     states, q, p = np.ones((11, 2), dtype=complex), np.ones(11), np.zeros(11)
@@ -413,6 +416,23 @@ def test_caller_grid_stays_writeable():
     stored = (traj.q, traj.p, StateTrajectory(grid=grid, states=states).states)
     assert all(np.shares_memory(x, y) and not x.flags.writeable
                for x, y in zip(stored, (q, p, states)))
+
+    def basis_and_plan(values, right, left, coeffs):
+        return (BiorthoBasis(values=values, right=right, left=left),
+                ErmakovPlan(omega0=1.0, omegaf=1.0, tf=1.0, mass=1.0, coeffs=coeffs,
+                            amplitude=1.0, theta0=0.0))
+
+    given = (np.array([1.0, -1.0], dtype=complex), np.eye(2, dtype=complex),
+             np.eye(2, dtype=complex), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    basis, plan = basis_and_plan(*given)
+    stored = (basis.values, basis.right, basis.left, plan.coeffs)
+    assert all(y.flags.writeable for y in given)
+    assert all(np.shares_memory(x, y) and not x.flags.writeable for x, y in zip(stored, given))
+    basis, plan = basis_and_plan(*(y.tolist() for y in given))
+    for x, y in zip((basis.values, basis.right, basis.left, plan.coeffs), given):
+        assert isinstance(x, np.ndarray) and not x.flags.writeable
+        np.testing.assert_array_equal(x, y)
+    assert plan.rho_final == 1.0 and plan.min_omega_sq == 1.0
 
 
 @pytest.mark.parametrize("layout", ["stack-time-last", "no-matrix-axes"])

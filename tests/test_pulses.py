@@ -5,7 +5,8 @@ Proves:
   - the fused rates sample is bitwise the six separate rate formulas, and
     each drive formula keeps t's shape with the constants as plain floats
   - analytic derivatives match central finite differences
-  - non-finite pulse parameters are rejected, naming the field
+  - non-finite pulse parameters and ExpansionSpec fields are rejected,
+    naming the field
   - grid construction honors dt and the window
   - adiabaticity ratio: static zero, center value, failure in the wings,
     invariance under time-unit rescaling, ZeroGap at coalescence, and
@@ -36,6 +37,7 @@ import pytest
 
 from sta import (
     ChirpedGaussianParams,
+    ExpansionSpec,
     PulseRates,
     PulseSchedule,
     ZeroGap,
@@ -170,10 +172,16 @@ def constant(**kw):
     return constant_schedule(**{"delta": 0.0, "rabi": 1.0, "gamma": 0.0, **kw})
 
 
+def expansion(**kw):
+    return ExpansionSpec(**{"omega0": 1.0, "omegaf": 0.5, "tf": 3.0, "mass": 1.0, **kw})
+
+
 # x < 0 is False for NaN, so the sign checks alone let these through
 @pytest.mark.parametrize("build, field", [
     (chirped, "rabi_peak"), (chirped, "width_a"), (chirped, "chirp_b"), (chirped, "gamma"),
     (constant, "delta"), (constant, "rabi"), (constant, "gamma"),
+    (expansion, "omega0"), (expansion, "omegaf"), (expansion, "tf"), (expansion, "mass"),
+    (expansion, "q0"), (expansion, "v0"),
 ], ids=lambda x: getattr(x, "__name__", x))
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_parameters_are_rejected(build, field, bad):
